@@ -17,7 +17,6 @@ from typing import Iterable
 
 from .formulas import (
     DEFAULT_MAX_ATOMS,
-    AtomLimitError,
     Disj,
     Formula,
     FormulaClass,
@@ -27,6 +26,7 @@ from .formulas import (
     classify,
     evaluate,
     simplify,
+    valuations,
 )
 
 Clause = frozenset[Lit]
@@ -37,18 +37,7 @@ EMPTY_CLAUSE: Clause = frozenset()
 
 def val_space(avars: Iterable[str]) -> list[frozenset[str]]:
     """All 2^n valuations over `avars`, as sets of true atoms, false outside."""
-    ordered = sorted(set(avars))
-    out = []
-    for mask in range(1 << len(ordered)):
-        out.append(frozenset(a for i, a in enumerate(ordered) if mask >> i & 1))
-    return out
-
-
-def _check_limit(avars, max_atoms: int) -> list[str]:
-    ordered = sorted(avars)
-    if len(ordered) > max_atoms:
-        raise AtomLimitError(len(ordered), max_atoms)
-    return ordered
+    return list(valuations(avars))
 
 
 def clauses_of(x, max_atoms: int = DEFAULT_MAX_ATOMS) -> ClauseSet:
@@ -61,8 +50,8 @@ def clauses_of(x, max_atoms: int = DEFAULT_MAX_ATOMS) -> ClauseSet:
         x = (x,)
     out: set[Clause] = set()
     for f in x:
-        avars = _check_limit(atoms(f), max_atoms)
-        for v in val_space(avars):
+        avars = atoms(f)
+        for v in valuations(avars, max_atoms):
             if not evaluate(f, v):
                 out.add(frozenset(Lit(a, a in v) for a in avars))
     return frozenset(out)
@@ -145,11 +134,8 @@ def entails(premises: Iterable[Formula], f: Formula,
             max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     """Semantic consequence by exhaustive valuation over the joint atoms."""
     premises = list(premises)
-    avars = set(atoms(f))
-    for g in premises:
-        avars |= atoms(g)
-    ordered = _check_limit(avars, max_atoms)
-    for v in val_space(ordered):
+    avars = atoms(f).union(*map(atoms, premises))
+    for v in valuations(avars, max_atoms):
         if all(evaluate(g, v) for g in premises) and not evaluate(f, v):
             return False
     return True
@@ -158,20 +144,16 @@ def entails(premises: Iterable[Formula], f: Formula,
 def satisfiable(formulas: Iterable[Formula],
                 max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     formulas = list(formulas)
-    avars: set[str] = set()
-    for g in formulas:
-        avars |= atoms(g)
-    ordered = _check_limit(avars, max_atoms)
+    avars = frozenset().union(*map(atoms, formulas))
     return any(
-        all(evaluate(g, v) for g in formulas) for v in val_space(ordered)
+        all(evaluate(g, v) for g in formulas) for v in valuations(avars, max_atoms)
     )
 
 
 def clauses_satisfiable(clauses: Iterable[Clause]) -> bool:
     """Valuation-based satisfiability of a clause set (unit test oracle)."""
     clauses = list(clauses)
-    avars = sorted({l.atom for c in clauses for l in c})
-    for v in val_space(avars):
+    for v in valuations(l.atom for c in clauses for l in c):
         if all(any((l.atom in v) != l.neg for l in c) for c in clauses):
             return True
     return False

@@ -5,8 +5,8 @@
     ppl tree  <file> --alg <tag> "<formula>" --format json|dot [--max-atoms N]
 
 Exit codes: 0 = proved (or valid, or output produced), 1 = not proved,
-2 = usage, parse, or validation error.  `query --alg all` reports every
-algorithm and exits 0 unless an error occurs.
+2 = usage, parse, or validation error, or any other failure.  `query --alg
+all` reports every algorithm and exits 0 unless an error occurs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .engine import (
     ALG_ORDER,
     Alg,
     evaluation_tree,
-    provable,
     tree_dot,
     tree_json,
     truth_value,
@@ -44,6 +43,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except _CliError as e:
         print(str(e), file=sys.stderr)
+        return 2
+    except Exception as e:  # exit 1 must only ever mean "not proved"
+        print(f"ppl: error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 2
 
 
@@ -146,11 +148,9 @@ def _cmd_query(args) -> int:
     results = []
     try:
         for alg in algs:
-            proved = provable(desc, alg, f)
-            results.append(
-                {"alg": alg.value, "proofValue": 1 if proved else -1,
-                 "truthValue": truth_value(desc, alg, f).value}
-            )
+            tv = truth_value(desc, alg, f).value
+            results.append({"alg": alg.value, "proofValue": 1 if tv in "ta" else -1,
+                            "truthValue": tv})
     except AtomLimitError as e:
         raise _CliError(f"ppl: error[atom-limit]: {e}")
     if args.as_json:

@@ -12,8 +12,10 @@ count as foes is the only thing that distinguishes the algorithms:
   phi, pi-p               none
 
 A history records every (algorithm, rule) choice made on the current
-branch; a choice may never repeat, which bounds recursion depth by twice
-the number of rules and makes every query terminate with +1 or -1.
+branch; a choice may never repeat, which bounds the depth of every branch
+by twice the number of rules and makes every query terminate with +1 or -1.
+Every walk below is a generator run by one driver (`_run`) on an explicit
+stack, so that depth is limited by memory, not by Python's recursion limit.
 
 The same recursion, written out with all alternatives instead of
 short-circuiting, yields the evaluation tree: min nodes for antecedent
@@ -25,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 
-from .formulas import Formula, Neg, format_formula
+from .formulas import Formula, Neg, canonical_set, format_formula
 from .kb import PlausibleDescription, Rule
 
 
@@ -116,6 +119,26 @@ def foes(desc: PlausibleDescription, alg: Alg, f: Formula, r: Rule) -> tuple[Rul
     return tuple(s for s in against if not desc.superior(r, s))
 
 
+def _run(walk):
+    """Result of a generator walk, driven on an explicit stack.
+
+    A walk gets a sub-walk's result by yielding the sub-walk (another
+    generator): `value = yield sub`.  Depth costs memory, not Python frames.
+    """
+    stack = [walk]
+    value = None
+    while stack:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+    return value
+
+
 class _Prover:
     def __init__(self, desc: PlausibleDescription):
         self.desc = desc
@@ -123,14 +146,15 @@ class _Prover:
         self.memo: dict = {}
 
     def prove(self, alg: Alg, hset: frozenset, x) -> int:
-        if isinstance(x, Formula):
-            return self.prove_formula(alg, hset, x)
-        for f in x:
-            if self.prove_formula(alg, hset, f) == -1:
+        return _run(self._prove(alg, hset, x))
+
+    def _prove(self, alg: Alg, hset: frozenset, x):
+        for f in (x,) if isinstance(x, Formula) else x:
+            if (yield self._prove_formula(alg, hset, f)) == -1:
                 return -1
         return +1
 
-    def prove_formula(self, alg: Alg, hset: frozenset, f: Formula) -> int:
+    def _prove_formula(self, alg: Alg, hset: frozenset, f: Formula):
         key = (alg, hset, f)
         hit = self.memo.get(key)
         if hit is not None:
@@ -144,29 +168,29 @@ class _Prover:
             for r in self.desc.supporters(f, self.rsd):
                 if (alg, r.rid) in hset:
                     continue
-                if self.evidence_for(alg, hset, f, r) == +1:
+                if (yield self._evidence_for(alg, hset, f, r)) == +1:
                     value = +1
                     break
         self.memo[key] = value
         return value
 
-    def evidence_for(self, alg: Alg, hset: frozenset, f: Formula, r: Rule) -> int:
-        if self.prove(alg, hset | {(alg, r.rid)}, r.antecedents) == -1:
+    def _evidence_for(self, alg: Alg, hset: frozenset, f: Formula, r: Rule):
+        if (yield self._prove(alg, hset | {(alg, r.rid)}, r.antecedents)) == -1:
             return -1
         for s in foes(self.desc, alg, f, r):
-            if self.defeated(alg, hset, f, s) == -1:
+            if (yield self._defeated(alg, hset, f, s)) == -1:
                 return -1
         return +1
 
-    def defeated(self, alg: Alg, hset: frozenset, f: Formula, s: Rule) -> int:
+    def _defeated(self, alg: Alg, hset: frozenset, f: Formula, s: Rule):
         for t in self.desc.superior_supporters(f, s, self.rsd):
             if (alg, t.rid) in hset:
                 continue
-            if self.prove(alg, hset | {(alg, t.rid)}, t.antecedents) == +1:
+            if (yield self._prove(alg, hset | {(alg, t.rid)}, t.antecedents)) == +1:
                 return +1
         co = co_algorithm(alg)
         if (co, s.rid) not in hset:
-            if self.prove(co, hset | {(co, s.rid)}, s.antecedents) == -1:
+            if (yield self._prove(co, hset | {(co, s.rid)}, s.antecedents)) == -1:
                 return +1
         return -1
 
@@ -199,10 +223,7 @@ def truth_value(desc: PlausibleDescription, alg: Alg, f: Formula) -> TruthValue:
 
 
 def _normalize(x):
-    if isinstance(x, Formula):
-        return x
-    members = {f._key: f for f in x}
-    return tuple(members[k] for k in sorted(members))
+    return x if isinstance(x, Formula) else canonical_set(x)
 
 
 # --- evaluation trees -------------------------------------------------------
@@ -316,14 +337,17 @@ class _TreeBuilder(_TreeCore):
         self.max_nodes = max_nodes
         self.nodes: dict[Subject, EvalNode] = {}
 
-    def build(self, subject: Subject) -> EvalNode:
+    def build(self, subject: Subject):
         node = self.nodes.get(subject)
         if node is not None:
             return node
         if len(self.nodes) >= self.max_nodes:
             raise TreeBudgetError(f"more than {self.max_nodes} distinct nodes")
         op, child_subjects = self.expand(subject)
-        children = tuple(self.build(c) for c in child_subjects)
+        children = []
+        for c in child_subjects:
+            children.append((yield self.build(c)))
+        children = tuple(children)
         node = EvalNode(subject, op, _aggregate(op, children), children)
         self.nodes[subject] = node
         return node
@@ -344,6 +368,9 @@ class _TreeEvaluator(_TreeCore):
         self.memo: dict = {}
 
     def value(self, subject: Subject) -> int:
+        return _run(self._value(subject))
+
+    def _value(self, subject: Subject):
         key = (subject.kind, subject.alg, frozenset(subject.history),
                subject.formulas, subject.formula, subject.rule, subject.foe)
         hit = self.memo.get(key)
@@ -351,18 +378,14 @@ class _TreeEvaluator(_TreeCore):
             return hit
         op, child_subjects = self.expand(subject)
         if op == "minus":
-            result = -self.value(child_subjects[0])
-        elif op == "min":
-            result = +1
-            for c in child_subjects:
-                if self.value(c) == -1:
-                    result = -1
-                    break
+            result = -(yield self._value(child_subjects[0]))
         else:
-            result = -1
+            # a min node stops at its first -1 child, a max node at its first +1
+            stop = -1 if op == "min" else +1
+            result = -stop
             for c in child_subjects:
-                if self.value(c) == +1:
-                    result = +1
+                if (yield self._value(c)) == stop:
+                    result = stop
                     break
         self.memo[key] = result
         return result
@@ -387,7 +410,7 @@ def evaluation_tree(desc: PlausibleDescription, alg: Alg, x, history=(),
     """
     h = check_history(desc, alg, history)
     root = _root_subject(alg, h, _normalize(x))
-    return _TreeBuilder(desc, max_nodes).build(root)
+    return _run(_TreeBuilder(desc, max_nodes).build(root))
 
 
 def tree_value(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
@@ -411,6 +434,10 @@ def _root_subject(alg: Alg, h: History, x) -> Subject:
 
 def tree_json(node: EvalNode) -> dict:
     """Tree as JSON-ready nested dicts: {subject, op, value, children}."""
+    return _run(_json(node))
+
+
+def _json(node: EvalNode):
     subject: dict = {
         "kind": node.subject.kind,
         "alg": node.subject.alg.value,
@@ -424,12 +451,10 @@ def tree_json(node: EvalNode) -> dict:
         subject["rule"] = node.subject.rule
     if node.subject.foe is not None:
         subject["foe"] = node.subject.foe
-    return {
-        "subject": subject,
-        "op": node.op,
-        "value": node.value,
-        "children": [tree_json(c) for c in node.children],
-    }
+    children = []
+    for c in node.children:
+        children.append((yield _json(c)))
+    return {"subject": subject, "op": node.op, "value": node.value, "children": children}
 
 
 _DOT_SHAPE = {"min": "box", "max": "ellipse", "minus": "diamond"}
@@ -438,17 +463,17 @@ _DOT_SHAPE = {"min": "box", "max": "ellipse", "minus": "diamond"}
 def tree_dot(node: EvalNode) -> str:
     """Tree in DOT format; min/max/minus nodes get distinct shapes."""
     lines = ["digraph evaluation {"]
-    counter = [0]
+    names = count()
 
-    def walk(n: EvalNode) -> str:
-        name = f"n{counter[0]}"
-        counter[0] += 1
+    def walk(n: EvalNode):
+        name = f"n{next(names)}"
         label = f"{n.subject.text()} = {n.value:+d}".replace('"', r"\"")
         lines.append(f'  {name} [shape={_DOT_SHAPE[n.op]}, label="{label}"];')
         for c in n.children:
-            lines.append(f"  {name} -> {walk(c)};")
+            child = yield walk(c)
+            lines.append(f"  {name} -> {child};")
         return name
 
-    walk(node)
+    _run(walk(node))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -83,11 +83,7 @@ class _SetFormula(Formula):
     _tag: int
 
     def __init__(self, members: Iterable[Formula]):
-        # canonical order, duplicates collapsed
-        seen = {}
-        for m in members:
-            seen[m._key] = m
-        self.members = tuple(seen[k] for k in sorted(seen))
+        self.members = canonical_set(members)
         self._key = (self._tag, tuple(m._key for m in self.members))
         self._hash = hash(self._key)
 
@@ -106,6 +102,12 @@ class Conj(_SetFormula):
 class Disj(_SetFormula):
     __slots__ = ()
     _tag = 3
+
+
+def canonical_set(members: Iterable[Formula]) -> tuple[Formula, ...]:
+    """A finite formula set as a tuple: canonical order, duplicates collapsed."""
+    seen = {m._key: m for m in members}
+    return tuple(seen[k] for k in sorted(seen))
 
 
 VERUM = Conj(())
@@ -211,11 +213,8 @@ class FormulaClass(Enum):
 
 def classify(f: Formula, max_atoms: int = DEFAULT_MAX_ATOMS) -> FormulaClass:
     """Classify by exhaustive valuation over the atoms of f."""
-    avars = sorted(atoms(f))
-    if len(avars) > max_atoms:
-        raise AtomLimitError(len(avars), max_atoms)
     seen_true = seen_false = False
-    for v in _subsets(avars):
+    for v in valuations(atoms(f), max_atoms):
         if evaluate(f, v):
             seen_true = True
         else:
@@ -225,10 +224,21 @@ def classify(f: Formula, max_atoms: int = DEFAULT_MAX_ATOMS) -> FormulaClass:
     return FormulaClass.TAUTOLOGY if seen_true else FormulaClass.CONTRADICTION
 
 
-def _subsets(items: list[str]) -> Iterator[frozenset[str]]:
-    n = len(items)
-    for mask in range(1 << n):
-        yield frozenset(items[i] for i in range(n) if mask >> i & 1)
+def valuations(avars: Iterable[str],
+               max_atoms: int | None = None) -> Iterator[frozenset[str]]:
+    """All 2^n valuations over `avars`, lazily, as sets of true atoms.
+
+    The order is canonical: bit i of the counter is the i-th atom in
+    sorted order.  More than `max_atoms` atoms raise AtomLimitError
+    before anything is enumerated.
+    """
+    ordered = sorted(set(avars))
+    if max_atoms is not None and len(ordered) > max_atoms:
+        raise AtomLimitError(len(ordered), max_atoms)
+    return (
+        frozenset(a for i, a in enumerate(ordered) if mask >> i & 1)
+        for mask in range(1 << len(ordered))
+    )
 
 
 def simplify(f: Formula) -> Formula:

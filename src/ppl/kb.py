@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -27,6 +28,7 @@ from .formulas import (
     Disj,
     Formula,
     FormulaClass,
+    canonical_set,
     classify,
     conj,
     format_formula,
@@ -52,11 +54,7 @@ class Rule:
     consequent: Formula
 
     def __post_init__(self):
-        # canonical, duplicate-free antecedent order
-        members = {f._key: f for f in self.antecedents}
-        object.__setattr__(
-            self, "antecedents", tuple(members[k] for k in sorted(members))
-        )
+        object.__setattr__(self, "antecedents", canonical_set(self.antecedents))
 
     @property
     def signature(self):
@@ -176,36 +174,6 @@ def build_strict_rules(ax_formulas: Iterable[Formula]) -> tuple[Rule, ...]:
     return tuple(out)
 
 
-def _find_cycle(pairs: Iterable[tuple[str, str]]) -> list[str] | None:
-    """A superior->inferior cycle in the priority pairs, if any."""
-    succ: dict[str, list[str]] = {}
-    for sup, inf in pairs:
-        succ.setdefault(sup, []).append(inf)
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-    path: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        state[node] = 1
-        path.append(node)
-        for nxt in succ.get(node, ()):
-            if state.get(nxt) == 1:
-                return path[path.index(nxt):]
-            if state.get(nxt) is None:
-                cycle = visit(nxt)
-                if cycle is not None:
-                    return cycle
-        path.pop()
-        state[node] = 2
-        return None
-
-    for start in sorted(succ):
-        if state.get(start) is None:
-            cycle = visit(start)
-            if cycle is not None:
-                return cycle
-    return None
-
-
 @dataclass
 class PlausibleDescription:
     """An immutable, validated knowledge base ready for querying.
@@ -227,6 +195,7 @@ class PlausibleDescription:
 
     def __post_init__(self):
         self._by_id = {r.rid: r for r in self.rules}
+        self._rsd = tuple(filter(self._supporting, self.rules))
 
     def rule(self, rid: str) -> Rule:
         try:
@@ -240,10 +209,10 @@ class PlausibleDescription:
 
     def rsd(self) -> tuple[Rule, ...]:
         """The supporting rules: strict and defeasible, minus the axiom rule."""
-        return tuple(
-            r for r in self.rules
-            if r.arrow is not Arrow.WARNING and r.rid != self.rse_id
-        )
+        return self._rsd
+
+    def _supporting(self, r: Rule) -> bool:
+        return r.arrow is not Arrow.WARNING and r.rid != self.rse_id
 
     def is_fact(self, f: Formula) -> bool:
         """Whether the axioms semantically entail f."""
@@ -277,13 +246,16 @@ class PlausibleDescription:
                    rules: Sequence[Rule] | None = None) -> tuple[Rule, ...]:
         """Rules whose consequent is consistent with and implies f (with the axioms)."""
         key = ("sup", f)
-        all_sup = self._cache.get(key)
-        if all_sup is None:
-            all_sup = frozenset(r.rid for r in self.rules if self._supports(r, f))
-            self._cache[key] = all_sup
+        found = self._cache.get(key)
+        if found is None:
+            found = tuple(r for r in self.rules if self._supports(r, f))
+            self._cache[key] = found
         if rules is None:
-            rules = self.rules
-        return tuple(r for r in rules if r.rid in all_sup)
+            return found
+        if rules is self._rsd:  # cost grows with the supporters, not the rules
+            return tuple(filter(self._supporting, found))
+        ids = {r.rid for r in found}
+        return tuple(r for r in rules if r.rid in ids)
 
     def superior_supporters(self, f: Formula, s: Rule,
                             rules: Sequence[Rule] | None = None) -> tuple[Rule, ...]:
@@ -334,9 +306,15 @@ def validate_description(
             raise PriorityOverRseError(sup, rse_id)
         pairs.append((sup, inf))
 
-    cycle = _find_cycle(pairs)
-    if cycle is not None:
-        raise CyclicPriorityError(cycle)
+    # Each inferior depends on its superiors, so a cycle is listed in
+    # superior -> inferior order, its first node repeated at the end.
+    order = TopologicalSorter()
+    for sup, inf in sorted(pairs):
+        order.add(inf, sup)
+    try:
+        order.prepare()
+    except CycleError as e:
+        raise CyclicPriorityError(e.args[1][:-1]) from None
 
     return PlausibleDescription(
         rules=strict + user_rules,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
@@ -44,6 +46,34 @@ def desc_ambiguity() -> PlausibleDescription:
             Rule("ranb", (a,), Arrow.DEFEASIBLE, Neg(b)),
         ],
     )
+
+
+def desc_rule_chain(n: int) -> PlausibleDescription:
+    """The defeasible chain {} => a0, {a_(i-1)} => a_i, with no facts.
+
+    Closed form: every a_i is u under phi and t under every other algorithm.
+    """
+    links = [Atom(f"a{i}") for i in range(n)]
+    rules = [Rule("r0", (), Arrow.DEFEASIBLE, links[0])]
+    rules += [
+        Rule(f"r{i}", (links[i - 1],), Arrow.DEFEASIBLE, links[i])
+        for i in range(1, n)
+    ]
+    return validate_description([], rules)
+
+
+@contextmanager
+def shallow_recursion_limit(headroom: int = 100):
+    """Lower the recursion limit to `headroom` frames above the caller."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def lottery_facts(n: int) -> list[Formula]:

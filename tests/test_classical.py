@@ -58,6 +58,16 @@ class TestValSpace:
         vs = val_space(["a", "b", "c"])
         assert len(set(vs)) == 8
 
+    def test_one_lazy_enumerator_in_canonical_order(self):
+        from ppl.formulas import valuations
+
+        assert val_space(["b", "a", "b"]) == [
+            frozenset(), {"a"}, {"b"}, {"a", "b"}]
+        assert list(valuations("ba")) == val_space("ab")
+        # the limit is checked when the enumerator is made, before any valuation
+        with pytest.raises(AtomLimitError):
+            valuations([f"x{i}" for i in range(64)], 20)
+
 
 class TestClausesOf:
     def test_joint_clause_form(self):

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from conftest import KB_DIR
+from ppl import cli
 
 QUERY_SCHEMA = {
     "type": "object",
@@ -126,6 +127,8 @@ class TestQuery:
             payload = json.loads(res.stdout)
             jsonschema.validate(payload, QUERY_SCHEMA)
             assert [row["alg"] for row in payload["results"]] == HIERARCHY
+            for row in payload["results"]:  # proved exactly when t or a
+                assert row["proofValue"] == (1 if row["truthValue"] in "ta" else -1)
 
     def test_json_and_human_agree(self):
         js = run_cli("query", str(KB_DIR / "ambiguity.ppl"), "b",
@@ -186,3 +189,41 @@ class TestTree:
         args = ("tree", str(KB_DIR / "ambiguity.ppl"), "b",
                 "--alg", "beta", "--format", fmt)
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+class TestFailureContract:
+    """Exit 1 means only "not proved": every other failure exits 2."""
+
+    def test_internal_failure_exits_two(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken engine")
+
+        monkeypatch.setattr(cli, "evaluation_tree", broken)
+        code = cli.main(["tree", str(KB_DIR / "ambiguity.ppl"), "b",
+                         "--alg", "beta", "--format", "dot"])
+        assert code == 2
+        assert "ppl: error[RuntimeError]: broken engine" in capsys.readouterr().err
+
+    def test_deep_chain_under_a_shallow_recursion_limit(self, tmp_path):
+        n = 150
+        kb = tmp_path / "chain.ppl"
+        kb.write_text("rule r0: {} => a0\n" + "".join(
+            f"rule r{i}: {{a{i - 1}}} => a{i}\n" for i in range(1, n)),
+            encoding="utf-8")
+
+        def shallow(*args):
+            program = ("import sys; sys.setrecursionlimit(200); "
+                       "from ppl.cli import main; sys.exit(main(sys.argv[1:]))")
+            return subprocess.run([sys.executable, "-c", program, *args],
+                                  capture_output=True, text=True)
+
+        top = f"a{n - 1}"
+        query = shallow("query", str(kb), "--alg", "beta", top)
+        assert (query.returncode, query.stdout.split()) == (0, [top, "beta", "+1", "t"])
+        dot = shallow("tree", str(kb), "--alg", "beta", "--format", "dot", top)
+        assert dot.returncode == 0
+        assert dot.stdout.count("shape=") == 3 * n
+        # the json module nests by recursion, so a deep tree fails cleanly
+        js = shallow("tree", str(kb), "--alg", "beta", "--format", "json", top)
+        assert js.returncode == 2
+        assert js.stderr.startswith("ppl: error[RecursionError]")

@@ -1,6 +1,8 @@
 """Golden reasoning examples, histories, evaluation trees, truth values."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -10,6 +12,8 @@ from conftest import (
     desc_lottery4,
     desc_plausible_default,
     desc_retracted_default,
+    desc_rule_chain,
+    shallow_recursion_limit,
 )
 from ppl import (
     ALG_ORDER,
@@ -292,3 +296,72 @@ class TestEvaluationTrees:
         assert one == two
         assert one.startswith("digraph")
         assert "shape=diamond" in one  # minus nodes present and distinct
+
+
+class TestStackSafety:
+    """Deep proofs need memory, not Python frames: every walk runs on the
+    explicit stack of one driver, so a chain much deeper than the remaining
+    recursion headroom still gets its closed-form verdict."""
+
+    N = 150
+
+    @staticmethod
+    def closed_form(alg):
+        # (proof value of a_i, proof value of ~a_i): u under phi, t otherwise
+        return (-1, -1) if alg is Alg.PHI else (+1, -1)
+
+    def test_prove_and_tree_value_under_a_shallow_limit(self):
+        desc = desc_rule_chain(self.N)
+        top = Atom(f"a{self.N - 1}")
+        with shallow_recursion_limit():
+            for alg in ALG_ORDER:
+                want = self.closed_form(alg)
+                assert (prove(desc, alg, top), prove(desc, alg, Neg(top))) == want
+                assert (tree_value(desc, alg, top),
+                        tree_value(desc, alg, Neg(top))) == want
+
+    def test_trees_and_exports_under_a_shallow_limit(self):
+        desc = desc_rule_chain(self.N)
+        top = Atom(f"a{self.N - 1}")
+        with shallow_recursion_limit():
+            for alg in (Alg.PHI, Alg.BETA, Alg.PI_P):
+                want = self.closed_form(alg)[0]
+                root = evaluation_tree(desc, alg, top)
+                assert root.value == want
+                assert tree_json(root)["value"] == want
+                dot = tree_dot(root)
+                assert f"= {want:+d}\"" in dot.splitlines()[1]
+                if alg is Alg.BETA:  # formula, rule, antecedent set per link
+                    assert dot.count("shape=") == 3 * self.N
+
+
+class TestConcurrentReads:
+    def test_threads_sharing_a_description_agree_with_a_sequential_run(self):
+        probes = [Atom("a"), Atom("b"), S1, Neg(S1), Disj([S1, S2]),
+                  Conj([Neg(S1), Neg(S2)])]
+
+        def profile(desc):
+            return [truth_value(desc, alg, f) for f in probes for alg in ALG_ORDER]
+
+        for build in (desc_ambiguity, desc_lottery3):
+            want = profile(build())
+            shared = build()
+            start = threading.Barrier(4)
+            got = [None] * 4
+
+            def worker(i):
+                start.wait()
+                got[i] = profile(shared)
+
+            saved = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the threads finely
+            try:
+                threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(saved)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * 4

@@ -180,6 +180,26 @@ class TestValidation:
             validate_description([], rules, [("x", "y"), ("y", "x")])
         assert set(exc.value.cycle) == {"x", "y"}
 
+    def test_cycle_reported_in_superior_to_inferior_order(self):
+        rules = [Rule(rid, (), Arrow.DEFEASIBLE, A) for rid in "xyz"]
+        pairs = [("x", "y"), ("y", "z"), ("z", "x")]
+        with pytest.raises(CyclicPriorityError) as exc:
+            validate_description([], rules, pairs)
+        cycle = exc.value.cycle
+        assert sorted(cycle) == ["x", "y", "z"]
+        assert {(cycle[i], cycle[(i + 1) % 3]) for i in range(3)} == set(pairs)
+        assert str(exc.value) == "cyclic priority: " + " > ".join(cycle + cycle[:1])
+
+    def test_long_acyclic_priority_chain_at_the_default_limit(self):
+        n = 5001
+        rules = [Rule(f"r{i}", (), Arrow.DEFEASIBLE, A) for i in range(n)]
+        pairs = [(f"r{i}", f"r{i + 1}") for i in range(n - 1)]
+        desc = validate_description([], rules, pairs)
+        assert len(desc.priority) == 5000
+        with pytest.raises(CyclicPriorityError) as exc:
+            validate_description([], rules, pairs + [(f"r{n - 1}", "r0")])
+        assert len(exc.value.cycle) == n
+
     def test_cyclic_priority_self_loop(self):
         rules = [Rule("x", (), Arrow.DEFEASIBLE, A)]
         with pytest.raises(CyclicPriorityError):
@@ -301,15 +321,41 @@ class TestRuleIndexing:
 
     def test_caches_are_pure_memos(self):
         # warm caches answer exactly like a fresh description
-        warm = desc_lottery3()
-        probes = [Neg(S1), S1, Disj([S1, S2]), Conj([Neg(S1), Neg(S2)])]
-        for f in probes:
-            warm.supporters(f)
-            warm.is_fact(f)
-        fresh = desc_lottery3()
-        for f in probes:
-            assert warm.supporters(f) == fresh.supporters(f)
-            assert warm.is_fact(f) == fresh.is_fact(f)
+        m, c, s = Atom("m"), Atom("c"), Atom("s")
+
+        def prioritised():
+            rules = [Rule("ms", (m,), Arrow.DEFEASIBLE, s),
+                     Rule("cns", (c,), Arrow.DEFEASIBLE, Neg(s)),
+                     Rule("w", (), Arrow.WARNING, Neg(s))]
+            return validate_description([Disj([m, c])], rules,
+                                        [("cns", "ms"), ("w", "ms")])
+
+        for build, probes in (
+            (desc_lottery3, [Neg(S1), S1, Disj([S1, S2]), Conj([Neg(S1), Neg(S2)])]),
+            (prioritised, [s, Neg(s), Disj([m, c])]),
+        ):
+            warm = build()
+            for f in probes:
+                warm.supporters(f)
+                warm.supporters(f, warm.rsd())
+                warm.is_fact(f)
+                for r in warm.rules:
+                    warm.superior_supporters(f, r, warm.rsd())
+            fresh = build()
+            for f in probes:
+                assert warm.supporters(f) == fresh.supporters(f)
+                assert warm.supporters(f, warm.rsd()) == fresh.supporters(f, fresh.rsd())
+                assert warm.is_fact(f) == fresh.is_fact(f)
+                for r in fresh.rules:
+                    assert (warm.superior_supporters(f, warm.rule(r.rid), warm.rsd())
+                            == fresh.superior_supporters(f, r, fresh.rsd()))
+                # restricting to rsd() keeps the declared order
+                every = set(fresh.supporters(f))
+                assert warm.supporters(f, warm.rsd()) == tuple(
+                    r for r in fresh.rsd() if r in every)
+        ms = warm.rule("ms")
+        assert [t.rid for t in warm.superior_supporters(Neg(s), ms)] == ["cns", "w"]
+        assert [t.rid for t in warm.superior_supporters(Neg(s), ms, warm.rsd())] == ["cns"]
 
     def test_entailment_monotonicity_on_generated_theories(self):
         import random as _random

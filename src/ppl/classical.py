@@ -1,14 +1,18 @@
 """Classical propositional core: valuations, clause form, resolution.
 
 Clauses are represented as frozensets of literals read disjunctively; the
-empty clause is the falsum.  On top of binary-resolution closure sit the
+empty clause is the falsum.  On top of binary resolution sit the
 potential-error filter (drop every clause touching a literal derivable both
 ways as a unit) and three proof relations: classical refutation, the
 paraconsistent "judicious" refutation against the filtered clause set, and
 membership in the consequence set (judicious minus tautologies).
 
-Semantic entailment and satisfiability are decided independently by
-exhaustive valuation, so resolution can be cross-checked against semantics.
+Every internal closure is `saturate`, binary resolution that never keeps a
+tautological resolvent; it has the same units, the same empty-clause
+membership and the same core as the exhaustive `resolution_closure`, which
+stays as the oracle.  Semantic entailment and satisfiability are decided
+independently by exhaustive valuation, so resolution can be cross-checked
+against semantics.
 """
 
 from __future__ import annotations
@@ -64,7 +68,10 @@ def resolvents(c1: Clause, c2: Clause) -> Iterable[Clause]:
 
 
 def resolution_closure(clauses: Iterable[Clause]) -> ClauseSet:
-    """Least set containing `clauses` and closed under binary resolution."""
+    """Least set containing `clauses` and closed under binary resolution.
+
+    Exhaustive, tautologies included: the test oracle for `saturate`.
+    """
     closed: set[Clause] = set()
     frontier = list(set(clauses))
     while frontier:
@@ -79,27 +86,78 @@ def resolution_closure(clauses: Iterable[Clause]) -> ClauseSet:
     return frozenset(closed)
 
 
+def saturate(clauses: Iterable[Clause]) -> ClauseSet:
+    """`resolution_closure` without its tautological resolvents.
+
+    The input clauses are kept as given; a resolvent holding a literal and
+    its complement is dropped.  The result can miss non-minimal clauses of
+    the closure Res(S), but it has the same units, holds the empty clause
+    iff Res(S) does, and has the same `core_clauses`:
+
+    * Sound: saturate(S) is a subset of Res(S).
+    * Every non-tautological C in Res(S) contains some C' in saturate(S),
+      by induction on C's derivation.  Resolving a tautology {p, ~p} | R
+      on p with a D holding ~p gives D | R, a superset of the other
+      premise; resolving it on any other literal gives a tautology.  If
+      neither premise is a derived tautology, each is an input clause or
+      contains a member of saturate(S) by induction.  If those members
+      both still hold the literal resolved upon, their resolvent is a
+      subset of C, hence no tautology, hence kept; otherwise one of them
+      is already a subset of C.
+    * So the empty clause is in both or in neither, and both have the
+      same subset-minimal non-tautological clauses, the core.
+    * A unit {l} of Res(S) contains {l} or the empty clause from
+      saturate(S); without the empty clause that is {l} itself.  With it,
+      the argument above does not pin {l}: the law test checks units
+      against `resolution_closure` on random unsatisfiable sets, with and
+      without tautological input clauses (which must be kept: {x, ~x, l}
+      with {x} and {~x} derives {l}).
+    """
+    closed: set[Clause] = set()
+    frontier = list(set(clauses))
+    while frontier:
+        c = frontier.pop()
+        if c in closed:
+            continue
+        closed.add(c)
+        fresh = []
+        for d in closed:
+            fresh.extend(r for r in resolvents(c, d)
+                         if r not in closed and not is_tautology(r))
+        frontier.extend(fresh)
+    return frozenset(closed)
+
+
+def is_tautology(c: Clause) -> bool:
+    return any(l.complement() in c for l in c)
+
+
+def conflicting_units(closed: Iterable[Clause]) -> frozenset[Lit]:
+    """Unit literals of a saturated clause set whose complement is a unit too."""
+    units = {next(iter(c)) for c in closed if len(c) == 1}
+    return frozenset(l for l in units if l.complement() in units)
+
+
+def without_errors(clauses: Iterable[Clause], bad: frozenset[Lit]) -> ClauseSet:
+    """Drop the empty clause and every clause touching a literal of `bad`."""
+    return frozenset(c for c in clauses if c and not (c & bad))
+
+
 def err(clauses: Iterable[Clause]) -> frozenset[Lit]:
     """Potential-error literals: unit-derivable together with their complement."""
-    units = {next(iter(c)) for c in resolution_closure(clauses) if len(c) == 1}
-    return frozenset(l for l in units if l.complement() in units)
+    return conflicting_units(saturate(clauses))
 
 
 def sat_filter(clauses: Iterable[Clause]) -> ClauseSet:
     """Drop the empty clause and every clause touching a potential error."""
     clauses = frozenset(clauses)
-    bad = err(clauses)
-    return frozenset(c for c in clauses if c and not (c & bad))
+    return without_errors(clauses, err(clauses))
 
 
 def core_clauses(clauses: Iterable[Clause]) -> ClauseSet:
     """Contingent-or-empty, subset-minimal members (clause-set core)."""
-    kept = [c for c in set(clauses) if not any(l.complement() in c for l in c)]
+    kept = [c for c in set(clauses) if not is_tautology(c)]
     return frozenset(c for c in kept if not any(d < c for d in kept))
-
-
-def cor_res(clauses: Iterable[Clause]) -> ClauseSet:
-    return core_clauses(resolution_closure(clauses))
 
 
 def clause_formula(c: Clause, simplified: bool = False) -> Formula:
@@ -112,14 +170,14 @@ def proves(premises: Iterable[Formula], f: Formula,
            max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     """Classical refutation: the clause form of {~f} ∪ premises resolves to falsum."""
     start = clauses_of(list(premises) + [Neg(f)], max_atoms)
-    return EMPTY_CLAUSE in resolution_closure(start)
+    return EMPTY_CLAUSE in saturate(start)
 
 
 def judiciously_proves(premises: Iterable[Formula], f: Formula,
                        max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     """Refutation against the error-filtered clause form of the premises."""
     start = clauses_of(Neg(f), max_atoms) | sat_filter(clauses_of(premises, max_atoms))
-    return EMPTY_CLAUSE in resolution_closure(start)
+    return EMPTY_CLAUSE in saturate(start)
 
 
 def in_from(premises: Iterable[Formula], f: Formula,

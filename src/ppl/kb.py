@@ -106,12 +106,23 @@ def build_axioms(facts: Iterable[Formula],
                  max_atoms: int = DEFAULT_MAX_ATOMS) -> frozenset[Clause]:
     """Axiom clauses distilled from the facts.
 
-    Pipeline: clause form, error filter, resolution closure, core.  The
-    result is satisfiable, every member is contingent, and no member's
+    Pipeline: clause form, error filter, saturation, core, equal to
+    `core_clauses(resolution_closure(sat_filter(clauses_of(facts))))`.
+    The result is satisfiable, every member is contingent, and no member's
     literal set contains another's.
+
+    One `saturate` of the clause form yields the error literals (its
+    units).  With none, the filter only drops the empty clause, which
+    resolves with nothing, so the core comes from that same saturation.
+    Only conflicting facts pay for a second saturation, of the filtered
+    clauses.
     """
-    filtered = classical.sat_filter(classical.clauses_of(facts, max_atoms))
-    return classical.cor_res(filtered)
+    clauses = classical.clauses_of(facts, max_atoms)
+    closed = classical.saturate(clauses)
+    bad = classical.conflicting_units(closed)
+    if bad:
+        closed = classical.saturate(classical.without_errors(clauses, bad))
+    return classical.core_clauses(closed - {classical.EMPTY_CLAUSE})
 
 
 def axiom_formulas(ax: Iterable[Clause]) -> frozenset[Formula]:
@@ -196,6 +207,7 @@ class PlausibleDescription:
     def __post_init__(self):
         self._by_id = {r.rid: r for r in self.rules}
         self._rsd = tuple(filter(self._supporting, self.rules))
+        self._inferiors = frozenset(inf for _, inf in self.priority)
 
     def rule(self, rid: str) -> Rule:
         try:
@@ -260,6 +272,8 @@ class PlausibleDescription:
     def superior_supporters(self, f: Formula, s: Rule,
                             rules: Sequence[Rule] | None = None) -> tuple[Rule, ...]:
         """Supporters of f strictly superior to s."""
+        if s.rid not in self._inferiors:  # no rule is superior to s
+            return ()
         return tuple(
             t for t in self.supporters(f, rules)
             if (t.rid, s.rid) in self.priority

@@ -24,7 +24,13 @@ from ppl import (
     satisfiable,
     val_space,
 )
-from ppl.classical import EMPTY_CLAUSE, clauses_satisfiable, core_clauses
+from ppl.classical import (
+    EMPTY_CLAUSE,
+    clauses_satisfiable,
+    core_clauses,
+    is_tautology,
+    saturate,
+)
 from ppl.formulas import atoms, evaluate
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -38,7 +44,7 @@ def clause(*parts: str) -> frozenset[Lit]:
 
 
 def random_clause_set(rng, n_atoms=4, max_clauses=6, max_width=3):
-    names = "abcd"[:n_atoms]
+    names = "abcde"[:n_atoms]
     return frozenset(
         frozenset(
             Lit(rng.choice(names), rng.random() < 0.5)
@@ -166,6 +172,72 @@ class TestErrSat:
             cs = random_clause_set(rng)
             by_resolution = EMPTY_CLAUSE not in resolution_closure(cs)
             assert by_resolution == clauses_satisfiable(cs)
+
+
+def units(clauses):
+    return {next(iter(c)) for c in clauses if len(c) == 1}
+
+
+def conflicts(closed):
+    u = units(closed)
+    return frozenset(l for l in u if l.complement() in u)
+
+
+def without(cs, bad):
+    return frozenset(c for c in cs if c and not (c & bad))
+
+
+class TestSaturation:
+    """`saturate` against the exhaustive `resolution_closure` oracle."""
+
+    def test_agrees_with_the_closure_on_random_clause_sets(self):
+        rng = random.Random(43)
+        seen = {"unsat": 0, "empty": 0, "tautology": 0}
+        for n_atoms, count in ((4, 500), (5, 250)):
+            for _ in range(count):
+                cs = random_clause_set(rng, n_atoms, max_clauses=8)
+                full, sat = resolution_closure(cs), saturate(cs)
+                seen["unsat"] += EMPTY_CLAUSE in full
+                seen["empty"] += EMPTY_CLAUSE in cs
+                seen["tautology"] += any(map(is_tautology, cs))
+                assert sat <= full
+                assert not any(map(is_tautology, sat - cs))
+                assert units(sat) == units(full), cs
+                assert (EMPTY_CLAUSE in sat) == (EMPTY_CLAUSE in full)
+                assert core_clauses(sat) == core_clauses(full)
+                assert err(cs) == conflicts(full)
+                assert sat_filter(cs) == without(cs, conflicts(full))
+        assert min(seen.values()) > 50, seen
+
+    def test_tautological_inputs_are_kept(self):
+        # the closure derives {l} only through the input tautology
+        cs = {clause("x"), clause("~x"), clause("x", "~x", "l"),
+              clause("x", "~x", "~l"), clause("l", "z")}
+        assert err(cs) == conflicts(resolution_closure(cs)) == {
+            Lit("x", False), Lit("x", True), Lit("l", False), Lit("l", True)}
+        assert sat_filter(cs) == frozenset()
+
+    def test_drops_tautological_resolvents(self):
+        # the lottery: every resolvent of the input is a tautology
+        cs = {clause("a", "b", "c"), clause("~a", "~b"), clause("~a", "~c"),
+              clause("~b", "~c")}
+        assert saturate(cs) == cs
+        assert len(resolution_closure(cs)) > len(cs)
+
+    def test_proof_relations_agree_with_the_closure(self):
+        rng = random.Random(47)
+        proved = 0
+        for _ in range(150):
+            F = [_random_formula(rng, 2) for _ in range(rng.randint(0, 3))]
+            f = _random_formula(rng, 2)
+            classical = EMPTY_CLAUSE in resolution_closure(clauses_of(F + [Neg(f)]))
+            premises = clauses_of(F)
+            filtered = without(premises, conflicts(resolution_closure(premises)))
+            judicious = EMPTY_CLAUSE in resolution_closure(clauses_of(Neg(f)) | filtered)
+            assert proves(F, f) == classical
+            assert judiciously_proves(F, f) == judicious
+            proved += judicious
+        assert 20 < proved < 130
 
 
 class TestProofRelations:

@@ -1,10 +1,17 @@
 """Axiom construction, strict-rule synthesis, validation, and rule indexing."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from conftest import desc_ambiguity, desc_lottery3, desc_plausible_default, lottery_facts
+from conftest import (
+    KB_DIR,
+    desc_ambiguity,
+    desc_lottery3,
+    desc_plausible_default,
+    lottery_facts,
+)
 from ppl import (
     Arrow,
     Atom,
@@ -20,10 +27,15 @@ from ppl import (
     build_axioms,
     build_strict_rules,
     clause_rules,
+    clauses_of,
     entails,
+    parse_kb,
+    resolution_closure,
     satisfiable,
     validate_description,
 )
+from ppl import classical
+from ppl.classical import core_clauses
 from ppl.formulas import FormulaClass, classify
 from ppl.kb import axiom_formulas
 
@@ -68,6 +80,61 @@ class TestBuildAxioms:
                 from ppl.formulas import is_clause, is_literal
 
                 assert is_literal(f) or (is_clause(f) and len(f.members) >= 2)
+
+    def test_equals_the_closure_pipeline(self):
+        # core(Res(sat(clauses))), with err read off the exhaustive closure
+        rng = random.Random(43)
+        cases = [parse_kb(p.read_text(encoding="utf-8")).facts
+                 for p in sorted(KB_DIR.glob("*.ppl"))]
+        cases += [[_random_formula(rng, 2) for _ in range(rng.randint(0, 4))]
+                  for _ in range(150)]
+        conflicting = 0
+        for facts in cases:
+            cs = clauses_of(facts)
+            units = {next(iter(c)) for c in resolution_closure(cs) if len(c) == 1}
+            bad = {l for l in units if l.complement() in units}
+            conflicting += bool(bad)
+            kept = {c for c in cs if c and not (c & bad)}
+            assert build_axioms(facts) == core_clauses(resolution_closure(kept)), facts
+        assert conflicting > 20
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_lottery_axioms_are_the_prime_implicates(self, n):
+        tickets = [Atom(f"s{i}") for i in range(1, n + 1)]
+        desc = validate_description(lottery_facts(n), [])
+        expected = {Disj(tickets)} | {
+            Disj([Neg(si), Neg(sj)]) for si, sj in combinations(tickets, 2)}
+        assert len(desc.axiom_clauses) == n * (n - 1) // 2 + 1
+        assert set(desc.axioms) == expected
+
+
+class TestOneSaturation:
+    """Validation saturates the clause form once, twice for conflicting facts."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"saturate": 0, "resolution_closure": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(classical, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(classical, name, counted)
+        return calls
+
+    def test_satisfiable_facts_saturate_once(self, calls):
+        doc = parse_kb((KB_DIR / "lottery4.ppl").read_text(encoding="utf-8"))
+        validate_description(doc.facts, doc.rules, doc.priority)
+        assert calls == {"saturate": 1, "resolution_closure": 0}
+        p = [Atom(f"p{i}") for i in range(7)]
+        chain = [Disj([Neg(p[i]), p[i + 1]]) for i in range(6)]
+        desc = validate_description(chain, [Rule("r", (), Arrow.DEFEASIBLE, p[0])])
+        assert calls == {"saturate": 2, "resolution_closure": 0}
+        assert len(desc.axiom_clauses) == 21  # every p_i -> p_j, i < j
+
+    def test_conflicting_facts_saturate_twice(self, calls):
+        desc = validate_description([A, Neg(A), B], [])
+        assert desc.axioms == (B,)
+        assert calls == {"saturate": 2, "resolution_closure": 0}
 
 
 def _random_formula(rng, depth):
@@ -349,6 +416,11 @@ class TestRuleIndexing:
                 for r in fresh.rules:
                     assert (warm.superior_supporters(f, warm.rule(r.rid), warm.rsd())
                             == fresh.superior_supporters(f, r, fresh.rsd()))
+                    # the short cut for rules never inferior keeps the definition
+                    for rules in (None, fresh.rsd()):
+                        assert fresh.superior_supporters(f, r, rules) == tuple(
+                            t for t in fresh.supporters(f, rules)
+                            if (t.rid, r.rid) in fresh.priority)
                 # restricting to rsd() keeps the declared order
                 every = set(fresh.supporters(f))
                 assert warm.supporters(f, warm.rsd()) == tuple(

@@ -8,11 +8,12 @@ paraconsistent "judicious" refutation against the filtered clause set, and
 membership in the consequence set (judicious minus tautologies).
 
 Every internal closure is `saturate`, binary resolution that never keeps a
-tautological resolvent; it has the same units, the same empty-clause
-membership and the same core as the exhaustive `resolution_closure`, which
-stays as the oracle.  Semantic entailment and satisfiability are decided
-independently by exhaustive valuation, so resolution can be cross-checked
-against semantics.
+tautological resolvent.  It has the same empty-clause membership and the
+same core as the exhaustive `resolution_closure`, which stays as the
+oracle; it has the same units by proof when the clause set is satisfiable,
+and by the law test otherwise (see `saturate`).  Semantic entailment and
+satisfiability are decided independently by exhaustive valuation, so
+resolution can be cross-checked against semantics.
 """
 
 from __future__ import annotations
@@ -89,10 +90,10 @@ def resolution_closure(clauses: Iterable[Clause]) -> ClauseSet:
 def saturate(clauses: Iterable[Clause]) -> ClauseSet:
     """`resolution_closure` without its tautological resolvents.
 
-    The input clauses are kept as given; a resolvent holding a literal and
-    its complement is dropped.  The result can miss non-minimal clauses of
-    the closure Res(S), but it has the same units, holds the empty clause
-    iff Res(S) does, and has the same `core_clauses`:
+    A resolvent holding a literal and its complement is dropped.  For a
+    tautology-free S the result can miss non-minimal clauses of the
+    closure Res(S), but it holds the empty clause iff Res(S) does, has the
+    same `core_clauses`, and has the same units:
 
     * Sound: saturate(S) is a subset of Res(S).
     * Every non-tautological C in Res(S) contains some C' in saturate(S),
@@ -108,13 +109,20 @@ def saturate(clauses: Iterable[Clause]) -> ClauseSet:
       same subset-minimal non-tautological clauses, the core.
     * A unit {l} of Res(S) contains {l} or the empty clause from
       saturate(S); without the empty clause that is {l} itself.  With it,
-      the argument above does not pin {l}: the law test checks units
-      against `resolution_closure` on random unsatisfiable sets, with and
-      without tautological input clauses (which must be kept: {x, ~x, l}
-      with {x} and {~x} derives {l}).
+      the argument above does not pin {l}, and the units rest on the law
+      test against `resolution_closure` and on an exhaustive check of
+      small clause sets.
+
+    The units fail for an input tautology: with {b}, {c} and {~b, ~c},
+    the clause {a, b, ~b, c, ~c} yields {a} only through tautological
+    resolvents.  So a clause set holding a tautology is closed
+    exhaustively; `clauses_of` never emits one.
     """
+    clauses = frozenset(clauses)
+    if any(map(is_tautology, clauses)):
+        return resolution_closure(clauses)
     closed: set[Clause] = set()
-    frontier = list(set(clauses))
+    frontier = list(clauses)
     while frontier:
         c = frontier.pop()
         if c in closed:

@@ -2,7 +2,7 @@
 three proof relations, cross-checked against exhaustive-valuation oracles."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -192,22 +192,50 @@ class TestSaturation:
 
     def test_agrees_with_the_closure_on_random_clause_sets(self):
         rng = random.Random(43)
-        seen = {"unsat": 0, "empty": 0, "tautology": 0}
+        seen = {"unsat": 0, "empty": 0, "tautology": 0, "unsat without tautology": 0}
         for n_atoms, count in ((4, 500), (5, 250)):
             for _ in range(count):
                 cs = random_clause_set(rng, n_atoms, max_clauses=8)
                 full, sat = resolution_closure(cs), saturate(cs)
+                tautological = any(map(is_tautology, cs))
                 seen["unsat"] += EMPTY_CLAUSE in full
                 seen["empty"] += EMPTY_CLAUSE in cs
-                seen["tautology"] += any(map(is_tautology, cs))
-                assert sat <= full
-                assert not any(map(is_tautology, sat - cs))
+                seen["tautology"] += tautological
+                seen["unsat without tautology"] += (EMPTY_CLAUSE in full
+                                                    and not tautological)
+                if tautological:
+                    assert sat == full
+                else:
+                    assert sat <= full
+                    assert not any(map(is_tautology, sat))
                 assert units(sat) == units(full), cs
                 assert (EMPTY_CLAUSE in sat) == (EMPTY_CLAUSE in full)
                 assert core_clauses(sat) == core_clauses(full)
                 assert err(cs) == conflicts(full)
                 assert sat_filter(cs) == without(cs, conflicts(full))
         assert min(seen.values()) > 50, seen
+
+    def test_units_agree_on_every_small_clause_set(self):
+        # every set of up to three tautology-free clauses over three atoms
+        pool = [frozenset(Lit(a, s == 2) for a, s in zip("abc", signs) if s)
+                for signs in product(range(3), repeat=3)]
+        unsat = 0
+        for k in (1, 2, 3):
+            for cs in combinations(pool, k):
+                full, sat = resolution_closure(cs), saturate(cs)
+                unsat += EMPTY_CLAUSE in full
+                assert units(sat) == units(full), cs
+        assert unsat > 400
+
+    def test_a_tautological_input_is_closed_exhaustively(self):
+        # {a} follows only through tautological resolvents of the input
+        # tautology, so dropping them would change err
+        cs = {clause("b"), clause("c"), clause("~b", "~c"),
+              clause("a", "b", "~b", "c", "~c"), clause("~a")}
+        assert saturate(cs) == resolution_closure(cs)
+        assert err(cs) == conflicts(resolution_closure(cs)) == {
+            Lit(x, neg) for x in "abc" for neg in (False, True)}
+        assert sat_filter(cs) == frozenset()
 
     def test_tautological_inputs_are_kept(self):
         # the closure derives {l} only through the input tautology

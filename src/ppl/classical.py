@@ -13,7 +13,8 @@ same core as the exhaustive `resolution_closure`, which stays as the
 oracle; it has the same units by proof when the clause set is satisfiable,
 and by the law test otherwise (see `saturate`).  Semantic entailment and
 satisfiability are decided independently by exhaustive valuation, so
-resolution can be cross-checked against semantics.
+resolution can be cross-checked against semantics (and against the fact
+checks).  `is_tautology` and `core_clauses` are imported from `formulas`.
 """
 
 from __future__ import annotations
@@ -22,15 +23,13 @@ from typing import Iterable
 
 from .formulas import (
     DEFAULT_MAX_ATOMS,
-    Disj,
     Formula,
-    FormulaClass,
     Lit,
     Neg,
     atoms,
-    classify,
+    core_clauses,
     evaluate,
-    simplify,
+    is_tautology,
     valuations,
 )
 
@@ -136,10 +135,6 @@ def saturate(clauses: Iterable[Clause]) -> ClauseSet:
     return frozenset(closed)
 
 
-def is_tautology(c: Clause) -> bool:
-    return any(l.complement() in c for l in c)
-
-
 def conflicting_units(closed: Iterable[Clause]) -> frozenset[Lit]:
     """Unit literals of a saturated clause set whose complement is a unit too."""
     units = {next(iter(c)) for c in closed if len(c) == 1}
@@ -162,18 +157,6 @@ def sat_filter(clauses: Iterable[Clause]) -> ClauseSet:
     return without_errors(clauses, err(clauses))
 
 
-def core_clauses(clauses: Iterable[Clause]) -> ClauseSet:
-    """Contingent-or-empty, subset-minimal members (clause-set core)."""
-    kept = [c for c in set(clauses) if not is_tautology(c)]
-    return frozenset(c for c in kept if not any(d < c for d in kept))
-
-
-def clause_formula(c: Clause, simplified: bool = False) -> Formula:
-    """Render a clause as a formula: or{...}, or a bare literal if simplified."""
-    f = Disj(sorted(l.formula() for l in c))
-    return simplify(f) if simplified else f
-
-
 def proves(premises: Iterable[Formula], f: Formula,
            max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     """Classical refutation: the clause form of {~f} ∪ premises resolves to falsum."""
@@ -191,7 +174,7 @@ def judiciously_proves(premises: Iterable[Formula], f: Formula,
 def in_from(premises: Iterable[Formula], f: Formula,
             max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     """f follows from the premises: judiciously proved and not a tautology."""
-    if classify(f, max_atoms) is FormulaClass.TAUTOLOGY:
+    if not clauses_of(f, max_atoms):  # a tautology
         return False
     return judiciously_proves(premises, f, max_atoms)
 

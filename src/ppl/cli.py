@@ -44,6 +44,9 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(str(e), file=sys.stderr)
         return 2
+    except AtomLimitError as e:  # validation maps its own to error[validation]
+        print(f"ppl: error[atom-limit]: {e}", file=sys.stderr)
+        return 2
     except Exception as e:  # exit 1 must only ever mean "not proved"
         print(f"ppl: error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 2
@@ -121,19 +124,12 @@ def _cmd_check(args) -> int:
     print(f"axioms ({len(desc.axioms)}):")
     for f in desc.axioms:
         print(f"  {format_formula(f)}")
-    strict = [r for r in desc.rules if r.arrow is Arrow.STRICT]
-    defeasible = [r for r in desc.rules if r.arrow is Arrow.DEFEASIBLE]
-    warning = [r for r in desc.rules if r.arrow is Arrow.WARNING]
-    print(f"strict rules ({len(strict)}):")
-    for r in strict:
-        marker = "  (axiom rule)" if r.rid == desc.rse_id else ""
-        print(f"  {r}{marker}")
-    print(f"defeasible rules ({len(defeasible)}):")
-    for r in defeasible:
-        print(f"  {r}")
-    print(f"warning rules ({len(warning)}):")
-    for r in warning:
-        print(f"  {r}")
+    for arrow in Arrow:  # strict, defeasible, warning
+        group = [r for r in desc.rules if r.arrow is arrow]
+        print(f"{arrow.name.lower()} rules ({len(group)}):")
+        for r in group:
+            marker = "  (axiom rule)" if r.rid == desc.rse_id else ""
+            print(f"  {r}{marker}")
     print(f"priority pairs ({len(desc.priority)}):")
     for sup, inf in sorted(desc.priority):
         print(f"  {sup} > {inf}")
@@ -146,13 +142,10 @@ def _cmd_query(args) -> int:
     f = _parse_query_formula(args)
     algs = list(ALG_ORDER) if args.alg == "all" else [Alg(args.alg)]
     results = []
-    try:
-        for alg in algs:
-            tv = truth_value(desc, alg, f).value
-            results.append({"alg": alg.value, "proofValue": 1 if tv in "ta" else -1,
-                            "truthValue": tv})
-    except AtomLimitError as e:
-        raise _CliError(f"ppl: error[atom-limit]: {e}")
+    for alg in algs:
+        tv = truth_value(desc, alg, f).value
+        results.append({"alg": alg.value, "proofValue": 1 if tv in "ta" else -1,
+                        "truthValue": tv})
     if args.as_json:
         print(json.dumps({"formula": format_formula(f), "results": results},
                          indent=2, sort_keys=True))
@@ -169,10 +162,7 @@ def _cmd_query(args) -> int:
 def _cmd_tree(args) -> int:
     desc = _load(args)
     f = _parse_query_formula(args)
-    try:
-        root = evaluation_tree(desc, Alg(args.alg), f)
-    except AtomLimitError as e:
-        raise _CliError(f"ppl: error[atom-limit]: {e}")
+    root = evaluation_tree(desc, Alg(args.alg), f)
     if args.format == "json":
         print(json.dumps(tree_json(root), indent=2, sort_keys=True))
     else:

@@ -15,6 +15,7 @@ The text grammar (used by the KB file format and the CLI) is::
 
 from __future__ import annotations
 
+import re
 import sys
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
@@ -41,9 +42,6 @@ class Formula:
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Formula) and self._key == other._key)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return self._hash
@@ -114,12 +112,12 @@ VERUM = Conj(())
 FALSUM = Disj(())
 
 
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_BLANKS = re.compile(r"[ \t]*")
+
+
 def _is_identifier(name: str) -> bool:
-    if not name or name in ("and", "or"):
-        return False
-    if not (name[0].isascii() and (name[0].isalpha() or name[0] == "_")):
-        return False
-    return all(c.isascii() and (c.isalnum() or c == "_") for c in name)
+    return name not in ("and", "or") and _IDENTIFIER.fullmatch(name) is not None
 
 
 class Lit(NamedTuple):
@@ -174,12 +172,6 @@ def is_clause(f: Formula) -> bool:
     return isinstance(f, Disj) and all(is_literal(m) for m in f.members)
 
 
-def is_dual_clause(f: Formula) -> bool:
-    if is_literal(f):
-        return True
-    return isinstance(f, Conj) and all(is_literal(m) for m in f.members)
-
-
 def atoms(f: Formula) -> frozenset[str]:
     out: set[str] = set()
     stack = [f]
@@ -195,14 +187,36 @@ def atoms(f: Formula) -> frozenset[str]:
 
 
 def evaluate(f: Formula, true_atoms) -> bool:
-    """Truth of f under the valuation that makes exactly `true_atoms` true."""
-    if isinstance(f, Atom):
+    """Truth of f under the valuation that makes exactly `true_atoms` true.
+
+    Runs on an explicit stack of member iterators.  An and/or set stops at
+    its first member that decides it.
+    """
+    if isinstance(f, Atom):  # the commonest case, without the stack
         return f.name in true_atoms
-    if isinstance(f, Neg):
-        return not evaluate(f.inner, true_atoms)
-    if isinstance(f, Conj):
-        return all(evaluate(m, true_atoms) for m in f.members)
-    return any(evaluate(m, true_atoms) for m in f.members)
+    stack = []  # open sets: (unread members, deciding value, negated)
+    negated = False
+    while True:
+        while isinstance(f, Neg):
+            f, negated = f.inner, not negated
+        if isinstance(f, Atom):
+            value = (f.name in true_atoms) != negated
+        else:  # or is decided by a true member, and by a false one
+            members = iter(f.members)  # type: ignore[union-attr]
+            stack.append((members, isinstance(f, Disj), negated))
+            value = None
+        while stack:
+            members, decides, negated = stack[-1]
+            if value is not decides:
+                f = next(members, None)
+                if f is not None:
+                    negated = False
+                    break
+                value = not decides
+            stack.pop()
+            value = value != negated
+        else:
+            return value
 
 
 class FormulaClass(Enum):
@@ -257,32 +271,30 @@ def disj(members: Iterable[Formula]) -> Formula:
     return simplify(Disj(members))
 
 
+def is_tautology(c: frozenset[Lit]) -> bool:
+    """Whether a literal set holds a complementary pair."""
+    return any(l.complement() in c for l in c)
+
+
+def core_clauses(clauses: Iterable[frozenset[Lit]]) -> frozenset[frozenset[Lit]]:
+    """Contingent-or-empty, subset-minimal members (clause-set core)."""
+    kept = [c for c in set(clauses) if not is_tautology(c)]
+    return frozenset(c for c in kept if not any(d < c for d in kept))
+
+
 def core(group: Iterable[Formula]) -> frozenset[Formula]:
     """Core of a homogeneous set of clauses (or of dual-clauses).
 
-    Keeps the contingent-or-empty members, drops members whose literal set
-    strictly contains another member's, and unwraps singleton wrappers.
-    A clause is non-contingent exactly when its literal set has a
-    complementary pair (tautology) or is empty; dually for dual-clauses,
-    so one literal-set test serves both kinds.
+    The members whose literal sets `core_clauses` keeps, unwrapped from
+    singleton wrappers.  A clause is non-contingent exactly when its
+    literal set has a complementary pair (tautology) or is empty; dually
+    for dual-clauses, so one literal-set test serves both kinds.
     """
-    group = list(group)
-    kinds = {type(g) for g in group if isinstance(g, (Conj, Disj))}
-    if len(kinds) > 1:
+    litsets = {g: lits(g) for g in group}  # raises on non-clause members
+    if len({type(g) for g in litsets if isinstance(g, (Conj, Disj))}) > 1:
         raise ValueError("mixed clause and dual-clause members")
-    litsets = {}
-    for g in group:
-        litsets[g] = lits(g)  # raises on non-clause members
-    kept = [g for g in group if not _has_complementary_pair(litsets[g])]
-    minimal = [
-        g for g in kept
-        if not any(litsets[h] < litsets[g] for h in kept)
-    ]
-    return frozenset(simplify(g) for g in minimal)
-
-
-def _has_complementary_pair(ls: frozenset[Lit]) -> bool:
-    return any(l.complement() in ls for l in ls)
+    kept = core_clauses(litsets.values())
+    return frozenset(simplify(g) for g in litsets if litsets[g] in kept)
 
 
 # --- text grammar -----------------------------------------------------------
@@ -297,12 +309,30 @@ class FormulaSyntaxError(Exception):
 
 
 def format_formula(f: Formula) -> str:
-    if isinstance(f, Atom):
+    """Canonical text of f, written from an explicit stack of member iterators."""
+    if isinstance(f, Atom):  # the commonest case, without the stack
         return f.name
-    if isinstance(f, Neg):
-        return "~" + format_formula(f.inner)
-    word = "and" if isinstance(f, Conj) else "or"
-    return word + "{" + ",".join(format_formula(m) for m in f.members) + "}"
+    out = []
+    stack = []  # the unwritten members of each open and/or set
+    while True:
+        while isinstance(f, Neg):
+            out.append("~")
+            f = f.inner
+        if isinstance(f, Atom):
+            out.append(f.name)
+        else:
+            out.append("and{" if isinstance(f, Conj) else "or{")
+            stack.append(iter(f.members))  # type: ignore[union-attr]
+        while stack:
+            f = next(stack[-1], None)
+            if f is not None:
+                if not out[-1].endswith("{"):
+                    out.append(",")
+                break
+            out.append("}")
+            stack.pop()
+        else:
+            return "".join(out)
 
 
 def parse_formula(text: str) -> Formula:
@@ -315,49 +345,63 @@ def parse_formula(text: str) -> Formula:
 
 def parse_formula_at(text: str, pos: int) -> tuple[Formula, int]:
     """Parse one formula starting at `pos`; returns (formula, next position)."""
-    pos = _skip_ws(text, pos)
-    if pos >= len(text):
-        raise FormulaSyntaxError("expected a formula", pos)
-    c = text[pos]
-    if c == "~":
-        inner, pos = parse_formula_at(text, pos + 1)
-        return Neg(inner), pos
-    if c.isalpha() or c == "_":
-        start = pos
-        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        word = text[start:pos]
-        if word in ("and", "or"):
-            pos = _skip_ws(text, pos)
-            if pos >= len(text) or text[pos] != "{":
-                raise FormulaSyntaxError(f"expected '{{' after {word!r}", pos)
-            members, pos = _parse_member_list(text, pos + 1)
-            cls = Conj if word == "and" else Disj
-            return cls(members), pos
-        return Atom(word), pos
-    raise FormulaSyntaxError(f"unexpected {c!r}", pos)
+    return _parse(text, pos, [])
 
 
 def _parse_member_list(text: str, pos: int) -> tuple[list[Formula], int]:
-    members: list[Formula] = []
-    pos = _skip_ws(text, pos)
-    if pos < len(text) and text[pos] == "}":
-        return members, pos + 1
+    """Parse the members after an opening '{'; returns (members, position after '}')."""
+    return _parse(text, pos, [(list, [])])
+
+
+def _parse(text: str, pos: int, stack: list) -> tuple:
+    """Parse into the open frames of `stack` until it empties.
+
+    A frame is None for a pending `~`, or (constructor, members) for an
+    open member list, so nesting depth is bounded by memory, not by the
+    recursion limit.
+    """
     while True:
-        f, pos = parse_formula_at(text, pos)
-        members.append(f)
         pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            raise FormulaSyntaxError("unterminated member list", pos)
-        if text[pos] == ",":
+        word = _IDENTIFIER.match(text, pos)
+        if stack and stack[-1] and not stack[-1][1] and text.startswith("}", pos):
+            cls, _ = stack.pop()  # a list closed before its first member
+            f, pos = cls(()), pos + 1
+        elif text.startswith("~", pos):
+            stack.append(None)
             pos += 1
             continue
-        if text[pos] == "}":
-            return members, pos + 1
-        raise FormulaSyntaxError(f"expected ',' or '}}', got {text[pos]!r}", pos)
+        elif word is None:
+            message = f"unexpected {text[pos]!r}" if pos < len(text) else "expected a formula"
+            raise FormulaSyntaxError(message, pos)
+        elif word[0] in ("and", "or"):
+            pos = _skip_ws(text, word.end())
+            if not text.startswith("{", pos):
+                raise FormulaSyntaxError(f"expected '{{' after {word[0]!r}", pos)
+            stack.append((Conj if word[0] == "and" else Disj, []))
+            pos += 1
+            continue
+        else:
+            f, pos = Atom(word[0]), word.end()
+        while stack:  # f is complete: close every frame it completes
+            if stack[-1] is None:
+                stack.pop()
+                f = Neg(f)
+                continue
+            cls, members = stack[-1]
+            members.append(f)
+            pos = _skip_ws(text, pos)
+            if text.startswith(",", pos):
+                pos += 1
+                break
+            if not text.startswith("}", pos):
+                message = (f"expected ',' or '}}', got {text[pos]!r}" if pos < len(text)
+                           else "unterminated member list")
+                raise FormulaSyntaxError(message, pos)
+            stack.pop()
+            f, pos = cls(members), pos + 1
+        else:
+            return f, pos
 
 
 def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos] in " \t":
-        pos += 1
-    return pos
+    return _BLANKS.match(text, pos).end()  # type: ignore[union-attr]

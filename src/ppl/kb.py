@@ -8,6 +8,9 @@ into strict rules grouped by antecedent, and validates the priority
 relation.  Strict rules are never supplied by the user; they exist only as
 this derived closure of the facts.
 
+The axioms are the prime implicates of the filtered clause set; strict
+rules and fact checks are read straight off their literal sets.
+
 The distinguished strict rule with the empty antecedent (whose consequent
 conjoins all axioms) may not appear as the inferior side of any priority
 pair.
@@ -22,19 +25,19 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import classical
-from .classical import Clause, clause_formula
+from .classical import Clause
 from .formulas import (
     DEFAULT_MAX_ATOMS,
-    Disj,
     Formula,
-    FormulaClass,
+    Lit,
     canonical_set,
-    classify,
+    complement,
     conj,
+    disj,
     format_formula,
     is_clause,
+    is_tautology,
     lits,
-    simplify,
 )
 
 
@@ -127,62 +130,49 @@ def build_axioms(facts: Iterable[Formula],
 
 def axiom_formulas(ax: Iterable[Clause]) -> frozenset[Formula]:
     """Axiom clauses as simplified formulas (units become bare literals)."""
-    return frozenset(clause_formula(c, simplified=True) for c in ax)
+    return frozenset(disj(l.formula() for l in c) for c in ax)
 
 
 def clause_rules(c: Formula) -> frozenset[Rule]:
-    """Expand one contingent clause into its strict rules.
+    """The 2^n - 1 strict rules of one contingent n-literal clause.
 
-    An n-literal clause yields 2^n - 1 rules: the whole clause from the
-    empty antecedent, plus one rule per proper nonempty literal subset K,
-    concluding the (simplified) disjunction of K from the conjoined
-    complements of the rest.  Antecedents and consequents are simplified.
+    One clause never repeats an antecedent, so no rules are merged.
     """
-    if not is_clause(c):
-        raise ValueError(f"not a clause: {c!r}")
-    if classify(c) is not FormulaClass.CONTINGENT:
-        raise ValueError(f"clause is not contingent: {c!r}")
-    ls = lits(c)
-    rules = {_content_rule((), Arrow.STRICT, simplify(c))}
-    for size in range(1, len(ls)):
-        for keep in combinations(sorted(ls), size):
-            rest = ls - set(keep)
-            antecedent = conj(l.complement().formula() for l in rest)
-            consequent = simplify(Disj(l.formula() for l in keep))
-            rules.add(_content_rule((antecedent,), Arrow.STRICT, consequent))
-    return frozenset(rules)
-
-
-def _content_rule(antecedents, arrow, consequent) -> Rule:
-    rid = _strict_rule_id(antecedents)
-    return Rule(rid, tuple(antecedents), arrow, consequent)
-
-
-def _strict_rule_id(antecedents) -> str:
-    if not antecedents:
-        return "#rse"
-    body = ",".join(sorted(format_formula(f) for f in antecedents))
-    return f"#s({body})"
+    return frozenset(build_strict_rules([c]))
 
 
 def build_strict_rules(ax_formulas: Iterable[Formula]) -> tuple[Rule, ...]:
     """Strict rules for an axiom set: clause expansions merged by antecedent.
 
-    All expansion rules sharing an antecedent set are conjoined into one
-    rule; the empty-antecedent rule is the distinguished axiom rule and
-    concludes the (simplified) conjunction of all axioms.
+    A contingent clause with literal set L expands, for each proper subset
+    R of L, to the conjoined complements of R implying the disjunction of
+    L - R.  Expansions sharing an antecedent are conjoined into one rule;
+    the empty antecedent gives the distinguished axiom rule, concluding
+    the conjunction of all axioms.  Formulas are simplified.
     """
-    grouped: dict[tuple, tuple[tuple[Formula, ...], set[Formula]]] = {}
+    groups: dict[frozenset[Lit], set[frozenset[Lit]]] = {}  # antecedent -> consequents
+    formula_of: dict[Lit, Formula] = {}  # each literal's formula, built once
     for c in ax_formulas:
-        for r in clause_rules(c):
-            key = tuple(f._key for f in r.antecedents)
-            ants, consequents = grouped.setdefault(key, (r.antecedents, set()))
-            consequents.add(r.consequent)
+        if not is_clause(c):
+            raise ValueError(f"not a clause: {c!r}")
+        ls = lits(c)
+        if not ls or is_tautology(ls):
+            raise ValueError(f"clause is not contingent: {c!r}")
+        formula_of.update((l, l.formula()) for l in ls | complement(ls))
+        ordered = sorted(ls)
+        for size in range(len(ls)):
+            for rest in combinations(ordered, size):
+                groups.setdefault(complement(rest), set()).add(ls.difference(rest))
     out = []
-    for key in sorted(grouped):
-        ants, consequents = grouped[key]
-        out.append(_content_rule(ants, Arrow.STRICT, conj(consequents)))
-    return tuple(out)
+    for ants, consequents in groups.items():
+        if ants:
+            antecedent = conj(formula_of[l] for l in ants)
+            rid, antecedents = f"#s({format_formula(antecedent)})", (antecedent,)
+        else:
+            rid, antecedents = "#rse", ()
+        consequent = conj(disj(formula_of[l] for l in keep) for keep in consequents)
+        out.append(Rule(rid, antecedents, Arrow.STRICT, consequent))
+    return tuple(sorted(out, key=lambda r: tuple(f._key for f in r.antecedents)))
 
 
 @dataclass
@@ -227,11 +217,17 @@ class PlausibleDescription:
         return r.arrow is not Arrow.WARNING and r.rid != self.rse_id
 
     def is_fact(self, f: Formula) -> bool:
-        """Whether the axioms semantically entail f."""
+        """Whether the axioms semantically entail f.
+
+        The axioms are prime implicates, so by the subsumption theorem they
+        entail each (non-tautological) clause of f's clause form iff one
+        of them is a subset of it: only f's own atoms are enumerated.
+        """
         key = ("fact", f)
         hit = self._cache.get(key)
         if hit is None:
-            hit = classical.entails(self.axioms, f, self.max_atoms)
+            hit = all(any(a <= c for a in self.axiom_clauses)
+                      for c in classical.clauses_of(f, self.max_atoms))
             self._cache[key] = hit
         return hit
 

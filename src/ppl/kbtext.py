@@ -15,12 +15,14 @@ canonical form.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
-from .formulas import Formula, FormulaSyntaxError, format_formula, parse_formula_at, _skip_ws
+from .formulas import (Formula, FormulaSyntaxError, _is_identifier, _parse_member_list,
+                       _skip_ws, format_formula, parse_formula_at)
 from .kb import Arrow, Rule
 
-_ID_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
+_WORD = re.compile(r"[A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ def _parse_line(line, lineno, doc, rule_lines, prio_lines):
     word, pos = _word(line, pos)
     if word == "fact":
         pos = _expect(line, pos, ":", "expected ':' after 'fact'")
-        doc.facts.append(_formula(line, pos, expect_end=True)[0])
+        doc.facts.append(_formula(line, pos))
     elif word == "rule":
         _rule_line(line, pos, lineno, doc, rule_lines)
     elif word == "prio":
@@ -106,12 +108,10 @@ def _parse_line(line, lineno, doc, rule_lines, prio_lines):
 
 
 def _rule_line(line, pos, lineno, doc, rule_lines):
-    rid, pos = _word(line, _skip_ws(line, pos))
-    if not rid:
-        _fail("syntax", "expected a rule id after 'rule'", pos)
+    rid, _, pos = _rule_id(line, pos, "expected a rule id after 'rule'")
     pos = _expect(line, pos, ":", "expected ':' after the rule id")
     pos = _expect(line, pos, "{", "expected '{' to open the antecedent set")
-    antecedents, pos = _formula_list(line, pos)
+    antecedents, pos = _parsed(_parse_member_list, line, pos)
     pos = _skip_ws(line, pos)
     if line.startswith("=>", pos):
         arrow = Arrow.DEFEASIBLE
@@ -119,7 +119,7 @@ def _rule_line(line, pos, lineno, doc, rule_lines):
         arrow = Arrow.WARNING
     else:
         _fail("syntax", "expected '=>' or '~>' after the antecedents", pos)
-    consequent, pos = _formula(line, pos + 2, expect_end=True)
+    consequent = _formula(line, pos + 2)
     if rid in rule_lines:
         _fail("duplicate-rule-id",
               f"rule id {rid!r} already declared on line {rule_lines[rid]}", 0)
@@ -128,66 +128,52 @@ def _rule_line(line, pos, lineno, doc, rule_lines):
 
 
 def _prio_line(line, pos, lineno, doc, prio_lines):
-    pos = _skip_ws(line, pos)
-    sup, end = _word(line, pos)
-    if not sup:
-        _fail("syntax", "expected a rule id", pos)
-    prio_lines.append((lineno, pos + 1, sup))
+    sup, start, end = _rule_id(line, pos, "expected a rule id")
+    prio_lines.append((lineno, start + 1, sup))
     pos = _expect(line, end, ">", "expected '>' between rule ids")
-    pos = _skip_ws(line, pos)
-    inf, end = _word(line, pos)
-    if not inf:
-        _fail("syntax", "expected a rule id after '>'", pos)
-    prio_lines.append((lineno, pos + 1, inf))
+    inf, start, end = _rule_id(line, pos, "expected a rule id after '>'")
+    prio_lines.append((lineno, start + 1, inf))
     if line[end:].strip():
         _fail("syntax", "trailing text after priority pair", end)
     doc.priority.append((sup, inf))
 
 
-def _formula(line, pos, expect_end=False):
+def _rule_id(line, pos, missing):
+    """The rule id after `pos`, with its start and end positions."""
+    start = _skip_ws(line, pos)
+    rid, end = _word(line, start)
+    if not rid:
+        _fail("syntax", missing, start)
+    if not _is_identifier(rid):
+        _fail("syntax", f"rule id {rid!r} does not follow atom syntax", start)
+    return rid, start, end
+
+
+def _formula(line, pos):
+    """The formula that fills the line from `pos`."""
+    f, pos = _parsed(parse_formula_at, line, pos)
+    pos = _skip_ws(line, pos)
+    if pos != len(line):
+        _fail("syntax", f"unexpected {line[pos]!r} after formula", pos)
+    return f
+
+
+def _parsed(parse, line, pos):
+    """Run a formula-grammar parser, reporting its failure as a diagnostic."""
     try:
-        f, pos = parse_formula_at(line, pos)
+        return parse(line, pos)
     except FormulaSyntaxError as e:
         _fail("syntax", e.message, e.pos)
-    if expect_end:
-        pos = _skip_ws(line, pos)
-        if pos != len(line):
-            _fail("syntax", f"unexpected {line[pos]!r} after formula", pos)
-    return f, pos
-
-
-def _formula_list(line, pos):
-    members = []
-    pos = _skip_ws(line, pos)
-    if _peek(line, pos) == "}":
-        return members, pos + 1
-    while True:
-        f, pos = _formula(line, pos)
-        members.append(f)
-        pos = _skip_ws(line, pos)
-        c = _peek(line, pos)
-        if c == ",":
-            pos = _skip_ws(line, pos + 1)
-        elif c == "}":
-            return members, pos + 1
-        else:
-            _fail("syntax", "expected ',' or '}' in the antecedent set", pos)
 
 
 def _word(line, pos):
-    start = pos
-    while pos < len(line) and line[pos] in _ID_CHARS:
-        pos += 1
-    return line[start:pos], pos
-
-
-def _peek(line, pos):
-    return line[pos] if pos < len(line) else ""
+    m = _WORD.match(line, pos)
+    return m[0], m.end()
 
 
 def _expect(line, pos, char, message):
     pos = _skip_ws(line, pos)
-    if _peek(line, pos) != char:
+    if not line.startswith(char, pos):
         _fail("syntax", message, pos)
     return pos + 1
 

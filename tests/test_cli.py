@@ -93,6 +93,17 @@ class TestCheck:
         assert res.returncode == 2
         assert "atom" in res.stderr.lower()
 
+    @pytest.mark.parametrize("command", [["query"], ["tree", "--format", "dot"]])
+    def test_atom_limit_at_query_time(self, tmp_path, command):
+        # validation stays within 2 atoms per fact; the support check needs 3
+        kb = tmp_path / "three.ppl"
+        kb.write_text("fact: or{a,b}\nfact: or{b,c}\nrule r: {} => a\n",
+                      encoding="utf-8")
+        res = run_cli(*command, str(kb), "a", "--alg", "pi", "--max-atoms", "2")
+        assert res.returncode == 2
+        assert res.stderr == ("ppl: error[atom-limit]: "
+                              "3 atoms exceed the enumeration limit of 2\n")
+
 
 class TestQuery:
     def test_proved_formula_exits_zero(self):
@@ -203,6 +214,16 @@ class TestFailureContract:
                          "--alg", "beta", "--format", "dot"])
         assert code == 2
         assert "ppl: error[RuntimeError]: broken engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("formula", [
+        "~" * 1200 + "~s1",
+        "and{" * 400 + "~s1" + "}" * 400,
+    ], ids=["negations", "conjunctions"])
+    def test_deep_formula_at_the_default_recursion_limit(self, formula):
+        # parsed, evaluated and printed without recursing per nesting level
+        res = run_cli("query", str(KB_DIR / "lottery3.ppl"), "--alg", "pi", formula)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout.split() == [formula, "pi", "+1", "t"]
 
     def test_deep_chain_under_a_shallow_recursion_limit(self, tmp_path):
         n = 150

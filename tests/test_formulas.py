@@ -92,11 +92,21 @@ class TestLits:
             lits(Disj([Conj([A, B])]))
 
 
+def _reference_value(f, true_atoms):
+    """The recursive definition of truth, independent of `evaluate`."""
+    if isinstance(f, Atom):
+        return f.name in true_atoms
+    if isinstance(f, Neg):
+        return not _reference_value(f.inner, true_atoms)
+    values = [_reference_value(m, true_atoms) for m in f.members]
+    return all(values) if isinstance(f, Conj) else any(values)
+
+
 def _truth_table_class(f):
     """Independent classifier: enumerate assignments with itertools.product."""
     avars = sorted(atoms(f))
     values = [
-        evaluate(f, {a for a, bit in zip(avars, bits) if bit})
+        _reference_value(f, {a for a, bit in zip(avars, bits) if bit})
         for bits in product((False, True), repeat=len(avars))
     ]
     if all(values):
@@ -121,6 +131,14 @@ class TestClassify:
     def test_empty_connectives(self):
         assert classify(FALSUM) is FormulaClass.CONTRADICTION
         assert classify(VERUM) is FormulaClass.TAUTOLOGY
+
+    def test_evaluate_agrees_with_the_recursive_definition(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            f = _random_formula(rng, 3)
+            for bits in product((False, True), repeat=3):
+                v = {a for a, bit in zip("abc", bits) if bit}
+                assert evaluate(f, v) is _reference_value(f, v), (f, v)
 
     def test_agrees_with_truth_table_on_random_formulas(self):
         rng = random.Random(11)
@@ -209,6 +227,19 @@ class TestTextGrammar:
         with pytest.raises(FormulaSyntaxError) as exc:
             parse_formula(text)
         assert exc.value.pos == pos
+
+    @pytest.mark.parametrize("opening,closing", [("~", ""), ("and{", "}"), ("or{a,", "}")])
+    def test_deep_nesting_needs_no_recursion(self, opening, closing):
+        text = opening * 2000 + "b" + closing * 2000  # twice the default limit
+        f = parse_formula(text)
+        assert format_formula(f) == text
+        assert evaluate(f, {"b"}) is True
+        assert evaluate(f, set()) is False
+
+    def test_non_ascii_letters_are_syntax_errors(self):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula("or{a,é}")
+        assert exc.value.pos == 5
 
     def test_reserved_words_are_not_atoms(self):
         with pytest.raises(FormulaSyntaxError):

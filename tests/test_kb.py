@@ -177,8 +177,17 @@ class TestClauseRules:
         assert len(clause_rules(wide)) == 2 ** 4 - 1
 
     def test_rejects_non_contingent(self):
-        with pytest.raises(ValueError):
-            clause_rules(Disj([A, Neg(A)]))
+        # a tautology, a conjunction, and the falsum or{}
+        for bad in (Disj([A, Neg(A)]), Conj([A, B]), Disj([])):
+            with pytest.raises(ValueError):
+                clause_rules(bad)
+            for axioms in ([bad], [A, bad]):
+                with pytest.raises(ValueError):
+                    build_strict_rules(axioms)
+
+    def test_is_the_expansion_of_one_axiom(self):
+        for c in (A, Neg(B), Disj([A, B]), Disj([A, Neg(B), C]), Disj([A])):
+            assert clause_rules(c) == frozenset(build_strict_rules([c]))
 
 
 class TestBuildStrictRules:
@@ -202,6 +211,21 @@ class TestBuildStrictRules:
         }
         assert got == expected
 
+    def test_lottery_ids_and_order(self):
+        desc = validate_description(lottery_facts(3), [])
+        assert [repr(r) for r in desc.rules] == [
+            "#rse: {} -> and{or{s1,s2,s3},or{~s1,~s2},or{~s1,~s3},or{~s2,~s3}}",
+            "#s(s1): {s1} -> and{~s2,~s3}",
+            "#s(s2): {s2} -> and{~s1,~s3}",
+            "#s(s3): {s3} -> and{~s1,~s2}",
+            "#s(~s1): {~s1} -> or{s2,s3}",
+            "#s(~s2): {~s2} -> or{s1,s3}",
+            "#s(~s3): {~s3} -> or{s1,s2}",
+            "#s(and{~s1,~s2}): {and{~s1,~s2}} -> s3",
+            "#s(and{~s1,~s3}): {and{~s1,~s3}} -> s2",
+            "#s(and{~s2,~s3}): {and{~s2,~s3}} -> s1",
+        ]
+
     def test_no_axioms_no_strict_rules(self):
         assert build_strict_rules([]) == ()
 
@@ -223,6 +247,38 @@ class TestBuildStrictRules:
             ax = sorted(axiom_formulas(build_axioms(facts)))
             for r in build_strict_rules(ax):
                 assert entails(list(ax) + list(r.antecedents), r.consequent)
+
+
+class TestFactsFromPrimeImplicates:
+    """is_fact reads entailment off the axioms, the prime implicates."""
+
+    def test_agrees_with_entailment(self):
+        rng = random.Random(67)
+        cases = [parse_kb(p.read_text(encoding="utf-8"))
+                 for p in sorted(KB_DIR.glob("*.ppl"))]
+        cases = [(doc.facts, doc.rules) for doc in cases]
+        cases += [([_random_formula(rng, 2) for _ in range(rng.randint(0, 4))], [])
+                  for _ in range(1000)]
+        conflicting = probes = 0
+        for facts, rules in cases:
+            desc = validate_description(facts, rules)
+            conflicting += bool(classical.err(clauses_of(facts)))
+            fs = [g for f in desc.axioms for g in (f, Neg(f))]
+            fs += [r.consequent for r in rules]
+            fs += [_random_formula(rng, 2) for _ in range(8)]
+            for f in fs:
+                assert desc.is_fact(f) == entails(desc.axioms, f), (facts, f)
+            probes += len(fs)
+        assert conflicting > 200 and probes > 10000
+
+    def test_long_implication_chain(self):
+        # 25 atoms: more than the default atom limit of entailment over Ax
+        p = [Atom(f"p{i}") for i in range(25)]
+        desc = validate_description(
+            [Disj([Neg(p[i]), p[i + 1]]) for i in range(24)], [])
+        assert desc.is_fact(Disj([Neg(p[0]), p[24]]))
+        assert not desc.is_fact(Disj([p[0], Neg(p[24])]))
+        assert not desc.is_fact(p[24])
 
 
 class TestValidation:

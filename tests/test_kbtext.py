@@ -81,6 +81,31 @@ class TestDiagnostics:
         )
         assert "rX" in d.message
 
+    @pytest.mark.parametrize("text,col", [
+        ("rule 1r: {} => a\n", 6),
+        ("rule and: {} => ~a\n", 6),
+        ("rule r: {} => a\nprio: 1r > r\n", 7),
+        ("rule r: {} => a\nprio: r >  or\n", 12),
+    ])
+    def test_rule_ids_follow_atom_syntax(self, text, col):
+        line = text.count("\n")
+        d = self.expect_one(text, "syntax", line)
+        assert d.col == col
+        assert "atom syntax" in d.message
+
+    @pytest.mark.parametrize("text,col", [
+        ("rule r: {a b} => c\n", 12),
+        ("rule r: {a,} => c\n", 12),
+        ("rule r: {a\n", 11),
+        ("rule r: {é} => c\n", 10),
+    ])
+    def test_antecedent_errors_are_located(self, text, col):
+        assert self.expect_one(text, "syntax", 1).col == col
+
+    def test_spaced_antecedents(self):
+        doc = parse_kb("rule r: { a , ~b } => c\n")
+        assert doc.rules[0].antecedents == (Atom("a"), Neg(Atom("b")))
+
     def test_multiple_errors_reported_together(self):
         with pytest.raises(KbSyntaxError) as exc:
             parse_kb("junk\nfact: ~\nrule r: {} => a\nprio: r > gone\n")

@@ -13,8 +13,9 @@ same core as the exhaustive `resolution_closure`, which stays as the
 oracle; it has the same units by proof when the clause set is satisfiable,
 and by the law test otherwise (see `saturate`).  Semantic entailment and
 satisfiability are decided independently by exhaustive valuation, so
-resolution can be cross-checked against semantics (and against the fact
-checks).  `is_tautology` and `core_clauses` are imported from `formulas`.
+resolution can be cross-checked against semantics; `entails` is also the
+query-time test of facts and support (see `kb.PlausibleDescription`).
+`is_tautology` and `core_clauses` are imported from `formulas`.
 """
 
 from __future__ import annotations

@@ -88,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _common(sub):
     sub.add_argument("--max-atoms", type=int, default=DEFAULT_MAX_ATOMS,
-                     metavar="N", help="semantic-check atom limit (default %(default)s)")
+                     metavar="N", help="atoms one semantic check may enumerate: a fact's, "
+                     "or a query's plus one rule consequent's (default %(default)s)")
 
 
 def _load(args):

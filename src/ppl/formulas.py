@@ -72,7 +72,7 @@ class Neg(Formula):
     def __init__(self, inner: Formula):
         self.inner = inner
         self._key = (1, inner._key)
-        self._hash = hash(self._key)
+        self._hash = hash((1, inner._hash))
 
 
 class _SetFormula(Formula):
@@ -83,7 +83,7 @@ class _SetFormula(Formula):
     def __init__(self, members: Iterable[Formula]):
         self.members = canonical_set(members)
         self._key = (self._tag, tuple(m._key for m in self.members))
-        self._hash = hash(self._key)
+        self._hash = hash((self._tag, tuple(m._hash for m in self.members)))
 
     def __len__(self):
         return len(self.members)
@@ -104,8 +104,7 @@ class Disj(_SetFormula):
 
 def canonical_set(members: Iterable[Formula]) -> tuple[Formula, ...]:
     """A finite formula set as a tuple: canonical order, duplicates collapsed."""
-    seen = {m._key: m for m in members}
-    return tuple(seen[k] for k in sorted(seen))
+    return tuple(sorted(set(members), key=lambda m: m._key))
 
 
 VERUM = Conj(())

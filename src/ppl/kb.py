@@ -8,8 +8,9 @@ into strict rules grouped by antecedent, and validates the priority
 relation.  Strict rules are never supplied by the user; they exist only as
 this derived closure of the facts.
 
-The axioms are the prime implicates of the filtered clause set; strict
-rules and fact checks are read straight off their literal sets.
+The axioms are the prime implicates of the filtered clause set: strict
+rules are their literal sets expanded, and fact and support checks are one
+entailment test over only the axioms inside the atoms being asked about.
 
 The distinguished strict rule with the empty antecedent (whose consequent
 conjoins all axioms) may not appear as the inferior side of any priority
@@ -28,8 +29,10 @@ from . import classical
 from .classical import Clause
 from .formulas import (
     DEFAULT_MAX_ATOMS,
+    FALSUM,
     Formula,
     Lit,
+    atoms,
     canonical_set,
     complement,
     conj,
@@ -175,14 +178,15 @@ def build_strict_rules(ax_formulas: Iterable[Formula]) -> tuple[Rule, ...]:
     return tuple(sorted(out, key=lambda r: tuple(f._key for f in r.antecedents)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlausibleDescription:
     """An immutable, validated knowledge base ready for querying.
 
     `rules` holds the derived strict rules followed by the user rules;
     `priority` is the acyclic superior/inferior id-pair relation.  Query
-    caches (fact checks, supporter sets) are memos: a cached value always
-    equals recomputation, and concurrent reads are safe.
+    memos (facts per formula, consistency per rule, supporters per
+    formula) always equal recomputation, take no part in equality, and
+    concurrent reads are safe.
     """
 
     rules: tuple[Rule, ...]
@@ -191,13 +195,16 @@ class PlausibleDescription:
     axioms: tuple[Formula, ...]
     rse_id: str | None
     max_atoms: int = DEFAULT_MAX_ATOMS
-    _by_id: dict = field(default_factory=dict, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _consistent: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _supporters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._by_id = {r.rid: r for r in self.rules}
-        self._rsd = tuple(filter(self._supporting, self.rules))
-        self._inferiors = frozenset(inf for _, inf in self.priority)
+        derive = object.__setattr__  # the derived fields of a frozen instance
+        derive(self, "_by_id", {r.rid: r for r in self.rules})
+        derive(self, "_rsd", tuple(filter(self._supporting, self.rules)))
+        derive(self, "_inferiors", frozenset(inf for _, inf in self.priority))
+        derive(self, "_axiom_atoms", tuple((atoms(a), a) for a in self.axioms))
 
     def rule(self, rid: str) -> Rule:
         try:
@@ -216,48 +223,40 @@ class PlausibleDescription:
     def _supporting(self, r: Rule) -> bool:
         return r.arrow is not Arrow.WARNING and r.rid != self.rse_id
 
-    def is_fact(self, f: Formula) -> bool:
-        """Whether the axioms semantically entail f.
+    def _entails(self, premises: tuple[Formula, ...], f: Formula) -> bool:
+        """Whether the axioms and `premises` semantically entail f.
 
-        The axioms are prime implicates, so by the subsumption theorem they
-        entail each (non-tautological) clause of f's clause form iff one
-        of them is a subset of it: only f's own atoms are enumerated.
+        Only the axioms whose atoms lie in V, the atoms of the premises and
+        f, take part, and that is exact: the axioms are the prime implicates
+        of a satisfiable set, so by the subsumption theorem a valuation of V
+        extends to a model of all of them iff it falsifies none inside V.
         """
-        key = ("fact", f)
-        hit = self._cache.get(key)
+        if self.axioms:
+            v = atoms(f).union(*map(atoms, premises))
+            premises += tuple(a for avars, a in self._axiom_atoms if avars <= v)
+        return classical.entails(premises, f, self.max_atoms)
+
+    def is_fact(self, f: Formula) -> bool:
+        """Whether the axioms semantically entail f."""
+        hit = self._facts.get(f)
         if hit is None:
-            hit = all(any(a <= c for a in self.axiom_clauses)
-                      for c in classical.clauses_of(f, self.max_atoms))
-            self._cache[key] = hit
+            hit = self._facts[f] = self._entails((), f)
         return hit
 
     def _supports(self, r: Rule, f: Formula) -> bool:
-        key = ("sat", r.rid)
-        consistent = self._cache.get(key)
-        if consistent is None:
-            consistent = classical.satisfiable(
-                self.axioms + (r.consequent,), self.max_atoms
-            )
-            self._cache[key] = consistent
-        if not consistent:
-            return False
-        key = ("ent", r.consequent, f)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = classical.entails(
-                self.axioms + (r.consequent,), f, self.max_atoms
-            )
-            self._cache[key] = hit
-        return hit
+        if r.rid == self.rse_id:  # the axioms and their conjunction are equivalent
+            return self.is_fact(f)
+        if r.rid not in self._consistent:
+            self._consistent[r.rid] = not self._entails((r.consequent,), FALSUM)
+        return self._consistent[r.rid] and self._entails((r.consequent,), f)
 
     def supporters(self, f: Formula,
                    rules: Sequence[Rule] | None = None) -> tuple[Rule, ...]:
         """Rules whose consequent is consistent with and implies f (with the axioms)."""
-        key = ("sup", f)
-        found = self._cache.get(key)
+        found = self._supporters.get(f)
         if found is None:
-            found = tuple(r for r in self.rules if self._supports(r, f))
-            self._cache[key] = found
+            found = self._supporters[f] = tuple(
+                r for r in self.rules if self._supports(r, f))
         if rules is None:
             return found
         if rules is self._rsd:  # cost grows with the supporters, not the rules

@@ -62,6 +62,16 @@ def desc_rule_chain(n: int) -> PlausibleDescription:
     return validate_description([], rules)
 
 
+def wide_implications_kb(n: int = 11) -> str:
+    """KB text: the n facts q_i -> r_i (2n atoms), {} => q3 and {} => ~r5.
+
+    Closed form: r3 and ~q5 are u under phi and t under every other
+    algorithm, while no rule or query mentions more than two atoms.
+    """
+    facts = "".join(f"fact: or{{~q{i},r{i}}}\n" for i in range(1, n + 1))
+    return facts + "rule a: {} => q3\nrule b: {} => ~r5\n"
+
+
 @contextmanager
 def shallow_recursion_limit(headroom: int = 100):
     """Lower the recursion limit to `headroom` frames above the caller."""

@@ -7,7 +7,7 @@ import sys
 import jsonschema
 import pytest
 
-from conftest import KB_DIR
+from conftest import KB_DIR, wide_implications_kb
 from ppl import cli
 
 QUERY_SCHEMA = {
@@ -103,6 +103,16 @@ class TestCheck:
         assert res.returncode == 2
         assert res.stderr == ("ppl: error[atom-limit]: "
                               "3 atoms exceed the enumeration limit of 2\n")
+
+    @pytest.mark.parametrize("formula", ["r3", "~q5"])
+    def test_atom_limit_ignores_the_axioms(self, tmp_path, formula):
+        # 22 atoms in the axioms; each check sees the query's and one consequent's
+        kb = tmp_path / "wide.ppl"
+        kb.write_text(wide_implications_kb(), encoding="utf-8")
+        res = run_cli("query", str(kb), "--alg", "all", "--json", formula)
+        assert (res.returncode, res.stderr) == (0, "")
+        rows = json.loads(res.stdout)["results"]
+        assert [r["truthValue"] for r in rows] == ["u"] + ["t"] * 6
 
 
 class TestQuery:

@@ -230,7 +230,7 @@ class TestTextGrammar:
 
     @pytest.mark.parametrize("opening,closing", [("~", ""), ("and{", "}"), ("or{a,", "}")])
     def test_deep_nesting_needs_no_recursion(self, opening, closing):
-        text = opening * 2000 + "b" + closing * 2000  # twice the default limit
+        text = opening * 20000 + "b" + closing * 20000  # 20 times the default limit
         f = parse_formula(text)
         assert format_formula(f) == text
         assert evaluate(f, {"b"}) is True

@@ -1,6 +1,7 @@
 """Axiom construction, strict-rule synthesis, validation, and rule indexing."""
 
 import random
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import pytest
@@ -11,8 +12,12 @@ from conftest import (
     desc_lottery3,
     desc_plausible_default,
     lottery_facts,
+    make_random_theory,
+    probe_formulas,
+    wide_implications_kb,
 )
 from ppl import (
+    ALG_ORDER,
     Arrow,
     Atom,
     Conj,
@@ -24,6 +29,7 @@ from ppl import (
     Rule,
     StrictRuleRejectedError,
     UnknownRuleIdError,
+    atoms,
     build_axioms,
     build_strict_rules,
     clause_rules,
@@ -32,6 +38,7 @@ from ppl import (
     parse_kb,
     resolution_closure,
     satisfiable,
+    truth_value,
     validate_description,
 )
 from ppl import classical
@@ -108,18 +115,23 @@ class TestBuildAxioms:
         assert set(desc.axioms) == expected
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named `classical` functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(classical, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(classical, name, counted)
+    return calls
+
+
 class TestOneSaturation:
     """Validation saturates the clause form once, twice for conflicting facts."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"saturate": 0, "resolution_closure": 0}
-        for name in calls:
-            def counted(*args, _name=name, _original=getattr(classical, name)):
-                calls[_name] += 1
-                return _original(*args)
-            monkeypatch.setattr(classical, name, counted)
-        return calls
+        return _count_calls(monkeypatch, "saturate", "resolution_closure")
 
     def test_satisfiable_facts_saturate_once(self, calls):
         doc = parse_kb((KB_DIR / "lottery4.ppl").read_text(encoding="utf-8"))
@@ -249,8 +261,23 @@ class TestBuildStrictRules:
                 assert entails(list(ax) + list(r.antecedents), r.consequent)
 
 
+def _assert_facts_and_support(desc, fs):
+    """is_fact and supporters against entailment over all the axioms.
+
+    Returns the number of (rule, formula) pairs with support.
+    """
+    ax, supported = desc.axioms, 0
+    for f in fs:
+        assert desc.is_fact(f) == entails(ax, f), (ax, f)
+        expected = {r for r in desc.rules if satisfiable(ax + (r.consequent,))
+                    and entails(ax + (r.consequent,), f)}
+        assert set(desc.supporters(f)) == expected, (desc.rules, f)
+        supported += len(expected)
+    return supported
+
+
 class TestFactsFromPrimeImplicates:
-    """is_fact reads entailment off the axioms, the prime implicates."""
+    """Facts and support are entailment over the axioms inside the query's atoms."""
 
     def test_agrees_with_entailment(self):
         rng = random.Random(67)
@@ -266,10 +293,37 @@ class TestFactsFromPrimeImplicates:
             fs = [g for f in desc.axioms for g in (f, Neg(f))]
             fs += [r.consequent for r in rules]
             fs += [_random_formula(rng, 2) for _ in range(8)]
-            for f in fs:
-                assert desc.is_fact(f) == entails(desc.axioms, f), (facts, f)
+            _assert_facts_and_support(desc, fs)
             probes += len(fs)
         assert conflicting > 200 and probes > 10000
+        supported = checks = 0
+        for _ in range(300):
+            desc = make_random_theory(rng)
+            fs = [g for f in probe_formulas(desc) for g in (f, Neg(f))]
+            supported += _assert_facts_and_support(desc, fs)
+            checks += len(fs) * len(desc.rules)
+        assert supported > 5000 and checks > 30000
+
+    def test_queries_build_no_clause_form(self, monkeypatch):
+        doc = parse_kb((KB_DIR / "lottery4.ppl").read_text(encoding="utf-8"))
+        desc = validate_description(doc.facts, doc.rules, doc.priority)
+        calls = _count_calls(monkeypatch, "clauses_of", "satisfiable", "entails")
+        s1, s2, s3 = (Atom(f"s{i}") for i in (1, 2, 3))
+        for f in (Neg(s1), s1, Disj([s1, s2]), Disj([s1, s2, s3])):
+            for alg in ALG_ORDER:
+                truth_value(desc, alg, f)
+        assert calls["clauses_of"] == calls["satisfiable"] == 0
+        assert calls["entails"] > 0
+
+    def test_wide_axioms_narrow_queries(self):
+        # 22 atoms in the axioms, at most 2 in any rule or query
+        doc = parse_kb(wide_implications_kb())
+        desc = validate_description(doc.facts, doc.rules, doc.priority)
+        assert len(set().union(*map(atoms, desc.axioms))) == 22
+        for f in (Atom("r3"), Neg(Atom("q5"))):
+            assert not desc.is_fact(f)
+            assert [truth_value(desc, alg, f).value for alg in ALG_ORDER] == (
+                ["u"] + ["t"] * 6)
 
     def test_long_implication_chain(self):
         # 25 atoms: more than the default atom limit of entailment over Ax
@@ -441,6 +495,15 @@ class TestRuleIndexing:
     def test_superior_supporters_on_empty_subset(self):
         desc = desc_ambiguity()
         assert desc.superior_supporters(Atom("b"), desc.rule("rb"), []) == ()
+
+    def test_queries_keep_equality_and_fields_are_frozen(self):
+        warm, fresh = desc_lottery3(), desc_lottery3()
+        for alg in ALG_ORDER:
+            truth_value(warm, alg, Neg(S1))
+        assert warm == fresh and hash(warm) == hash(fresh)
+        with pytest.raises(FrozenInstanceError):
+            warm.rules = ()
+        assert warm.rules == fresh.rules
 
     def test_caches_are_pure_memos(self):
         # warm caches answer exactly like a fresh description

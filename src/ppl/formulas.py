@@ -41,7 +41,30 @@ class Formula:
     _hash: int
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, Formula) and self._key == other._key)
+        """Structural equality: cached hashes first, then a walk of both
+        formulas on an explicit stack, so any nesting depth compares."""
+        if self is other:
+            return True
+        if not isinstance(other, Formula) or self._hash != other._hash:
+            return False
+        f, g, stack = self, other, []
+        while True:
+            if f is not g:
+                if f._hash != g._hash or type(f) is not type(g):
+                    return False
+                if type(f) is Neg:
+                    f, g = f.inner, g.inner
+                    continue
+                if type(f) is Atom:
+                    if f.name != g.name:
+                        return False
+                elif len(f.members) != len(g.members):
+                    return False
+                else:
+                    stack.extend(zip(f.members, g.members))
+            if not stack:
+                return True
+            f, g = stack.pop()
 
     def __hash__(self):
         return self._hash
@@ -172,6 +195,8 @@ def is_clause(f: Formula) -> bool:
 
 
 def atoms(f: Formula) -> frozenset[str]:
+    if isinstance(f, Atom):  # the commonest case, without the stack
+        return frozenset((f.name,))
     out: set[str] = set()
     stack = [f]
     while stack:

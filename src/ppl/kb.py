@@ -11,6 +11,11 @@ this derived closure of the facts.
 The axioms are the prime implicates of the filtered clause set: strict
 rules are their literal sets expanded, and fact and support checks are one
 entailment test over only the axioms inside the atoms being asked about.
+Supporters are read off an index built with the description: the axioms'
+atoms split into connected components, and only rules whose consequents
+touch the components of a formula's atoms are tested for supporting it
+(each distinct consequent once), so a defeasible chain's queries cost
+linear, not quadratic, work.
 
 The distinguished strict rule with the empty antecedent (whose consequent
 conjoins all axioms) may not appear as the inferior side of any priority
@@ -178,13 +183,31 @@ def build_strict_rules(ax_formulas: Iterable[Formula]) -> tuple[Rule, ...]:
     return tuple(sorted(out, key=lambda r: tuple(f._key for f in r.antecedents)))
 
 
+def _components(atom_sets: Iterable[frozenset[str]]) -> dict[str, str]:
+    """Each atom of the sets mapped to one representative of its connected
+    component in the hypergraph whose edges are the sets (union-find)."""
+    parent: dict[str, str] = {}
+
+    def find(a: str) -> str:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]  # path halving
+            a = parent[a]
+        return a
+
+    for avars in atom_sets:
+        roots = [find(parent.setdefault(a, a)) for a in avars]
+        for k in roots[1:]:
+            parent[k] = roots[0]
+    return {a: find(a) for a in parent}
+
+
 @dataclass(frozen=True)
 class PlausibleDescription:
     """An immutable, validated knowledge base ready for querying.
 
     `rules` holds the derived strict rules followed by the user rules;
     `priority` is the acyclic superior/inferior id-pair relation.  Query
-    memos (facts per formula, consistency per rule, supporters per
+    memos (facts per formula, consistency per consequent, supporters per
     formula) always equal recomputation, take no part in equality, and
     concurrent reads are safe.
     """
@@ -205,6 +228,24 @@ class PlausibleDescription:
         derive(self, "_rsd", tuple(filter(self._supporting, self.rules)))
         derive(self, "_inferiors", frozenset(inf for _, inf in self.priority))
         derive(self, "_axiom_atoms", tuple((atoms(a), a) for a in self.axioms))
+        # The supporter index: each distinct consequent with the positions
+        # of its rules, each axiom atom's component, and the consequents
+        # touching each component (all but the axiom rule's, see supporters).
+        rules_with: dict[Formula, list[int]] = {}
+        for i, r in enumerate(self.rules):
+            rules_with.setdefault(r.consequent, []).append(i)
+        component = _components(avars for avars, _ in self._axiom_atoms)
+        touching: dict[str, list[Formula]] = {}
+        axioms = self.rse.consequent if self.rse_id else None
+        for c in rules_with:
+            if c != axioms:
+                for k in {component.get(a, a) for a in atoms(c)}:
+                    touching.setdefault(k, []).append(c)
+        if axioms is not None:
+            self._consistent[axioms] = True  # the axioms are satisfiable
+        derive(self, "_rules_with", rules_with)
+        derive(self, "_component", component)
+        derive(self, "_touching", touching)
 
     def rule(self, rid: str) -> Rule:
         try:
@@ -243,20 +284,42 @@ class PlausibleDescription:
             hit = self._facts[f] = self._entails((), f)
         return hit
 
-    def _supports(self, r: Rule, f: Formula) -> bool:
-        if r.rid == self.rse_id:  # the axioms and their conjunction are equivalent
-            return self.is_fact(f)
-        if r.rid not in self._consistent:
-            self._consistent[r.rid] = not self._entails((r.consequent,), FALSUM)
-        return self._consistent[r.rid] and self._entails((r.consequent,), f)
+    def _is_consistent(self, c: Formula) -> bool:
+        hit = self._consistent.get(c)
+        if hit is None:
+            hit = self._consistent[c] = not self._entails((c,), FALSUM)
+        return hit
 
     def supporters(self, f: Formula,
                    rules: Sequence[Rule] | None = None) -> tuple[Rule, ...]:
-        """Rules whose consequent is consistent with and implies f (with the axioms)."""
+        """Rules whose consequent is consistent with and implies f (with the axioms).
+
+        Read off the index built at construction, in `rules` order.  For a
+        fact f that is every rule with a consistent consequent.  Otherwise
+        only consequents touching K(f) can support f, where K(f) is the
+        union of the connected components meeting atoms(f) in the
+        hypergraph whose edges are the axioms' atom sets.  Lemma: if c is
+        consistent with Ax and shares no atom with K(f), then
+        `Ax ∪ {c} ⊨ f` iff `Ax ⊨ f`.  Proof: each axiom lies inside K(f)
+        or wholly outside it.  A countermodel of `Ax ⊨ f` restricted to
+        K(f) satisfies the inside axioms and falsifies f; a model of
+        `Ax ∪ {c}` restricted to the outside satisfies the outside axioms
+        and c; glued, they are a countermodel of `Ax ∪ {c} ⊨ f`.  The
+        axiom rule's consequent is equivalent to Ax, so it supports exactly
+        the facts and is never a candidate otherwise.  Each candidate
+        consequent is decided once, however many rules share it.
+        """
         found = self._supporters.get(f)
         if found is None:
-            found = self._supporters[f] = tuple(
-                r for r in self.rules if self._supports(r, f))
+            if self.is_fact(f):
+                consequents = filter(self._is_consistent, self._rules_with)
+            else:
+                ks = {self._component.get(a, a) for a in atoms(f)}
+                touching = {c for k in ks for c in self._touching.get(k, ())}
+                consequents = (c for c in touching
+                               if self._entails((c,), f) and self._is_consistent(c))
+            at = sorted(i for c in consequents for i in self._rules_with[c])
+            found = self._supporters[f] = tuple(self.rules[i] for i in at)
         if rules is None:
             return found
         if rules is self._rsd:  # cost grows with the supporters, not the rules

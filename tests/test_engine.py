@@ -335,6 +335,13 @@ class TestStackSafety:
                     assert dot.count("shape=") == 3 * self.N
 
 
+    def test_long_chain_at_the_default_limit(self):
+        # each link reads only its own consequent's supporters: linear work
+        n = 5000
+        desc = desc_rule_chain(n)
+        assert truth_value(desc, Alg.BETA, Atom(f"a{n - 1}")) is TruthValue.TRUE
+
+
 class TestConcurrentReads:
     def test_threads_sharing_a_description_agree_with_a_sequential_run(self):
         probes = [Atom("a"), Atom("b"), S1, Neg(S1), Disj([S1, S2]),

@@ -52,6 +52,26 @@ class TestStructure:
         with pytest.raises(ValueError):
             Atom("9x")
 
+    def test_equality_is_structural_under_equal_hashes(self):
+        # every hash forced equal, so == decides on structure alone
+        rng = random.Random(13)
+        texts = ["a", "b", "~a", "~~a", "and{}", "or{}", "or{a,b}", "and{a,b}",
+                 "or{a,~b}", "or{a,b,c}", "and{or{a,b},~c}", "and{or{a,c},~c}"]
+
+        def same_hash(f):
+            stack = [f]
+            while stack:
+                g = stack.pop()
+                g._hash = 0
+                stack.extend(g.members if isinstance(g, (Conj, Disj))
+                             else [g.inner] if isinstance(g, Neg) else [])
+            return f
+
+        for _ in range(200):
+            s, t = rng.choice(texts), rng.choice(texts)
+            f, g = same_hash(parse_formula(s)), same_hash(parse_formula(t))
+            assert (f == g) is (s == t) and (f != g) is (s != t), (s, t)
+
     def test_atoms_collects_all(self):
         assert atoms(Conj([Disj([A, Neg(B)]), C])) == {"a", "b", "c"}
 
@@ -235,6 +255,9 @@ class TestTextGrammar:
         assert format_formula(f) == text
         assert evaluate(f, {"b"}) is True
         assert evaluate(f, set()) is False
+        copy = parse_formula(text)  # equal, but built separately
+        assert f == copy and copy in {f}
+        assert f != parse_formula(text.replace("b", "c"))  # only the innermost atom differs
 
     def test_non_ascii_letters_are_syntax_errors(self):
         with pytest.raises(FormulaSyntaxError) as exc:

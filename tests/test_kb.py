@@ -11,6 +11,7 @@ from conftest import (
     desc_ambiguity,
     desc_lottery3,
     desc_plausible_default,
+    desc_rule_chain,
     lottery_facts,
     make_random_theory,
     probe_formulas,
@@ -18,6 +19,9 @@ from conftest import (
 )
 from ppl import (
     ALG_ORDER,
+    FALSUM,
+    VERUM,
+    Alg,
     Arrow,
     Atom,
     Conj,
@@ -28,6 +32,7 @@ from ppl import (
     PriorityOverRseError,
     Rule,
     StrictRuleRejectedError,
+    TruthValue,
     UnknownRuleIdError,
     atoms,
     build_axioms,
@@ -44,7 +49,7 @@ from ppl import (
 from ppl import classical
 from ppl.classical import core_clauses
 from ppl.formulas import FormulaClass, classify
-from ppl.kb import axiom_formulas
+from ppl.kb import _components, axiom_formulas
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 S1, S2, S3 = Atom("s1"), Atom("s2"), Atom("s3")
@@ -264,14 +269,15 @@ class TestBuildStrictRules:
 def _assert_facts_and_support(desc, fs):
     """is_fact and supporters against entailment over all the axioms.
 
+    The supporters are the full scan of the rules, in their order.
     Returns the number of (rule, formula) pairs with support.
     """
     ax, supported = desc.axioms, 0
     for f in fs:
         assert desc.is_fact(f) == entails(ax, f), (ax, f)
-        expected = {r for r in desc.rules if satisfiable(ax + (r.consequent,))
-                    and entails(ax + (r.consequent,), f)}
-        assert set(desc.supporters(f)) == expected, (desc.rules, f)
+        expected = tuple(r for r in desc.rules if satisfiable(ax + (r.consequent,))
+                         and entails(ax + (r.consequent,), f))
+        assert desc.supporters(f) == expected, (desc.rules, f)
         supported += len(expected)
     return supported
 
@@ -333,6 +339,94 @@ class TestFactsFromPrimeImplicates:
         assert desc.is_fact(Disj([Neg(p[0]), p[24]]))
         assert not desc.is_fact(Disj([p[0], Neg(p[24])]))
         assert not desc.is_fact(p[24])
+
+
+class TestSupporterIndex:
+    """Supporters come from the rules whose consequents touch the axiom
+    components of the formula, each distinct consequent decided once."""
+
+    def test_two_components(self):
+        a, b, c, d = (Atom(x) for x in "abcd")
+        rules = [Rule("rd", (), Arrow.DEFEASIBLE, d),
+                 Rule("rbd", (), Arrow.DEFEASIBLE, Conj([b, d])),
+                 Rule("ra", (), Arrow.DEFEASIBLE, a),
+                 Rule("bad", (), Arrow.DEFEASIBLE, Conj([a, Neg(b)])),
+                 Rule("none", (), Arrow.DEFEASIBLE, FALSUM)]
+        facts = [Disj([Neg(a), b]), Disj([Neg(c), d])]  # a -> b, c -> d
+        desc = validate_description(facts, rules)
+        with_b = validate_description(facts + [b], rules)
+        assert not desc.is_fact(b) and with_b.is_fact(b)
+
+        def ids(desc, f):
+            return [r.rid for r in desc.supporters(f)]
+
+        # rd concludes d, outside b's component, so it supports b only
+        # once b is a fact; and{b,d} touches both components
+        assert ids(desc, b) == ["#s(a)", "rbd", "ra"]
+        assert ids(desc, d) == ["#s(c)", "rd", "rbd"]
+        # a fact, the verum among them, has every rule with a consistent
+        # consequent; the falsum has none; the inconsistent consequents
+        # and{a,~b} and or{} support nothing
+        for x, f in ((desc, VERUM), (with_b, b), (with_b, VERUM)):
+            assert ids(x, f) == [r.rid for r in x.rules if r.rid not in ("bad", "none")]
+        assert ids(desc, FALSUM) == ids(with_b, FALSUM) == []
+        fs = [b, d, Neg(b), a, Disj([b, d]), Conj([a, d]), FALSUM, VERUM]
+        _assert_facts_and_support(desc, fs)
+        _assert_facts_and_support(with_b, fs)
+
+    def test_components_are_connected_components(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            names = [f"x{i}" for i in range(rng.randint(1, 12))]
+            edges = [frozenset(rng.sample(names, rng.randint(1, min(3, len(names)))))
+                     for _ in range(rng.randint(0, 10))]
+            got = _components(edges)
+            assert set(got) == set().union(*edges)
+            for a in got:  # a's component, grown edge by edge
+                reach, grew = {a}, True
+                while grew:
+                    grew = False
+                    for e in edges:
+                        if e & reach and not e <= reach:
+                            reach |= e
+                            grew = True
+                assert {b for b in got if got[b] == got[a]} == reach
+
+    def test_chain_top_makes_linear_entailment_calls(self, monkeypatch):
+        n = 200
+        desc = desc_rule_chain(n)
+        calls = _count_calls(monkeypatch, "entails")
+        assert truth_value(desc, Alg.BETA, Atom(f"a{n - 1}")) is TruthValue.TRUE
+        # per link: two fact checks, one consistency and two support checks
+        assert calls["entails"] <= 5 * n
+
+    def test_shared_consequents_are_decided_once(self, monkeypatch):
+        # 3-stage ambiguity ladder: rb and tb conclude b_i, ranb and w ~b_i
+        # (equal consequents, built separately as a parser builds them)
+        b, a = [Atom("b0")], [None]
+        rules = [Rule("r0", (), Arrow.DEFEASIBLE, b[0])]
+        for i in range(1, 4):
+            a.append(Atom(f"a{i}"))
+            b.append(Atom(f"b{i}"))
+            rules += [Rule(f"ra{i}", (b[i - 1],), Arrow.DEFEASIBLE, a[i]),
+                      Rule(f"rna{i}", (b[i - 1],), Arrow.DEFEASIBLE, Neg(a[i])),
+                      Rule(f"rb{i}", (b[i - 1],), Arrow.DEFEASIBLE, b[i]),
+                      Rule(f"tb{i}", (b[i - 1],), Arrow.DEFEASIBLE, Atom(f"b{i}")),
+                      Rule(f"ranb{i}", (a[i],), Arrow.DEFEASIBLE, Neg(b[i])),
+                      Rule(f"w{i}", (a[i],), Arrow.WARNING, Neg(Atom(f"b{i}")))]
+        desc = validate_description([], rules)
+        asked = []
+
+        def recorded(premises, f, *rest, _entails=classical.entails):
+            asked.append((tuple(premises), f))
+            return _entails(premises, f, *rest)
+
+        monkeypatch.setattr(classical, "entails", recorded)
+        for i in range(1, 4):
+            for f in (a[i], b[i]):
+                for alg in ALG_ORDER:
+                    truth_value(desc, alg, f)
+        assert asked and len(asked) == len(set(asked))
 
 
 class TestValidation:

@@ -14,6 +14,10 @@ count as foes is the only thing that distinguishes the algorithms:
 A history records every (algorithm, rule) choice made on the current
 branch; a choice may never repeat, which bounds the depth of every branch
 by twice the number of rules and makes every query terminate with +1 or -1.
+Most entries cannot affect a given sub-proof, so the prover memoises each
+value with the set of entries whose membership its computation tested, and
+reuses it under any history that agrees with it on that set: a proof's memo
+grows with the formulas and the entries they read, not with the histories.
 Every walk below is a generator run by one driver (`_run`) on an explicit
 stack, so that depth is limited by memory, not by Python's recursion limit.
 
@@ -64,6 +68,9 @@ _CO = {
 # Algorithms that regard nothing as evidence against a formula.
 _BLIND = frozenset((Alg.PHI, Alg.PI_P))
 
+# Each algorithm's place in a history entry's bit (see _Prover).
+_ALG_INDEX = {alg: i for i, alg in enumerate(ALG_ORDER)}
+
 
 def co_algorithm(alg: Alg) -> Alg:
     """The co-algorithm: phi is self-dual, priming is an involution."""
@@ -91,6 +98,7 @@ class InvalidHistoryError(Exception):
 def check_history(desc: PlausibleDescription, alg: Alg, history) -> History:
     """Normalize and validate a history for a query under `alg`."""
     entries = []
+    seen = set()
     allowed = {alg, co_algorithm(alg)}
     for entry in history:
         tag, rid = entry
@@ -103,8 +111,9 @@ def check_history(desc: PlausibleDescription, alg: Alg, history) -> History:
                 f"entry {tag}:{rid} does not belong to {alg} or its co-algorithm"
             )
         desc.rule(rid)
-        if (tag, rid) in entries:
+        if (tag, rid) in seen:
             raise InvalidHistoryError(f"repeated entry {tag}:{rid}")
+        seen.add((tag, rid))
         entries.append((tag, rid))
     return tuple(entries)
 
@@ -140,25 +149,54 @@ def _run(walk):
 
 
 class _Prover:
+    """Proof values of one description, memoised by the entries they read.
+
+    A history is an int bitset over (algorithm, rule) entries: the entry
+    (alg, r) is bit `7 * position(r) + index(alg)`, so extending a history
+    is one `|`.  While computing a formula's value the prover collects in
+    `reads` the set D of entries whose membership it tested, directly, in
+    sub-proofs, or through the stored D of a memo hit.  The value depends
+    on the history only through its intersection with D: the recursion is
+    deterministic given its membership answers, and an entry a sub-proof
+    adds was first tested, as absent, by the sub-proof itself.  So
+    `memo[alg, f]` lists (D, history & D, value), and a lookup reuses any
+    entry whose D-part matches the current history.
+    """
+
     def __init__(self, desc: PlausibleDescription):
         self.desc = desc
         self.rsd = desc.rsd()
+        self.position = desc._position
         self.memo: dict = {}
+        self.reads = 0
 
     def prove(self, alg: Alg, hset: frozenset, x) -> int:
-        return _run(self._prove(alg, hset, x))
+        h = 0
+        for tag, rid in hset:
+            h |= self._fresh(h, tag, rid)
+        return _run(self._prove(alg, h, x))
 
-    def _prove(self, alg: Alg, hset: frozenset, x):
+    def _fresh(self, h: int, alg: Alg, rid: str) -> int:
+        """The bit of entry (alg, rid) if h lacks it, else 0; a read either way."""
+        e = 1 << (self.position[rid] * 7 + _ALG_INDEX[alg])
+        self.reads |= e
+        return 0 if h & e else e
+
+    def _prove(self, alg: Alg, h: int, x):
         for f in (x,) if isinstance(x, Formula) else x:
-            if (yield self._prove_formula(alg, hset, f)) == -1:
+            if (yield self._prove_formula(alg, h, f)) == -1:
                 return -1
         return +1
 
-    def _prove_formula(self, alg: Alg, hset: frozenset, f: Formula):
-        key = (alg, hset, f)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
+    def _prove_formula(self, alg: Alg, h: int, f: Formula):
+        known = self.memo.get((alg, f))
+        if known is None:
+            known = self.memo[alg, f] = []
+        for d, hd, value in known:
+            if h & d == hd:
+                self.reads |= d
+                return value
+        outer, self.reads = self.reads, 0
         if self.desc.is_fact(f):
             value = +1
         elif alg is Alg.PHI:
@@ -166,40 +204,40 @@ class _Prover:
         else:
             value = -1
             for r in self.desc.supporters(f, self.rsd):
-                if (alg, r.rid) in hset:
-                    continue
-                if (yield self._evidence_for(alg, hset, f, r)) == +1:
+                e = self._fresh(h, alg, r.rid)
+                if e and (yield self._evidence_for(alg, h, e, f, r)) == +1:
                     value = +1
                     break
-        self.memo[key] = value
+        d = self.reads
+        known.append((d, h & d, value))
+        self.reads = outer | d
         return value
 
-    def _evidence_for(self, alg: Alg, hset: frozenset, f: Formula, r: Rule):
-        if (yield self._prove(alg, hset | {(alg, r.rid)}, r.antecedents)) == -1:
+    def _evidence_for(self, alg: Alg, h: int, e: int, f: Formula, r: Rule):
+        if (yield self._prove(alg, h | e, r.antecedents)) == -1:
             return -1
         for s in foes(self.desc, alg, f, r):
-            if (yield self._defeated(alg, hset, f, s)) == -1:
+            if (yield self._defeated(alg, h, f, s)) == -1:
                 return -1
         return +1
 
-    def _defeated(self, alg: Alg, hset: frozenset, f: Formula, s: Rule):
+    def _defeated(self, alg: Alg, h: int, f: Formula, s: Rule):
         for t in self.desc.superior_supporters(f, s, self.rsd):
-            if (alg, t.rid) in hset:
-                continue
-            if (yield self._prove(alg, hset | {(alg, t.rid)}, t.antecedents)) == +1:
+            e = self._fresh(h, alg, t.rid)
+            if e and (yield self._prove(alg, h | e, t.antecedents)) == +1:
                 return +1
         co = co_algorithm(alg)
-        if (co, s.rid) not in hset:
-            if (yield self._prove(co, hset | {(co, s.rid)}, s.antecedents)) == -1:
-                return +1
+        e = self._fresh(h, co, s.rid)
+        if e and (yield self._prove(co, h | e, s.antecedents)) == -1:
+            return +1
         return -1
 
 
 def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
     """Proof value (+1 or -1) of a formula or finite formula set.
 
-    The verdict depends on the history only through which entries it
-    contains, so provers share work across branches keyed by entry set.
+    Within one call, a value is reused on every branch whose history
+    agrees on the entries that value's computation tested (see _Prover).
     """
     h = check_history(desc, alg, history)
     return _Prover(desc).prove(alg, frozenset(h), _normalize(x))

@@ -225,6 +225,8 @@ class PlausibleDescription:
     def __post_init__(self):
         derive = object.__setattr__  # the derived fields of a frozen instance
         derive(self, "_by_id", {r.rid: r for r in self.rules})
+        # Each rule's position in `rules`: the prover numbers history entries by it.
+        derive(self, "_position", {r.rid: i for i, r in enumerate(self.rules)})
         derive(self, "_rsd", tuple(filter(self._supporting, self.rules)))
         derive(self, "_inferiors", frozenset(inf for _, inf in self.priority))
         derive(self, "_axiom_atoms", tuple((atoms(a), a) for a in self.axioms))

@@ -1,6 +1,7 @@
 """Golden reasoning examples, histories, evaluation trees, truth values."""
 
 import json
+import random
 import sys
 import threading
 
@@ -13,6 +14,9 @@ from conftest import (
     desc_plausible_default,
     desc_retracted_default,
     desc_rule_chain,
+    lottery_facts,
+    make_random_theory,
+    probe_formulas,
     shallow_recursion_limit,
 )
 from ppl import (
@@ -37,6 +41,7 @@ from ppl import (
     truth_value,
     validate_description,
 )
+from ppl.engine import _Prover
 
 A, B = Atom("a"), Atom("b")
 S1, S2, S3 = Atom("s1"), Atom("s2"), Atom("s3")
@@ -195,6 +200,57 @@ class TestHistories:
         desc = desc_plausible_default()
         assert prove(desc, Alg.PI, A, [("pi", "ra")]) == -1
         assert prove(desc, Alg.PI, A, [("pi-p", "ra")]) == +1
+
+
+class TestReuseAcrossHistories:
+    """One prover reuses a value under any history that agrees on the
+    entries the value's computation read; it must equal the tree's value
+    under that history."""
+
+    def test_team_defeat_entry_is_read(self):
+        # r's foe s is team-defeated by t, so the value of f reads (pi, t)
+        f = Atom("f")
+        desc = validate_description(
+            [],
+            [
+                Rule("r", (), Arrow.DEFEASIBLE, f),
+                Rule("s", (), Arrow.DEFEASIBLE, Neg(f)),
+                Rule("t", (), Arrow.DEFEASIBLE, f),
+            ],
+            [("t", "s")],
+        )
+        prover = _Prover(desc)
+        assert prover.prove(Alg.PI, frozenset(), f) == +1
+        history = [(Alg.PI, "t")]
+        assert prover.prove(Alg.PI, frozenset(history), f) == -1
+        assert tree_value(desc, Alg.PI, f, history) == -1
+
+    def test_shared_prover_equals_the_tree_under_random_histories(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            desc = make_random_theory(rng)
+            probes = probe_formulas(desc)
+            prover = _Prover(desc)
+            for _ in range(40):
+                alg = rng.choice(ALG_ORDER)
+                tags = dict.fromkeys((alg, co_algorithm(alg)))  # phi is self-dual
+                pool = [(tag, r.rid) for tag in tags for r in desc.rules]
+                history = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+                f = rng.choice(probes)
+                assert (prover.prove(alg, frozenset(history), f)
+                        == tree_value(desc, alg, f, history)), (desc, alg, history, f)
+
+    def test_lottery_memo_stays_small(self):
+        # the 6-ticket lottery: the value of ~s_i reads few history entries,
+        # so one proof needs a few dozen memo entries, not one per history
+        tickets = [Atom(f"s{i}") for i in range(1, 7)]
+        desc = validate_description(
+            lottery_facts(6),
+            [Rule(f"d{i}", (), Arrow.DEFEASIBLE, Neg(s)) for i, s in enumerate(tickets, 1)],
+        )
+        prover = _Prover(desc)
+        assert prover.prove(Alg.PI, frozenset(), Neg(tickets[0])) == +1
+        assert sum(map(len, prover.memo.values())) <= 100
 
 
 class TestTruthValues:

@@ -94,7 +94,7 @@ def _common(sub):
 
 def _load(args):
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as e:
         raise _CliError(f"ppl: cannot read {args.file}: {e.strerror}")

@@ -101,7 +101,11 @@ def check_history(desc: PlausibleDescription, alg: Alg, history) -> History:
     seen = set()
     allowed = {alg, co_algorithm(alg)}
     for entry in history:
-        tag, rid = entry
+        try:
+            tag, rid = () if isinstance(entry, (str, bytes)) else entry
+        except (TypeError, ValueError):
+            raise InvalidHistoryError(
+                f"history entry {entry!r} is not an (algorithm, rule id) pair") from None
         try:
             tag = Alg(tag)
         except ValueError:

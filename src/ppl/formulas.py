@@ -3,8 +3,8 @@
 Formulas are built from atoms with negation, conjunction, and disjunction,
 where the operands of ``and``/``or`` form a genuine finite set: no order, no
 duplicates.  ``or{}`` is the falsum and ``and{}`` is the verum.  All formula
-objects are immutable, hashable, and kept in a canonical internal order so
-that equality, hashing, and iteration are deterministic.
+objects are immutable and hashable, and sets keep the one canonical order that
+`_compare` defines, so that equality, hashing, and iteration are deterministic.
 
 The text grammar (used by the KB file format and the CLI) is::
 
@@ -35,36 +35,15 @@ class AtomLimitError(Exception):
 class Formula:
     """Base class; instances are Atom, Neg, Conj, or Disj."""
 
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_hash",)
 
-    _key: tuple
+    _tag: int  # kind, in the canonical order: atom, ~, and, or
     _hash: int
 
     def __eq__(self, other):
-        """Structural equality: cached hashes first, then a walk of both
-        formulas on an explicit stack, so any nesting depth compares."""
-        if self is other:
-            return True
-        if not isinstance(other, Formula) or self._hash != other._hash:
-            return False
-        f, g, stack = self, other, []
-        while True:
-            if f is not g:
-                if f._hash != g._hash or type(f) is not type(g):
-                    return False
-                if type(f) is Neg:
-                    f, g = f.inner, g.inner
-                    continue
-                if type(f) is Atom:
-                    if f.name != g.name:
-                        return False
-                elif len(f.members) != len(g.members):
-                    return False
-                else:
-                    stack.extend(zip(f.members, g.members))
-            if not stack:
-                return True
-            f, g = stack.pop()
+        """Structural equality: identity, cached hashes, then the canonical order."""
+        return self is other or (isinstance(other, Formula) and self._hash == other._hash
+                                 and _compare(self, other) == 0)
 
     def __hash__(self):
         return self._hash
@@ -72,7 +51,7 @@ class Formula:
     def __lt__(self, other):
         if not isinstance(other, Formula):
             return NotImplemented
-        return self._key < other._key
+        return _compare(self, other) < 0
 
     def __repr__(self):
         return format_formula(self)
@@ -80,32 +59,29 @@ class Formula:
 
 class Atom(Formula):
     __slots__ = ("name",)
+    _tag = 0
 
     def __init__(self, name: str):
         if not _is_identifier(name):
             raise ValueError(f"invalid atom name: {name!r}")
         self.name = sys.intern(name)
-        self._key = (0, self.name)
-        self._hash = hash(self._key)
+        self._hash = hash((0, self.name))
 
 
 class Neg(Formula):
     __slots__ = ("inner",)
+    _tag = 1
 
     def __init__(self, inner: Formula):
         self.inner = inner
-        self._key = (1, inner._key)
         self._hash = hash((1, inner._hash))
 
 
 class _SetFormula(Formula):
     __slots__ = ("members",)
 
-    _tag: int
-
     def __init__(self, members: Iterable[Formula]):
         self.members = canonical_set(members)
-        self._key = (self._tag, tuple(m._key for m in self.members))
         self._hash = hash((self._tag, tuple(m._hash for m in self.members)))
 
     def __len__(self):
@@ -127,7 +103,36 @@ class Disj(_SetFormula):
 
 def canonical_set(members: Iterable[Formula]) -> tuple[Formula, ...]:
     """A finite formula set as a tuple: canonical order, duplicates collapsed."""
-    return tuple(sorted(set(members), key=lambda m: m._key))
+    return tuple(sorted(set(members)))
+
+
+def _compare(f, g) -> int:
+    """-1, 0 or 1 as f comes before, equals or comes after g in the canonical order:
+    kind first (atom < ~ < and < or), then atoms by name, negations by their
+    inner formula, and and/or sets member by member, a prefix before its
+    extensions.  Runs on an explicit stack, so any nesting depth compares."""
+    stack = []  # open set pairs: (unread member pairs, order if all of them tie)
+    while True:
+        while f is not g and type(f) is Neg and type(g) is Neg:
+            f, g = f.inner, g.inner
+        if f is not g:
+            if f._tag != g._tag:
+                return -1 if f._tag < g._tag else 1
+            if type(f) is not Atom:
+                m, n = len(f.members), len(g.members)
+                stack.append((zip(f.members, g.members), (m > n) - (m < n)))
+            elif f.name != g.name:
+                return -1 if f.name < g.name else 1
+        while stack:
+            pairs, tie = stack[-1]
+            f, g = next(pairs, (None, None))
+            if f is not None:
+                break
+            if tie:
+                return tie
+            stack.pop()
+        else:
+            return 0
 
 
 VERUM = Conj(())

@@ -180,7 +180,7 @@ def build_strict_rules(ax_formulas: Iterable[Formula]) -> tuple[Rule, ...]:
             rid, antecedents = "#rse", ()
         consequent = conj(disj(formula_of[l] for l in keep) for keep in consequents)
         out.append(Rule(rid, antecedents, Arrow.STRICT, consequent))
-    return tuple(sorted(out, key=lambda r: tuple(f._key for f in r.antecedents)))
+    return tuple(sorted(out, key=lambda r: r.antecedents))
 
 
 def _components(atom_sets: Iterable[frozenset[str]]) -> dict[str, str]:

@@ -87,6 +87,20 @@ class TestCheck:
         assert res.returncode == 2
         assert "UTF-8" in res.stderr
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = b"fact: or{a,b}\nrule r: {} => ~a\n"
+        marked = tmp_path / "marked.ppl"
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        plain = tmp_path / "plain.ppl"
+        plain.write_bytes(text)
+        res, ref = run_cli("check", str(marked)), run_cli("check", str(plain))
+        assert (res.returncode, res.stdout, res.stderr) == (0, ref.stdout, "")
+        bad = tmp_path / "marked_latin1.ppl"
+        bad.write_bytes(b"\xef\xbb\xbffact: \xe9\n")
+        res = run_cli("check", str(bad))
+        assert res.returncode == 2
+        assert "error[encoding]" in res.stderr
+
     def test_atom_limit_flag(self):
         res = run_cli("query", str(KB_DIR / "lottery3.ppl"), "~s1",
                       "--alg", "pi", "--max-atoms", "2")

@@ -191,6 +191,15 @@ class TestHistories:
         with pytest.raises(InvalidHistoryError):
             prove(desc, Alg.PI, A, [("beta", "ra")])
 
+    @pytest.mark.parametrize("entry", ["pi", ("pi",), ("pi", "ra", "x"), 7],
+                             ids=["string", "one-item", "three-item", "int"])
+    @pytest.mark.parametrize("query", [prove, tree_value, evaluation_tree])
+    def test_malformed_entry_rejected(self, query, entry):
+        desc = desc_plausible_default()
+        with pytest.raises(InvalidHistoryError) as exc:
+            query(desc, Alg.PI, A, [entry])
+        assert str(exc.value) == f"history entry {entry!r} is not an (algorithm, rule id) pair"
+
     def test_unknown_rule_rejected(self):
         desc = desc_plausible_default()
         with pytest.raises(Exception):

@@ -24,7 +24,7 @@ from ppl import (
     parse_formula,
     simplify,
 )
-from ppl.formulas import evaluate
+from ppl.formulas import canonical_set, evaluate
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -58,22 +58,69 @@ class TestStructure:
         texts = ["a", "b", "~a", "~~a", "and{}", "or{}", "or{a,b}", "and{a,b}",
                  "or{a,~b}", "or{a,b,c}", "and{or{a,b},~c}", "and{or{a,c},~c}"]
 
-        def same_hash(f):
-            stack = [f]
-            while stack:
-                g = stack.pop()
-                g._hash = 0
-                stack.extend(g.members if isinstance(g, (Conj, Disj))
-                             else [g.inner] if isinstance(g, Neg) else [])
-            return f
-
         for _ in range(200):
             s, t = rng.choice(texts), rng.choice(texts)
-            f, g = same_hash(parse_formula(s)), same_hash(parse_formula(t))
+            f, g = _same_hash(parse_formula(s)), _same_hash(parse_formula(t))
             assert (f == g) is (s == t) and (f != g) is (s != t), (s, t)
 
     def test_atoms_collects_all(self):
         assert atoms(Conj([Disj([A, Neg(B)]), C])) == {"a", "b", "c"}
+
+
+def _same_hash(f):
+    """f with every hash in it forced to 0, so == must decide on structure."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        g._hash = 0
+        stack.extend(g.members if isinstance(g, (Conj, Disj))
+                     else [g.inner] if isinstance(g, Neg) else [])
+    return f
+
+
+def _reference_key(f):
+    """The canonical order by its recursive definition, as a nested tuple:
+    kind (atom < ~ < and < or), then the name, the inner formula's key, or
+    the members' keys in order."""
+    if isinstance(f, Atom):
+        return (0, f.name)
+    if isinstance(f, Neg):
+        return (1, _reference_key(f.inner))
+    return (2 if isinstance(f, Conj) else 3, tuple(_reference_key(m) for m in f.members))
+
+
+class TestCanonicalOrder:
+    def test_sorting_agrees_with_the_reference_key(self):
+        rng = random.Random(29)
+        for _ in range(20):
+            fs = [_random_formula(rng, 4) for _ in range(150)]
+            expected = sorted(fs, key=_reference_key)  # stable, like sorted(fs)
+            assert all(f is g for f, g in zip(sorted(fs), expected))
+            assert canonical_set(fs) == tuple(sorted(set(fs), key=_reference_key))
+            assert Disj(fs).members == canonical_set(fs)
+
+    def test_lt_and_eq_agree_with_the_reference_key(self):
+        rng = random.Random(31)
+        pool = [_random_formula(rng, 2) for _ in range(40)]  # repeats give equal pairs
+        equal_pairs = 0
+        for _ in range(3000):
+            f, g = rng.choice(pool), rng.choice(pool)
+            if rng.random() < 0.5:  # separate copies, every hash forced equal
+                f, g = (_same_hash(parse_formula(format_formula(h))) for h in (f, g))
+            kf, kg = _reference_key(f), _reference_key(g)
+            assert (f < g, g < f, f == g, f != g) == (kf < kg, kg < kf, kf == kg, kf != kg)
+            equal_pairs += kf == kg
+        assert equal_pairs > 100
+
+    def test_deep_sets_compare_and_sort_without_recursion(self):
+        x_text, y_text = ("and{" * 20000 + atom + "}" * 20000 for atom in "ab")
+        text = f"and{{{x_text},{y_text}}}"
+        f = parse_formula(text)  # canonical_set compares x and y to their innermost atoms
+        assert format_formula(f) == text
+        x, y = parse_formula(x_text), parse_formula(y_text)
+        assert x < y and not y < x and x != y
+        assert sorted([y, x]) == [x, y]
+        assert f.members == (x, y)
 
 
 class TestComplement:

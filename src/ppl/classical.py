@@ -13,23 +13,34 @@ same core as the exhaustive `resolution_closure`, which stays as the
 oracle; it has the same units by proof when the clause set is satisfiable,
 and by the law test otherwise (see `saturate`).  Semantic entailment and
 satisfiability are decided independently by exhaustive valuation, so
-resolution can be cross-checked against semantics; `entails` is also the
-query-time test of facts and support (see `kb.PlausibleDescription`).
+resolution can be cross-checked against semantics.
+
+Facts and support are decided at query time by `refutes`, DPLL with unit
+propagation, on clauses that `clause_form` reads off a formula's shape,
+with the axioms, prime implicates, joining through propagation alone (see
+`kb.PlausibleDescription`).  Only a disjunction with a member that is not a
+literal is enumerated, so the atom limit bounds that subformula, never a
+whole check.  `entails` and `satisfiable` stay as the kernel's oracles.
 `is_tautology` and `core_clauses` are imported from `formulas`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .formulas import (
     DEFAULT_MAX_ATOMS,
+    Atom,
+    Conj,
     Formula,
     Lit,
     Neg,
+    as_lit,
     atoms,
+    complement,
     core_clauses,
     evaluate,
+    is_literal,
     is_tautology,
     valuations,
 )
@@ -60,6 +71,113 @@ def clauses_of(x, max_atoms: int = DEFAULT_MAX_ATOMS) -> ClauseSet:
             if not evaluate(f, v):
                 out.add(frozenset(Lit(a, a in v) for a in avars))
     return frozenset(out)
+
+
+def clause_form(f: Formula, max_atoms: int = DEFAULT_MAX_ATOMS,
+                negated: bool = False) -> ClauseSet:
+    """Clauses equivalent to f, or to ~f when `negated`, read off f's shape.
+
+    A double negation cancels, a conjunction (`and`, or a negated `or`)
+    contributes its members' clauses, and a disjunction of literals (`or`,
+    or a negated `and`, over literals) is one clause.  Only a disjunction
+    with a member that is not a literal goes to `clauses_of`, so the atom
+    limit bounds that subformula alone.  Runs on an explicit stack.  The
+    clauses need not be those of `clauses_of`, only equivalent to them, so
+    validation, whose error filter reads the clause form syntactically,
+    keeps `clauses_of`.
+    """
+    out: set[Clause] = set()
+    todo = [(f, negated)]
+    while todo:
+        f, negated = todo.pop()
+        while type(f) is Neg and type(f.inner) is not Atom:
+            f, negated = f.inner, not negated
+        if is_literal(f):
+            out.add(frozenset((as_lit(f).complement() if negated else as_lit(f),)))
+        elif (type(f) is Conj) is not negated:
+            todo.extend((m, negated) for m in f.members)  # type: ignore[union-attr]
+        elif all(map(is_literal, f.members)):  # type: ignore[union-attr]
+            ls = frozenset(map(as_lit, f.members))  # type: ignore[union-attr]
+            out.add(complement(ls) if negated else ls)
+        else:
+            out |= clauses_of(Neg(f) if negated else f, max_atoms)
+    return frozenset(out)
+
+
+def clause_index(clauses: Iterable[Clause]) -> dict[Lit, tuple[Lit, list[Clause]]]:
+    """What making a literal true can falsify: each literal whose complement
+    some clause holds, mapped to that complement and the clauses holding it."""
+    holding: dict[Lit, list[Clause]] = {}
+    for c in clauses:
+        for l in c:
+            holding.setdefault(l, []).append(c)
+    return {l.complement(): (l, cs) for l, cs in holding.items()}
+
+
+def refutes(clauses: Iterable[Clause],
+            implicates: Mapping[Lit, tuple[Lit, list[Clause]]] | None = None) -> bool:
+    """Whether a clause set is unsatisfiable: DPLL with unit propagation
+    (Davis, Logemann and Loveland 1962).
+
+    A branch is a partial valuation, kept as its sets of true and of false
+    literals.  Making a literal true revisits only the clauses holding its
+    complement: one with no literal true and none left open is a conflict,
+    which closes the branch, and one with a single open literal forces it.
+    A branch that leaves no clause open is a model.  Otherwise it splits on
+    an open literal of a shortest open clause, the literal first, then its
+    complement.  Open branches wait on a list, not on Python frames.
+
+    `implicates`, a `clause_index` of the prime implicates of a satisfiable
+    clause set, joins the refutation through unit propagation alone.  That
+    is exact: a partial valuation that falsifies no prime implicate extends
+    to a model of them all, since otherwise they would entail the clause
+    of its complemented literals, and some prime implicate would be a
+    subset of that clause.  So a branch is a model once it leaves none of
+    `clauses` open, and each question pays only for the implicates its
+    literals reach.
+    """
+    clauses = set(clauses)
+    if EMPTY_CLAUSE in clauses:
+        return True
+    indexes = (clause_index(clauses), implicates or {})
+    stack = [(set(), set(), [l for c in clauses if len(c) == 1 for l in c])]
+    while stack:
+        true, false, forced = stack.pop()
+        if _propagate(true, false, forced, indexes):
+            left = [c - false for c in clauses if true.isdisjoint(c)]
+            if not left:
+                return False
+            l = next(iter(min(left, key=len)))
+            stack.append((set(true), set(false), [l.complement()]))
+            stack.append((true, false, [l]))
+    return True
+
+
+def _propagate(true: set[Lit], false: set[Lit], forced: list[Lit],
+               indexes: tuple[Mapping[Lit, tuple[Lit, list[Clause]]], ...]) -> bool:
+    """Make the forced literals true, and each literal that forces in turn;
+    False on a conflict.  Only complements that some clause holds are
+    recorded as false, since only they can be asked about."""
+    while forced:
+        l = forced.pop()
+        if l in true:
+            continue
+        if l in false:
+            return False
+        true.add(l)
+        for index in indexes:
+            hit = index.get(l)
+            if hit is not None:
+                nl, holding = hit
+                false.add(nl)
+                for c in holding:
+                    if true.isdisjoint(c):
+                        rest = c - false
+                        if not rest:
+                            return False
+                        if len(rest) == 1:
+                            forced.extend(rest)
+    return True
 
 
 def resolvents(c1: Clause, c2: Clause) -> Iterable[Clause]:

@@ -88,8 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _common(sub):
     sub.add_argument("--max-atoms", type=int, default=DEFAULT_MAX_ATOMS,
-                     metavar="N", help="atoms one semantic check may enumerate: a fact's, "
-                     "or a query's plus one rule consequent's (default %(default)s)")
+                     metavar="N", help="atoms a formula may have where its clause form is "
+                     "enumerated: each fact at validation, and at query time only a disjunction "
+                     "with a member that is not a literal (default %(default)s)")
 
 
 def _load(args):

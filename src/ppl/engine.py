@@ -104,8 +104,10 @@ def check_history(desc: PlausibleDescription, alg: Alg, history) -> History:
         try:
             tag, rid = () if isinstance(entry, (str, bytes)) else entry
         except (TypeError, ValueError):
+            rid = None
+        if not isinstance(rid, str):
             raise InvalidHistoryError(
-                f"history entry {entry!r} is not an (algorithm, rule id) pair") from None
+                f"history entry {entry!r} is not an (algorithm, rule id) pair")
         try:
             tag = Alg(tag)
         except ValueError:

@@ -10,7 +10,8 @@ this derived closure of the facts.
 
 The axioms are the prime implicates of the filtered clause set: strict
 rules are their literal sets expanded, and fact and support checks are one
-entailment test over only the axioms inside the atoms being asked about.
+refutation (`classical.refutes`) of a formula's clauses, read off its shape,
+in which the axioms take part through unit propagation alone.
 Supporters are read off an index built with the description: the axioms'
 atoms split into connected components, and only rules whose consequents
 touch the components of a formula's atoms are tested for supporting it
@@ -28,15 +29,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import classical
 from .classical import Clause
 from .formulas import (
     DEFAULT_MAX_ATOMS,
     FALSUM,
+    Atom,
     Formula,
     Lit,
+    Neg,
     atoms,
     canonical_set,
     complement,
@@ -208,8 +211,9 @@ class PlausibleDescription:
     `rules` holds the derived strict rules followed by the user rules;
     `priority` is the acyclic superior/inferior id-pair relation.  Query
     memos (facts per formula, consistency per consequent, supporters per
-    formula) always equal recomputation, take no part in equality, and
-    concurrent reads are safe.
+    formula, clause forms of a formula and of its negation per formula)
+    always equal recomputation, take no part in equality, and concurrent
+    reads are safe.
     """
 
     rules: tuple[Rule, ...]
@@ -221,6 +225,8 @@ class PlausibleDescription:
     _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _consistent: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _supporters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _clause_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _negations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         derive = object.__setattr__  # the derived fields of a frozen instance
@@ -229,14 +235,14 @@ class PlausibleDescription:
         derive(self, "_position", {r.rid: i for i, r in enumerate(self.rules)})
         derive(self, "_rsd", tuple(filter(self._supporting, self.rules)))
         derive(self, "_inferiors", frozenset(inf for _, inf in self.priority))
-        derive(self, "_axiom_atoms", tuple((atoms(a), a) for a in self.axioms))
+        derive(self, "_implicates", classical.clause_index(self.axiom_clauses))
         # The supporter index: each distinct consequent with the positions
         # of its rules, each axiom atom's component, and the consequents
         # touching each component (all but the axiom rule's, see supporters).
         rules_with: dict[Formula, list[int]] = {}
         for i, r in enumerate(self.rules):
             rules_with.setdefault(r.consequent, []).append(i)
-        component = _components(avars for avars, _ in self._axiom_atoms)
+        component = _components(frozenset(l.atom for l in c) for c in self.axiom_clauses)
         touching: dict[str, list[Formula]] = {}
         axioms = self.rse.consequent if self.rse_id else None
         for c in rules_with:
@@ -269,15 +275,27 @@ class PlausibleDescription:
     def _entails(self, premises: tuple[Formula, ...], f: Formula) -> bool:
         """Whether the axioms and `premises` semantically entail f.
 
-        Only the axioms whose atoms lie in V, the atoms of the premises and
-        f, take part, and that is exact: the axioms are the prime implicates
-        of a satisfiable set, so by the subsumption theorem a valuation of V
-        extends to a model of all of them iff it falsifies none inside V.
+        Decided by refuting the clauses of the premises and of ~f with the
+        axioms, which are the prime implicates of a satisfiable set, so
+        they take part through unit propagation alone (`classical.refutes`)
+        and a check reaches only the axioms its literals touch.
         """
-        if self.axioms:
-            v = atoms(f).union(*map(atoms, premises))
-            premises += tuple(a for avars, a in self._axiom_atoms if avars <= v)
-        return classical.entails(premises, f, self.max_atoms)
+        clauses = [c for g in premises for c in self._clauses(g, False)]
+        clauses += self._clauses(f, True)
+        return classical.refutes(clauses, self._implicates)
+
+    def _clauses(self, f: Formula, negated: bool) -> Collection[Clause]:
+        """The clause form of f, or of ~f, memoised per formula; a literal's
+        one clause is built afresh, which costs less than a memo entry."""
+        if type(f) is Atom:
+            return (frozenset((Lit(f.name, negated),)),)
+        if type(f) is Neg and type(f.inner) is Atom:
+            return (frozenset((Lit(f.inner.name, not negated),)),)
+        memo = self._negations if negated else self._clause_forms
+        found = memo.get(f)
+        if found is None:
+            found = memo[f] = classical.clause_form(f, self.max_atoms, negated)
+        return found
 
     def is_fact(self, f: Formula) -> bool:
         """Whether the axioms semantically entail f."""

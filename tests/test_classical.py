@@ -2,6 +2,7 @@
 three proof relations, cross-checked against exhaustive-valuation oracles."""
 
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -24,14 +25,18 @@ from ppl import (
     satisfiable,
     val_space,
 )
+from ppl import classical
 from ppl.classical import (
     EMPTY_CLAUSE,
+    clause_form,
+    clause_index,
     clauses_satisfiable,
     core_clauses,
     is_tautology,
+    refutes,
     saturate,
 )
-from ppl.formulas import atoms, evaluate
+from ppl.formulas import FALSUM, VERUM, atoms, evaluate, parse_formula
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -104,6 +109,67 @@ class TestClausesOf:
         wide = Disj([Atom(f"x{i}") for i in range(5)])
         with pytest.raises(AtomLimitError):
             clauses_of(wide, max_atoms=4)
+
+
+def holds(clauses, true_atoms) -> bool:
+    """Whether the valuation making exactly `true_atoms` true satisfies every clause."""
+    return all(any((l.atom in true_atoms) != l.neg for l in c) for c in clauses)
+
+
+class TestClauseForm:
+    """The structural clause form of the entailment kernel, against valuations."""
+
+    def test_equivalent_to_clauses_of(self):
+        rng = random.Random(79)
+        for _ in range(600):
+            f = _random_formula(rng, 3)
+            for negated in (False, True):
+                g = Neg(f) if negated else f
+                got, ref = clause_form(f, negated=negated), clauses_of(g)
+                for v in val_space(atoms(f)):
+                    assert holds(got, v) == holds(ref, v) == evaluate(g, v), (g, got)
+
+    def test_clause_shapes_are_read_off_without_enumerating(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(classical, "clauses_of", refused)
+        wide = [Atom(f"x{i}") for i in range(30)]
+        cases = [
+            (A, False, [clause("a")]),
+            (A, True, [clause("~a")]),
+            (Neg(A), True, [clause("a")]),
+            (Disj([A, Neg(B)]), False, [clause("a", "~b")]),
+            (Disj([A, Neg(B)]), True, [clause("~a"), clause("b")]),
+            (Conj([A, Disj([B, C])]), False, [clause("a"), clause("b", "c")]),
+            (Conj([A, Neg(B)]), True, [clause("~a", "b")]),
+            (Neg(Neg(Disj([A, B]))), False, [clause("a", "b")]),
+            (Neg(Conj([A, B])), False, [clause("~a", "~b")]),
+            (Neg(Disj([A, B])), True, [clause("a", "b")]),
+            (VERUM, False, []),
+            (VERUM, True, [EMPTY_CLAUSE]),
+            (FALSUM, False, [EMPTY_CLAUSE]),
+            (FALSUM, True, []),
+            (Conj(wide), False, [frozenset([Lit(x.name, False)]) for x in wide]),
+            (Disj(wide), False, [frozenset(Lit(x.name, False) for x in wide)]),
+        ]
+        for f, negated, expected in cases:
+            assert clause_form(f, max_atoms=2, negated=negated) == frozenset(expected), f
+
+    def test_atom_limit_bounds_only_the_enumerated_part(self):
+        f = parse_formula("or{a,and{b,c}}")  # its negation is a conjunction of clauses
+        assert clause_form(f, max_atoms=2, negated=True) == {clause("~a"), clause("~b", "~c")}
+        with pytest.raises(AtomLimitError):
+            clause_form(f, max_atoms=2)
+        g = Conj([Disj([Atom(f"x{i}"), Conj([Atom(f"y{i}"), Atom(f"z{i}")])])
+                  for i in range(10)])  # 30 atoms, 3 per member
+        assert len(clause_form(g, max_atoms=3)) == 30  # three full-width clauses each
+
+    def test_deep_nesting_needs_no_recursion(self):
+        depth = 20000
+        f = parse_formula("and{" * depth + "~~a" + "}" * depth)
+        assert clause_form(f) == {clause("a")}
+        assert clause_form(f, negated=True) == {clause("~a")}
 
 
 def _random_formula(rng, depth):
@@ -320,6 +386,72 @@ class TestSemanticOracle:
             checked += 1
             assert entails(F, f) == proves(F, f)
         assert checked > 100
+
+
+class TestRefutation:
+    """`refutes`, DPLL with unit propagation, against valuations."""
+
+    def test_edge_cases(self):
+        assert not refutes([])
+        assert refutes([EMPTY_CLAUSE])
+        assert refutes([clause("a"), EMPTY_CLAUSE, clause("b")])
+        assert not refutes([clause("a", "~a")])
+        assert refutes([clause("a", "~a"), clause("a"), clause("~a")])
+        assert refutes([clause("a"), clause("a"), clause("~a", "b"), clause("~b")])
+        assert not refutes([clause("a", "b")] * 3)
+
+    def test_agrees_with_valuations_on_random_clause_sets(self):
+        rng = random.Random(71)
+        seen = dict.fromkeys(["unsat", "empty set", "empty clause", "tautology",
+                              "repeated"], 0)
+        for n_atoms in (3, 4, 5):
+            names = "abcde"[:n_atoms]
+            for _ in range(1000):
+                cs = [frozenset(Lit(rng.choice(names), rng.random() < 0.5)
+                                for _ in range(rng.randint(1, 3)))
+                      for _ in range(rng.randint(0, 3 * n_atoms))]
+                roll = rng.random()
+                if roll < 0.05:
+                    cs.insert(rng.randint(0, len(cs)), EMPTY_CLAUSE)
+                elif roll < 0.3 and cs:
+                    cs += rng.choices(cs, k=rng.randint(1, 3))
+                    seen["repeated"] += 1
+                unsat = not clauses_satisfiable(cs)
+                assert refutes(cs) == unsat, cs
+                seen["unsat"] += unsat
+                seen["empty set"] += not cs
+                seen["empty clause"] += EMPTY_CLAUSE in cs
+                seen["tautology"] += any(map(is_tautology, cs))
+        assert all(n > 40 for n in seen.values()), seen
+        assert 600 < seen["unsat"] - seen["empty clause"] < 2000, seen
+
+    def test_prime_implicates_join_by_propagation(self):
+        # refutes(S, index of the prime implicates of T) says whether S ∪ T
+        # is unsatisfiable, for a satisfiable T
+        rng = random.Random(73)
+        checked = unsat = 0
+        for _ in range(2000):
+            t = [c for c in random_clause_set(rng, 5, max_clauses=7) if c]
+            if not clauses_satisfiable(t):
+                continue
+            implicates = core_clauses(saturate(c for c in t if not is_tautology(c)))
+            s = list(random_clause_set(rng, 5, max_clauses=4))
+            expected = not clauses_satisfiable(s + t)
+            assert refutes(s, clause_index(implicates)) == expected, (s, t)
+            assert refutes(s + list(implicates)) == expected, (s, t)
+            checked += 1
+            unsat += expected
+        assert checked > 1000 and 200 < unsat < checked - 200, (checked, unsat)
+
+    def test_long_implication_chain_at_the_default_limit(self):
+        # {p0}, p_i -> p_(i+1), {~p_1998}: 2,000 clauses, one propagation path
+        n = 2000
+        chain = [clause("p0"), clause("~p1998")]
+        chain += [clause(f"~p{i}", f"p{i + 1}") for i in range(n - 2)]
+        assert len(chain) == n and sys.getrecursionlimit() <= 1000
+        assert refutes(chain)
+        assert not refutes(chain[1:])  # without {p0}
+        assert not refutes(chain[:1] + chain[2:])  # without {~p_1998}
 
 
 class TestClauseImplication:

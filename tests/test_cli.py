@@ -109,11 +109,17 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", [["query"], ["tree", "--format", "dot"]])
     def test_atom_limit_at_query_time(self, tmp_path, command):
-        # validation stays within 2 atoms per fact; the support check needs 3
+        # validation stays within 2 atoms per fact, and the checks behind
+        # `a` read clauses off the formulas, whatever atoms they span
         kb = tmp_path / "three.ppl"
         kb.write_text("fact: or{a,b}\nfact: or{b,c}\nrule r: {} => a\n",
                       encoding="utf-8")
         res = run_cli(*command, str(kb), "a", "--alg", "pi", "--max-atoms", "2")
+        assert (res.returncode, res.stderr) == (0, "")
+        # or{a,and{b,c}} is not a conjunction of clauses, so its clause form
+        # is enumerated, over 3 atoms, once the foes of its supporter r are
+        # sought (its negation, a conjunction of clauses, is not enumerated)
+        res = run_cli(*command, str(kb), "or{a,and{b,c}}", "--alg", "pi", "--max-atoms", "2")
         assert res.returncode == 2
         assert res.stderr == ("ppl: error[atom-limit]: "
                               "3 atoms exceed the enumeration limit of 2\n")

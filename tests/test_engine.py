@@ -191,8 +191,10 @@ class TestHistories:
         with pytest.raises(InvalidHistoryError):
             prove(desc, Alg.PI, A, [("beta", "ra")])
 
-    @pytest.mark.parametrize("entry", ["pi", ("pi",), ("pi", "ra", "x"), 7],
-                             ids=["string", "one-item", "three-item", "int"])
+    @pytest.mark.parametrize("entry", ["pi", ("pi",), ("pi", "ra", "x"), 7, ("pi", ["ra"]),
+                                       ("pi", 3)],
+                             ids=["string", "one-item", "three-item", "int", "list-rule-id",
+                                  "int-rule-id"])
     @pytest.mark.parametrize("query", [prove, tree_value, evaluation_tree])
     def test_malformed_entry_rejected(self, query, entry):
         desc = desc_plausible_default()

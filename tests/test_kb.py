@@ -29,6 +29,7 @@ from ppl import (
     Disj,
     DuplicateRuleIdError,
     Neg,
+    PlausibleDescription,
     PriorityOverRseError,
     Rule,
     StrictRuleRejectedError,
@@ -311,15 +312,17 @@ class TestFactsFromPrimeImplicates:
         assert supported > 5000 and checks > 30000
 
     def test_queries_build_no_clause_form(self, monkeypatch):
+        # every formula here is a clause or a conjunction of clauses, so the
+        # kernel reads clauses off it and enumerates nothing
         doc = parse_kb((KB_DIR / "lottery4.ppl").read_text(encoding="utf-8"))
         desc = validate_description(doc.facts, doc.rules, doc.priority)
-        calls = _count_calls(monkeypatch, "clauses_of", "satisfiable", "entails")
+        calls = _count_calls(monkeypatch, "clauses_of", "satisfiable", "entails", "refutes")
         s1, s2, s3 = (Atom(f"s{i}") for i in (1, 2, 3))
         for f in (Neg(s1), s1, Disj([s1, s2]), Disj([s1, s2, s3])):
             for alg in ALG_ORDER:
                 truth_value(desc, alg, f)
-        assert calls["clauses_of"] == calls["satisfiable"] == 0
-        assert calls["entails"] > 0
+        assert calls["clauses_of"] == calls["satisfiable"] == calls["entails"] == 0
+        assert calls["refutes"] > 0
 
     def test_wide_axioms_narrow_queries(self):
         # 22 atoms in the axioms, at most 2 in any rule or query
@@ -330,6 +333,18 @@ class TestFactsFromPrimeImplicates:
             assert not desc.is_fact(f)
             assert [truth_value(desc, alg, f).value for alg in ALG_ORDER] == (
                 ["u"] + ["t"] * 6)
+
+    def test_long_chain_answers_under_every_algorithm(self, monkeypatch):
+        # p_i -> p_(i+1) for 24 links and {} => p0: the strict rule #s(p0)
+        # concludes a 24-atom conjunction, the axiom rule one of 25 atoms
+        p = [Atom(f"p{i}") for i in range(25)]
+        desc = validate_description([Disj([Neg(p[i]), p[i + 1]]) for i in range(24)],
+                                    [Rule("r", (), Arrow.DEFEASIBLE, p[0])])
+        calls = _count_calls(monkeypatch, "clauses_of", "refutes")
+        assert "".join(truth_value(desc, alg, p[24]).value for alg in ALG_ORDER) == "utttttt"
+        # one refutation per (formula, candidate consequent) pair and per
+        # fact and consistency check: 1,399 here
+        assert calls["clauses_of"] == 0 and 0 < calls["refutes"] <= 2000
 
     def test_long_implication_chain(self):
         # 25 atoms: more than the default atom limit of entailment over Ax
@@ -395,10 +410,10 @@ class TestSupporterIndex:
     def test_chain_top_makes_linear_entailment_calls(self, monkeypatch):
         n = 200
         desc = desc_rule_chain(n)
-        calls = _count_calls(monkeypatch, "entails")
+        calls = _count_calls(monkeypatch, "refutes")
         assert truth_value(desc, Alg.BETA, Atom(f"a{n - 1}")) is TruthValue.TRUE
         # per link: two fact checks, one consistency and two support checks
-        assert calls["entails"] <= 5 * n
+        assert 0 < calls["refutes"] <= 5 * n
 
     def test_shared_consequents_are_decided_once(self, monkeypatch):
         # 3-stage ambiguity ladder: rb and tb conclude b_i, ranb and w ~b_i
@@ -417,16 +432,18 @@ class TestSupporterIndex:
         desc = validate_description([], rules)
         asked = []
 
-        def recorded(premises, f, *rest, _entails=classical.entails):
-            asked.append((tuple(premises), f))
-            return _entails(premises, f, *rest)
+        def recorded(self, premises, f, _entails=PlausibleDescription._entails):
+            asked.append((premises, f))
+            return _entails(self, premises, f)
 
-        monkeypatch.setattr(classical, "entails", recorded)
+        monkeypatch.setattr(PlausibleDescription, "_entails", recorded)
+        calls = _count_calls(monkeypatch, "refutes")
         for i in range(1, 4):
             for f in (a[i], b[i]):
                 for alg in ALG_ORDER:
                     truth_value(desc, alg, f)
-        assert asked and len(asked) == len(set(asked))
+        # each question asked once, and each decided by one refutation
+        assert asked and len(asked) == len(set(asked)) == calls["refutes"]
 
 
 class TestValidation:

@@ -16,8 +16,11 @@ branch; a choice may never repeat, which bounds the depth of every branch
 by twice the number of rules and makes every query terminate with +1 or -1.
 Most entries cannot affect a given sub-proof, so the prover memoises each
 value with the set of entries whose membership its computation tested, and
-reuses it under any history that agrees with it on that set: a proof's memo
+reuses it under any history that agrees with it on that set: the memo
 grows with the formulas and the entries they read, not with the histories.
+A proof value is a function of the description alone, so the memo lives on
+the description and every query on it, under any algorithm, history or
+thread, reuses what earlier queries stored.
 Every walk below is a generator run by one driver (`_run`) on an explicit
 stack, so that depth is limited by memory, not by Python's recursion limit.
 
@@ -68,8 +71,8 @@ _CO = {
 # Algorithms that regard nothing as evidence against a formula.
 _BLIND = frozenset((Alg.PHI, Alg.PI_P))
 
-# Each algorithm's place in a history entry's bit (see _Prover).
-_ALG_INDEX = {alg: i for i, alg in enumerate(ALG_ORDER)}
+# The algorithms whose history entries take the odd bits (see _Prover).
+_PRIMED = frozenset((Alg.BETA_P, Alg.PSI_P, Alg.PI_P))
 
 
 def co_algorithm(alg: Alg) -> Alg:
@@ -95,8 +98,16 @@ class InvalidHistoryError(Exception):
     pass
 
 
-def check_history(desc: PlausibleDescription, alg: Alg, history) -> History:
-    """Normalize and validate a history for a query under `alg`."""
+def check_history(desc: PlausibleDescription, alg, history) -> tuple[Alg, History]:
+    """Normalize and validate a query's algorithm and history.
+
+    `alg` is an `Alg` or its tag ("pi", "beta-p", ...); an unknown one
+    raises ValueError.
+    """
+    try:
+        alg = Alg(alg)
+    except ValueError:
+        raise ValueError(f"unknown algorithm {alg!r}") from None
     entries = []
     seen = set()
     allowed = {alg, co_algorithm(alg)}
@@ -121,7 +132,7 @@ def check_history(desc: PlausibleDescription, alg: Alg, history) -> History:
             raise InvalidHistoryError(f"repeated entry {tag}:{rid}")
         seen.add((tag, rid))
         entries.append((tag, rid))
-    return tuple(entries)
+    return alg, tuple(entries)
 
 
 def foes(desc: PlausibleDescription, alg: Alg, f: Formula, r: Rule) -> tuple[Rule, ...]:
@@ -155,11 +166,15 @@ def _run(walk):
 
 
 class _Prover:
-    """Proof values of one description, memoised by the entries they read.
+    """One proof walk over a description's shared memo of proof values.
 
     A history is an int bitset over (algorithm, rule) entries: the entry
-    (alg, r) is bit `7 * position(r) + index(alg)`, so extending a history
-    is one `|`.  While computing a formula's value the prover collects in
+    (alg, r) is bit `2 * position(r) + 1` if alg is primed and bit
+    `2 * position(r)` otherwise, so extending a history is one `|`.  Two
+    bits a rule suffice: a walk under alg only ever holds entries of alg
+    and of its co-algorithm, which differ in priming (phi is its own), and
+    `memo[alg, f]` is only read and written by walks under alg or its
+    co-algorithm.  While computing a formula's value the prover collects in
     `reads` the set D of entries whose membership it tested, directly, in
     sub-proofs, or through the stored D of a memo hit.  The value depends
     on the history only through its intersection with D: the recursion is
@@ -167,13 +182,19 @@ class _Prover:
     adds was first tested, as absent, by the sub-proof itself.  So
     `memo[alg, f]` lists (D, history & D, value), and a lookup reuses any
     entry whose D-part matches the current history.
+
+    The memo is the description's `_proofs`, shared by every walk on it:
+    an entry is exact under any history, whichever query stored it.  Only
+    `reads` belongs to the walk.  Entries are appended whole, and a value
+    is stored only once its computation ends, so concurrent walks and a
+    walk cut short by an exception leave only exact entries behind.
     """
 
     def __init__(self, desc: PlausibleDescription):
         self.desc = desc
         self.rsd = desc.rsd()
         self.position = desc._position
-        self.memo: dict = {}
+        self.memo = desc._proofs
         self.reads = 0
 
     def prove(self, alg: Alg, hset: frozenset, x) -> int:
@@ -184,7 +205,7 @@ class _Prover:
 
     def _fresh(self, h: int, alg: Alg, rid: str) -> int:
         """The bit of entry (alg, rid) if h lacks it, else 0; a read either way."""
-        e = 1 << (self.position[rid] * 7 + _ALG_INDEX[alg])
+        e = 1 << (2 * self.position[rid] + (alg in _PRIMED))
         self.reads |= e
         return 0 if h & e else e
 
@@ -197,7 +218,7 @@ class _Prover:
     def _prove_formula(self, alg: Alg, h: int, f: Formula):
         known = self.memo.get((alg, f))
         if known is None:
-            known = self.memo[alg, f] = []
+            known = self.memo.setdefault((alg, f), [])
         for d, hd, value in known:
             if h & d == hd:
                 self.reads |= d
@@ -242,10 +263,12 @@ class _Prover:
 def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
     """Proof value (+1 or -1) of a formula or finite formula set.
 
-    Within one call, a value is reused on every branch whose history
-    agrees on the entries that value's computation tested (see _Prover).
+    Values are memoised on the description and shared by every call on it,
+    under any algorithm: a value is reused on every branch, of this or a
+    later query, whose history agrees on the entries that value's
+    computation tested (see _Prover).
     """
-    h = check_history(desc, alg, history)
+    alg, h = check_history(desc, alg, history)
     return _Prover(desc).prove(alg, frozenset(h), _normalize(x))
 
 
@@ -267,7 +290,19 @@ def truth_value(desc: PlausibleDescription, alg: Alg, f: Formula) -> TruthValue:
 
 
 def _normalize(x):
-    return x if isinstance(x, Formula) else canonical_set(x)
+    """A query: a formula, or a finite formula set in canonical order."""
+    if isinstance(x, Formula):
+        return x
+    if isinstance(x, (str, bytes)):
+        raise TypeError(f"query {x!r} is text, not a formula or a set of formulas")
+    try:
+        members = tuple(x)
+    except TypeError:
+        raise TypeError(f"query {x!r} is not a formula or a set of formulas") from None
+    for m in members:
+        if not isinstance(m, Formula):
+            raise TypeError(f"query member {m!r} is not a formula")
+    return canonical_set(members)
 
 
 # --- evaluation trees -------------------------------------------------------
@@ -452,7 +487,7 @@ def evaluation_tree(desc: PlausibleDescription, alg: Alg, x, history=(),
     as a tree; serialization re-expands shared subtrees.  The root value
     equals prove() on the same arguments.
     """
-    h = check_history(desc, alg, history)
+    alg, h = check_history(desc, alg, history)
     root = _root_subject(alg, h, _normalize(x))
     return _run(_TreeBuilder(desc, max_nodes).build(root))
 
@@ -465,7 +500,7 @@ def tree_value(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
     same entries, so it stays tractable where the materialized tree would
     not.  Always equals prove().
     """
-    h = check_history(desc, alg, history)
+    alg, h = check_history(desc, alg, history)
     root = _root_subject(alg, h, _normalize(x))
     return _TreeEvaluator(desc).value(root)
 

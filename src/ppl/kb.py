@@ -211,9 +211,10 @@ class PlausibleDescription:
     `rules` holds the derived strict rules followed by the user rules;
     `priority` is the acyclic superior/inferior id-pair relation.  Query
     memos (facts per formula, consistency per consequent, supporters per
-    formula, clause forms of a formula and of its negation per formula)
-    always equal recomputation, take no part in equality, and concurrent
-    reads are safe.
+    formula, clause forms of a formula and of its negation per formula,
+    and proof values per algorithm and formula, shared by every query
+    under any algorithm and history, see `engine._Prover`) always equal
+    recomputation, take no part in equality, and concurrent reads are safe.
     """
 
     rules: tuple[Rule, ...]
@@ -227,6 +228,7 @@ class PlausibleDescription:
     _supporters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _clause_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _negations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _proofs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         derive = object.__setattr__  # the derived fields of a frozen instance

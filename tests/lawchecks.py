@@ -1,17 +1,18 @@
 """Structural-law checkers for randomized theories.
 
 Each checker returns a list of violation strings (empty means the law
-holds).  They share one memoizing prover and one tree evaluator per theory,
-since proof values depend only on the description, the algorithm, the
-history's entry set, and the formula.
+holds).  Proofs go through the public `prove`, whose memo lives on the
+description, so every check on one theory shares it; the checkers also
+share one tree evaluator per theory, since tree values depend only on the
+description, the algorithm, the history's entry set, and the formula.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from ppl import ALG_ORDER, Alg, Arrow, Atom, Conj, Disj, Neg, satisfiable
-from ppl.engine import _Prover, _TreeEvaluator, _root_subject
+from ppl import ALG_ORDER, Alg, Arrow, Atom, Conj, Disj, Neg, prove, satisfiable
+from ppl.engine import _TreeEvaluator, _root_subject
 
 MAIN_ALGS = (Alg.PHI, Alg.PI, Alg.PSI, Alg.BETA, Alg.BETA_P)
 
@@ -30,13 +31,12 @@ class TheoryCheck:
     def __init__(self, desc, probes):
         self.desc = desc
         self.probes = probes
-        self.prover = _Prover(desc)
         self.table = {
             alg: {f: self.proved(alg, f) for f in probes} for alg in ALG_ORDER
         }
 
     def proved(self, alg, x) -> bool:
-        return self.prover.prove(alg, frozenset(), x) == +1
+        return prove(self.desc, alg, x) == +1
 
     def truth(self, alg, f) -> str:
         pos, neg = self.proved(alg, f), self.proved(alg, Neg(f))
@@ -87,8 +87,8 @@ class TheoryCheck:
         for f in self.probes:
             hypothesis = True
             for s in self.desc.supporters(Neg(f), rsd):
-                entry = frozenset([(Alg.PI_P, s.rid)])
-                if self.prover.prove(Alg.PI_P, entry, s.antecedents) == +1:
+                entry = [(Alg.PI_P, s.rid)]
+                if prove(self.desc, Alg.PI_P, s.antecedents, entry) == +1:
                     if self.desc.superior_supporters(f, s, rsd):
                         hypothesis = False
                         break
@@ -141,7 +141,7 @@ class TheoryCheck:
         out = []
         for alg in ALG_ORDER:
             for f in self.probes:
-                value = self.prover.prove(alg, frozenset(), f)
+                value = prove(self.desc, alg, f)
                 if value not in (+1, -1):
                     out.append(f"{alg} on {f!r} returned {value!r}")
         return out

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from conftest import (
+    KB_DIR,
     desc_ambiguity,
     desc_lottery3,
     desc_lottery4,
@@ -24,6 +25,7 @@ from ppl import (
     Alg,
     Arrow,
     Atom,
+    AtomLimitError,
     Conj,
     Disj,
     InvalidHistoryError,
@@ -33,6 +35,7 @@ from ppl import (
     co_algorithm,
     evaluation_tree,
     foes,
+    parse_kb,
     provable,
     prove,
     tree_dot,
@@ -41,7 +44,6 @@ from ppl import (
     truth_value,
     validate_description,
 )
-from ppl.engine import _Prover
 
 A, B = Atom("a"), Atom("b")
 S1, S2, S3 = Atom("s1"), Atom("s2"), Atom("s3")
@@ -213,10 +215,70 @@ class TestHistories:
         assert prove(desc, Alg.PI, A, [("pi-p", "ra")]) == +1
 
 
+QUERIES = [prove, tree_value, evaluation_tree, truth_value]
+
+
+class TestQueryArguments:
+    """An algorithm tag answers like its enum member; a bad algorithm or a
+    query that is not a formula (set) is a typed error, raised before the
+    description's memo is touched."""
+
+    def test_algorithm_tag_answers_like_the_enum(self):
+        desc = desc_ambiguity()
+        for alg in ALG_ORDER:
+            for f in (A, Neg(B), B):
+                assert prove(desc, alg.value, f) == prove(desc, alg, f)
+                assert truth_value(desc, alg.value, f) is truth_value(desc, alg, f)
+                assert tree_value(desc, alg.value, f) == tree_value(desc, alg, f)
+                assert (evaluation_tree(desc, alg.value, f)
+                        == evaluation_tree(desc, alg, f))
+        history = [("pi", "ra")]
+        assert prove(desc, "pi", A, history) == prove(desc, Alg.PI, A, history) == -1
+
+    @pytest.mark.parametrize("alg", ["pi2", "PI", "", 7, None])
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_unknown_algorithm_raises_value_error(self, query, alg):
+        desc = desc_plausible_default()
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            query(desc, alg, A)
+        assert desc._proofs == {}
+
+    @pytest.mark.parametrize("x, named", [
+        ("ab", "'ab'"), (b"a", "b'a'"), (["a"], "'a'"), ([A, "b"], "'b'"),
+        (7, "7"), ([A, None], "None"),
+    ], ids=["text", "bytes", "text-member", "mixed-members", "int", "none-member"])
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_query_that_is_not_a_formula_raises_type_error(self, query, x, named):
+        desc = desc_plausible_default()
+        with pytest.raises(TypeError, match=f"{named} is") as exc:
+            query(desc, Alg.PI, x)
+        assert "not a formula" in str(exc.value)
+        assert desc._proofs == {}
+
+
+def random_history(rng, desc, alg):
+    """Up to three distinct entries of alg and its co-algorithm."""
+    tags = dict.fromkeys((alg, co_algorithm(alg)))  # phi is self-dual
+    pool = [(tag, r.rid) for tag in tags for r in desc.rules]
+    return rng.sample(pool, rng.randint(0, min(3, len(pool))))
+
+
+def kb_descriptions():
+    """A builder of each shipped KB's description."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(KB_DIR.glob("*.ppl"))]
+    assert texts
+
+    def builder(text):
+        doc = parse_kb(text)
+        return lambda: validate_description(doc.facts, doc.rules, doc.priority)
+
+    return [builder(text) for text in texts]
+
+
 class TestReuseAcrossHistories:
-    """One prover reuses a value under any history that agrees on the
-    entries the value's computation read; it must equal the tree's value
-    under that history."""
+    """A description's proof memo reuses a value, in any later query, under
+    any history that agrees on the entries the value's computation read; it
+    must equal the tree's value under that history."""
 
     def test_team_defeat_entry_is_read(self):
         # r's foe s is team-defeated by t, so the value of f reads (pi, t)
@@ -230,38 +292,80 @@ class TestReuseAcrossHistories:
             ],
             [("t", "s")],
         )
-        prover = _Prover(desc)
-        assert prover.prove(Alg.PI, frozenset(), f) == +1
+        assert prove(desc, Alg.PI, f) == +1
         history = [(Alg.PI, "t")]
-        assert prover.prove(Alg.PI, frozenset(history), f) == -1
+        assert prove(desc, Alg.PI, f, history) == -1
         assert tree_value(desc, Alg.PI, f, history) == -1
+
+    @staticmethod
+    def interleaving(rng, build, calls):
+        """A seeded interleaving of queries on one description, each against
+        the tree on a second description that no proof touches."""
+        shared, fresh = build(), build()
+        probes = probe_formulas(shared)
+        for _ in range(calls):
+            alg = rng.choice(ALG_ORDER)
+            history = random_history(rng, shared, alg)
+            if rng.random() < 0.25:
+                x = rng.sample(probes, rng.randint(0, min(3, len(probes))))
+            else:
+                x = rng.choice(probes)
+            assert (prove(shared, alg, x, history)
+                    == tree_value(fresh, alg, x, history)), (alg, history, x)
+        assert fresh._proofs == {}
 
     def test_shared_prover_equals_the_tree_under_random_histories(self):
         rng = random.Random(20261018)
-        for _ in range(300):
-            desc = make_random_theory(rng)
-            probes = probe_formulas(desc)
-            prover = _Prover(desc)
-            for _ in range(40):
-                alg = rng.choice(ALG_ORDER)
-                tags = dict.fromkeys((alg, co_algorithm(alg)))  # phi is self-dual
-                pool = [(tag, r.rid) for tag in tags for r in desc.rules]
-                history = rng.sample(pool, rng.randint(0, min(3, len(pool))))
-                f = rng.choice(probes)
-                assert (prover.prove(alg, frozenset(history), f)
-                        == tree_value(desc, alg, f, history)), (desc, alg, history, f)
+        for _ in range(200):
+            seed = rng.random()
+            self.interleaving(rng, lambda: make_random_theory(random.Random(seed)), 150)
+
+    def test_shared_prover_equals_the_tree_on_the_kb_files(self):
+        rng = random.Random(20261019)
+        for build in kb_descriptions():
+            self.interleaving(rng, build, 300)
+
+    def test_atom_limit_mid_proof_leaves_the_memo_exact(self):
+        # d's supporter r needs x (stored first) and then a 3-atom formula
+        # whose negation's clause form must be enumerated: over max_atoms=2
+        a, b, c, d, x = (Atom(n) for n in "abcdx")
+        wide = Neg(Disj([a, Conj([b, c])]))
+
+        def build():
+            return validate_description([], [
+                Rule("p", (), Arrow.DEFEASIBLE, x),
+                Rule("r", (x, wide), Arrow.DEFEASIBLE, d),
+                Rule("q", (), Arrow.DEFEASIBLE, Neg(d)),
+            ], max_atoms=2)
+
+        def outcome(query, desc, alg, f):
+            try:
+                return query(desc, alg, f)
+            except AtomLimitError:
+                return "atom limit"
+
+        shared, fresh = build(), build()
+        for alg in ALG_ORDER[1:]:
+            assert outcome(prove, shared, alg, d) == "atom limit"
+        assert shared._proofs  # the walks stored x's values before they failed
+        for alg in ALG_ORDER:
+            for f in (d, Neg(d), x, Neg(x), [x, Neg(d)], a, Neg(a), wide):
+                assert (outcome(prove, shared, alg, f)
+                        == outcome(tree_value, fresh, alg, f)), (alg, f)
 
     def test_lottery_memo_stays_small(self):
         # the 6-ticket lottery: the value of ~s_i reads few history entries,
-        # so one proof needs a few dozen memo entries, not one per history
+        # so the whole seven-algorithm profile of ~s1 keeps a few hundred
+        # memo entries (314 when measured), not one per history
         tickets = [Atom(f"s{i}") for i in range(1, 7)]
         desc = validate_description(
             lottery_facts(6),
             [Rule(f"d{i}", (), Arrow.DEFEASIBLE, Neg(s)) for i, s in enumerate(tickets, 1)],
         )
-        prover = _Prover(desc)
-        assert prover.prove(Alg.PI, frozenset(), Neg(tickets[0])) == +1
-        assert sum(map(len, prover.memo.values())) <= 100
+        for alg in ALG_ORDER:
+            want = TruthValue.UNDETERMINED if alg is Alg.PHI else TruthValue.TRUE
+            assert truth_value(desc, alg, Neg(tickets[0])) is want
+        assert sum(map(len, desc._proofs.values())) <= 400
 
 
 class TestTruthValues:
@@ -411,11 +515,21 @@ class TestStackSafety:
 
 class TestConcurrentReads:
     def test_threads_sharing_a_description_agree_with_a_sequential_run(self):
+        # the threads run the same queries in the same order, so they race
+        # on the same memo lists, under histories and on formula sets too
         probes = [Atom("a"), Atom("b"), S1, Neg(S1), Disj([S1, S2]),
                   Conj([Neg(S1), Neg(S2)])]
+        sets = [[], probes[:2], [S1, Neg(S2)], [Neg(S1), Neg(S2), Disj([S1, S3])]]
 
         def profile(desc):
-            return [truth_value(desc, alg, f) for f in probes for alg in ALG_ORDER]
+            out = [truth_value(desc, alg, f) for f in probes for alg in ALG_ORDER]
+            rids = [r.rid for r in desc.rules if r.arrow is not Arrow.STRICT]
+            for alg in ALG_ORDER:
+                out += [prove(desc, alg, x) for x in sets]
+                for tag in dict.fromkeys((alg, co_algorithm(alg))):
+                    for rid in rids:
+                        out += [prove(desc, alg, x, [(tag, rid)]) for x in probes + sets]
+            return out
 
         for build in (desc_ambiguity, desc_lottery3):
             want = profile(build())
@@ -439,3 +553,4 @@ class TestConcurrentReads:
                 sys.setswitchinterval(saved)
             assert not any(t.is_alive() for t in threads)
             assert got == [want] * 4
+            assert profile(shared) == want  # what the race stored is exact

@@ -14,13 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .engine import (
     ALG_ORDER,
     Alg,
     evaluation_tree,
-    tree_dot,
-    tree_json,
+    tree_dot_pieces,
+    tree_json,  # noqa: F401  not called here; perfbench's tracer test looks it up
+    tree_json_pieces,
     truth_value,
 )
 from .formulas import (
@@ -34,6 +36,10 @@ from .kb import Arrow, KbValidationError, validate_description
 from .kbtext import KbSyntaxError, parse_kb
 
 _ALG_TAGS = [a.value for a in ALG_ORDER]
+
+# Characters written to stdout at a time: a tree's text can be far larger
+# than its DAG, so it is never joined whole.
+_CHUNK = 1 << 16
 
 
 def main(argv=None) -> int:
@@ -166,10 +172,22 @@ def _cmd_tree(args) -> int:
     f = _parse_query_formula(args)
     root = evaluation_tree(desc, Alg(args.alg), f)
     if args.format == "json":
-        print(json.dumps(tree_json(root), indent=2, sort_keys=True))
+        _write(chain(tree_json_pieces(root), ["\n"]))
     else:
-        sys.stdout.write(tree_dot(root))
+        _write(tree_dot_pieces(root))
     return 0
+
+
+def _write(pieces) -> None:
+    """Write text pieces to stdout, joined in chunks of about _CHUNK characters."""
+    chunk, size = [], 0
+    for piece in pieces:
+        chunk.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            sys.stdout.write("".join(chunk))
+            chunk, size = [], 0
+    sys.stdout.write("".join(chunk))
 
 
 if __name__ == "__main__":

@@ -28,10 +28,14 @@ The same recursion, written out with all alternatives instead of
 short-circuiting, yields the evaluation tree: min nodes for antecedent
 obligations, max nodes for rule choices, minus nodes for the co-algorithm
 flip.  The root value of the tree always equals the recursive verdict.
+The tree is built as a DAG, one node per distinct subject; its exports
+expand it as they write, on an explicit stack, rendering each node once,
+so a streamed export holds the DAG, not the expanded output.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count
@@ -50,6 +54,11 @@ class Alg(Enum):
     BETA_P = "beta-p"
     PSI_P = "psi-p"
     PI_P = "pi-p"
+
+    # Members are singletons compared by identity, so the identity hash is
+    # exact, and it runs in C: Enum.__hash__ is Python code, and it would run
+    # on every history entry and every memo key (alg, f).
+    __hash__ = object.__hash__
 
     def __str__(self):
         return self.value
@@ -307,7 +316,7 @@ def _normalize(x):
 
 # --- evaluation trees -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subject:
     """Label of an evaluation-tree node.
 
@@ -338,7 +347,7 @@ class Subject:
         return "(" + ",".join(parts) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalNode:
     subject: Subject
     op: str  # "min", "max", or "minus"
@@ -417,18 +426,21 @@ class _TreeBuilder(_TreeCore):
         self.nodes: dict[Subject, EvalNode] = {}
 
     def build(self, subject: Subject):
-        node = self.nodes.get(subject)
-        if node is not None:
-            return node
-        if len(self.nodes) >= self.max_nodes:
+        """Walk materializing a subject not built yet; built children are
+        looked up in place, without starting a walk for each."""
+        nodes = self.nodes
+        if len(nodes) >= self.max_nodes:
             raise TreeBudgetError(f"more than {self.max_nodes} distinct nodes")
         op, child_subjects = self.expand(subject)
         children = []
         for c in child_subjects:
-            children.append((yield self.build(c)))
+            node = nodes.get(c)
+            if node is None:
+                node = yield self.build(c)
+            children.append(node)
         children = tuple(children)
         node = EvalNode(subject, op, _aggregate(op, children), children)
-        self.nodes[subject] = node
+        nodes[subject] = node
         return node
 
 
@@ -484,8 +496,11 @@ def evaluation_tree(desc: PlausibleDescription, alg: Alg, x, history=(),
     """The evaluation tree rooted at (alg, history, x).
 
     Identical subjects share one node, so the result is a DAG presented
-    as a tree; serialization re-expands shared subtrees.  The root value
-    equals prove() on the same arguments.
+    as a tree.  The exporters write the expanded tree from the DAG:
+    `tree_json_pieces` and `tree_dot_pieces` render each node once, and a
+    caller that writes their pieces as they come needs memory for the DAG,
+    not for the expanded output.  The root value equals prove() on the
+    same arguments.
     """
     alg, h = check_history(desc, alg, history)
     root = _root_subject(alg, h, _normalize(x))
@@ -512,47 +527,124 @@ def _root_subject(alg: Alg, h: History, x) -> Subject:
 
 
 def tree_json(node: EvalNode) -> dict:
-    """Tree as JSON-ready nested dicts: {subject, op, value, children}."""
+    """Tree as JSON-ready nested dicts: {subject, op, value, children}.
+
+    Every occurrence of a shared subtree is a fresh copy, so the result
+    grows with the expanded tree; `tree_json_pieces` writes the same
+    document as text from the DAG.
+    """
     return _run(_json(node))
 
 
 def _json(node: EvalNode):
-    subject: dict = {
-        "kind": node.subject.kind,
-        "alg": node.subject.alg.value,
-        "history": [[tag.value, rid] for tag, rid in node.subject.history],
-    }
-    if node.subject.formulas is not None:
-        subject["formulas"] = [format_formula(f) for f in node.subject.formulas]
-    if node.subject.formula is not None:
-        subject["formula"] = format_formula(node.subject.formula)
-    if node.subject.rule is not None:
-        subject["rule"] = node.subject.rule
-    if node.subject.foe is not None:
-        subject["foe"] = node.subject.foe
     children = []
     for c in node.children:
         children.append((yield _json(c)))
-    return {"subject": subject, "op": node.op, "value": node.value, "children": children}
+    return {"subject": _subject_json(node.subject), "op": node.op,
+            "value": node.value, "children": children}
+
+
+def _subject_json(subject: Subject) -> dict:
+    """The JSON object of a subject: the one definition of its shape."""
+    out: dict = {
+        "kind": subject.kind,
+        "alg": subject.alg.value,
+        "history": [[tag.value, rid] for tag, rid in subject.history],
+    }
+    if subject.formulas is not None:
+        out["formulas"] = [format_formula(f) for f in subject.formulas]
+    if subject.formula is not None:
+        out["formula"] = format_formula(subject.formula)
+    if subject.rule is not None:
+        out["rule"] = subject.rule
+    if subject.foe is not None:
+        out["foe"] = subject.foe
+    return out
+
+
+def tree_json_pieces(root: EvalNode):
+    """`json.dumps(tree_json(root), indent=2, sort_keys=True)`, in pieces.
+
+    The expanded tree is written from the DAG on an explicit stack, so depth
+    costs memory, not frames, and no nesting limit applies.  Each DAG node's
+    op, subject and value are rendered once and re-indented per occurrence.
+    A caller that writes the pieces out as they come holds the DAG and its
+    rendered nodes, not the expanded document.
+    """
+    tails: dict[int, str] = {}
+
+    def head(node: EvalNode, pad: str) -> str:
+        return "{\n" + pad + ('"children": [\n' if node.children else '"children": [],\n')
+
+    def tail(node: EvalNode, pad: str) -> str:
+        # pad indents the node's keys; the node itself sits two spaces left
+        text = tails.get(id(node))
+        if text is None:
+            subject = json.dumps(_subject_json(node.subject), indent=2, sort_keys=True)
+            text = tails[id(node)] = (f'"op": {json.dumps(node.op)},\n"subject": {subject},'
+                                      f'\n"value": {json.dumps(node.value)}')
+        close = "\n" + pad + "],\n" if node.children else ""
+        return close + pad + text.replace("\n", "\n" + pad) + "\n" + pad[2:] + "}"
+
+    yield head(root, "  ")
+    stack = [(root, "  ", enumerate(root.children))]
+    while stack:
+        node, pad, children = stack[-1]
+        i, child = next(children, (0, None))
+        if child is None:
+            stack.pop()
+            yield tail(node, pad)
+        else:
+            item = pad + "  "
+            yield (",\n" if i else "") + item + head(child, item + "  ")
+            stack.append((child, item + "  ", enumerate(child.children)))
 
 
 _DOT_SHAPE = {"min": "box", "max": "ellipse", "minus": "diamond"}
 
 
 def tree_dot(node: EvalNode) -> str:
-    """Tree in DOT format; min/max/minus nodes get distinct shapes."""
-    lines = ["digraph evaluation {"]
+    """Tree in DOT format; min/max/minus nodes get distinct shapes.
+
+    The lines of `tree_dot_pieces`, joined into one string as large as the
+    expanded tree's text.
+    """
+    return "".join(tree_dot_pieces(node))
+
+
+def tree_dot_pieces(root: EvalNode):
+    """The DOT text of the expanded tree, one line a piece.
+
+    Nodes are named in preorder; a node's line comes first, then, child by
+    child, the child's subtree and the edge to it.  The walk runs on an
+    explicit stack over the DAG and renders each DAG node's shape and label
+    once, so a caller that writes the lines out as they come holds only the
+    DAG and its labels.
+    """
+    rest: dict[int, str] = {}
     names = count()
 
-    def walk(n: EvalNode):
+    def line(node: EvalNode) -> tuple[str, str]:
         name = f"n{next(names)}"
-        label = f"{n.subject.text()} = {n.value:+d}".replace('"', r"\"")
-        lines.append(f'  {name} [shape={_DOT_SHAPE[n.op]}, label="{label}"];')
-        for c in n.children:
-            child = yield walk(c)
-            lines.append(f"  {name} -> {child};")
-        return name
+        text = rest.get(id(node))
+        if text is None:
+            label = f"{node.subject.text()} = {node.value:+d}".replace('"', r"\"")
+            text = rest[id(node)] = f' [shape={_DOT_SHAPE[node.op]}, label="{label}"];\n'
+        return name, "  " + name + text
 
-    _run(walk(node))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "digraph evaluation {\n"
+    name, text = line(root)
+    yield text
+    stack = [(name, iter(root.children))]
+    while stack:
+        name, children = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
+            if stack:
+                yield f"  {stack[-1][0]} -> {name};\n"
+        else:
+            child_name, text = line(child)
+            yield text
+            stack.append((child_name, iter(child.children)))
+    yield "}\n"

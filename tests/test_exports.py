@@ -1,0 +1,205 @@
+"""Tree exports: the streaming JSON and DOT writers against reference renderings.
+
+The writers walk the evaluation DAG on an explicit stack and render each
+node once; their text must equal, byte for byte, the standard `json`
+module's rendering of `tree_json` and the recursive DOT walk below.
+"""
+
+import json
+import random
+from itertools import combinations, count
+
+from conftest import KB_DIR, desc_rule_chain, make_random_theory, probe_formulas
+from ppl import (
+    ALG_ORDER,
+    Alg,
+    Atom,
+    Neg,
+    TreeBudgetError,
+    evaluation_tree,
+    parse_kb,
+    tree_dot,
+    tree_json,
+    validate_description,
+)
+from ppl import cli
+from ppl.engine import tree_dot_pieces, tree_json_pieces
+
+_SHAPE = {"min": "box", "max": "ellipse", "minus": "diamond"}
+
+# Trees compared here stay small enough for the recursive references.
+MAX_NODES = 500
+MAX_EXPANDED = 5_000
+
+
+def reference_json(root) -> str:
+    return json.dumps(tree_json(root), indent=2, sort_keys=True)
+
+
+def reference_dot(root) -> str:
+    """The DOT walk the writer replaced: recursive, one label per occurrence."""
+    lines = ["digraph evaluation {"]
+    names = count()
+
+    def walk(n):
+        name = f"n{next(names)}"
+        label = f"{n.subject.text()} = {n.value:+d}".replace('"', r"\"")
+        lines.append(f'  {name} [shape={_SHAPE[n.op]}, label="{label}"];')
+        for c in n.children:
+            child = walk(c)
+            lines.append(f"  {name} -> {child};")
+        return name
+
+    walk(root)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def expanded_size(root) -> int:
+    """Nodes of the expanded tree, counted on the DAG."""
+    sizes: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        pending = [c for c in node.children if id(c) not in sizes]
+        if pending:
+            stack.extend(pending)
+        else:
+            stack.pop()
+            sizes[id(node)] = 1 + sum(sizes[id(c)] for c in node.children)
+    return sizes[id(root)]
+
+
+def small_tree(desc, alg, x):
+    """The tree of (alg, x), or None when it is too large to compare."""
+    try:
+        root = evaluation_tree(desc, alg, x, max_nodes=MAX_NODES)
+    except TreeBudgetError:
+        return None
+    return root if expanded_size(root) <= MAX_EXPANDED else None
+
+
+def assert_writers_match(root):
+    assert "".join(tree_json_pieces(root)) == reference_json(root)
+    assert tree_dot(root) == "".join(tree_dot_pieces(root)) == reference_dot(root)
+
+
+def queries(desc, rng=None, per_kind=None):
+    """Probe literals, clauses and dual clauses, plus formula sets of them."""
+    probes = probe_formulas(desc)
+    sets = [[]] + [list(pair) for pair in combinations(probes[:4], 2)]
+    if rng is not None:
+        probes = rng.sample(probes, min(per_kind, len(probes)))
+        sets = rng.sample(sets, min(per_kind, len(sets)))
+    return probes + sets
+
+
+def ladder_text(stages: int, prio: bool) -> str:
+    """Ambiguity ladder: stage i concludes b_i twice and ~b_i via a_i."""
+    lines = ["rule r0: {} => b0"]
+    for i in range(1, stages + 1):
+        prev = f"b{i - 1}"
+        lines += [f"rule ra{i}: {{{prev}}} => a{i}", f"rule rna{i}: {{{prev}}} => ~a{i}",
+                  f"rule rb{i}: {{{prev}}} => b{i}", f"rule tb{i}: {{{prev}}} => b{i}",
+                  f"rule ranb{i}: {{a{i}}} => ~b{i}", f"rule w{i}: {{a{i}}} ~> ~b{i}"]
+        if prio:
+            lines.append(f"prio: rb{i} > ranb{i}")
+    return "\n".join(lines) + "\n"
+
+
+def ladder(stages: int, prio: bool):
+    doc = parse_kb(ladder_text(stages, prio))
+    return validate_description(doc.facts, doc.rules, doc.priority)
+
+
+def kb_files():
+    paths = sorted(KB_DIR.glob("*.ppl"))
+    assert paths
+    for path in paths:
+        doc = parse_kb(path.read_text(encoding="utf-8"))
+        yield path, validate_description(doc.facts, doc.rules, doc.priority)
+
+
+class TestWritersMatchTheReferences:
+    def test_kb_files_under_every_algorithm(self):
+        compared = {}
+        for path, desc in kb_files():
+            for alg in ALG_ORDER:
+                compared[path.name, alg] = 0
+                for x in queries(desc):
+                    root = small_tree(desc, alg, x)
+                    if root is not None:
+                        assert_writers_match(root)
+                        compared[path.name, alg] += 1
+        assert min(compared.values()) > 0
+        assert sum(compared.values()) > 800
+
+    def test_random_theories(self):
+        rng = random.Random(20261018)
+        compared = 0
+        for _ in range(100):
+            desc = make_random_theory(rng)
+            for alg in ALG_ORDER:
+                for x in queries(desc, rng, per_kind=3):
+                    root = small_tree(desc, alg, x)
+                    if root is not None:
+                        assert_writers_match(root)
+                        compared += 1
+        assert compared > 2000
+
+    def test_chains_and_ladders(self):
+        shapes = [(desc_rule_chain(30), [Atom("a29"), Neg(Atom("a29"))]),
+                  (ladder(2, False), [Atom("b2"), Neg(Atom("b2"))]),
+                  (ladder(2, True), [Atom("b2"), Atom("a2")])]
+        for desc, xs in shapes:
+            for alg in ALG_ORDER:
+                for x in xs:
+                    root = evaluation_tree(desc, alg, x)
+                    assert expanded_size(root) <= 5 * MAX_EXPANDED
+                    assert_writers_match(root)
+
+    def test_shared_subtrees_render_once_per_occurrence(self):
+        # the ladder's DAG shares subtrees; each occurrence gets its own
+        # indentation in JSON and its own node name in DOT
+        root = evaluation_tree(ladder(2, True), Alg.BETA, Atom("b2"))
+        distinct = {id(root)}
+        stack = [root]
+        while stack:
+            for c in stack.pop().children:
+                if id(c) not in distinct:
+                    distinct.add(id(c))
+                    stack.append(c)
+        n = expanded_size(root)
+        assert n > len(distinct)
+        assert "".join(tree_json_pieces(root)).count('"op":') == n
+        assert tree_dot(root).count("shape=") == n
+
+
+class TestCliStreams:
+    def test_kb_files(self, capsys):
+        for path, desc in kb_files():
+            for alg in ALG_ORDER:
+                for x in (Atom("a"), Atom("b"), Neg(Atom("s1"))):
+                    root = small_tree(desc, alg, x)
+                    if root is None:
+                        continue
+                    formula = repr(x)
+                    for fmt, want in (("json", reference_json(root) + "\n"),
+                                      ("dot", reference_dot(root))):
+                        code = cli.main(["tree", str(path), "--alg", alg.value,
+                                         "--format", fmt, formula])
+                        out = capsys.readouterr().out
+                        assert (code, out) == (0, want), (path.name, alg, formula, fmt)
+
+    def test_output_over_many_chunks(self, tmp_path, capsys, monkeypatch):
+        kb = tmp_path / "ladder.ppl"
+        kb.write_text(ladder_text(2, True), encoding="utf-8")
+        root = evaluation_tree(ladder(2, True), Alg.BETA, Atom("b2"))
+        want = {"json": reference_json(root) + "\n", "dot": reference_dot(root)}
+        assert len(want["json"]) > 4 * cli._CHUNK
+        for chunk in (cli._CHUNK, 1000):
+            monkeypatch.setattr(cli, "_CHUNK", chunk)
+            for fmt in ("json", "dot"):
+                assert cli.main(["tree", str(kb), "--alg", "beta", "--format", fmt, "b2"]) == 0
+                assert capsys.readouterr().out == want[fmt]
+        assert len(want["dot"]) > 4 * 1000

@@ -15,18 +15,22 @@ and by the law test otherwise (see `saturate`).  Semantic entailment and
 satisfiability are decided independently by exhaustive valuation, so
 resolution can be cross-checked against semantics.
 
-Facts and support are decided at query time by `refutes`, DPLL with unit
-propagation, on clauses that `clause_form` reads off a formula's shape,
-with the axioms, prime implicates, joining through propagation alone (see
-`kb.PlausibleDescription`).  Only a disjunction with a member that is not a
-literal is enumerated, so the atom limit bounds that subformula, never a
-whole check.  `entails` and `satisfiable` stay as the kernel's oracles.
+Facts and support are decided at query time by `find_model`, DPLL with
+unit propagation that returns a model or None (`refutes` is its "no
+model"), on clauses that `clause_form` reads off a formula's shape, with
+the axioms, prime implicates, joining through propagation alone (see
+`kb.PlausibleDescription`).  A search can start where `assume` left a
+shared part, and `extend` decides more atoms in a model it returned.  Only
+a disjunction with a member that is not a literal is enumerated, so the
+atom limit bounds that subformula, never a whole check.  `entails` and
+`satisfiable` stay as the kernel's oracles.
 `is_tautology` and `core_clauses` are imported from `formulas`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Collection, Iterable, Mapping
 
 from .formulas import (
     DEFAULT_MAX_ATOMS,
@@ -49,6 +53,11 @@ Clause = frozenset[Lit]
 ClauseSet = frozenset[Clause]
 
 EMPTY_CLAUSE: Clause = frozenset()
+
+Index = Mapping[Lit, tuple[Clause, ...]]  # a clause_index
+Part = tuple[Collection[Clause], Index]  # clauses, and the index of those not units
+State = tuple[set[Lit], set[Lit]]  # a branch's true and false literals
+NO_INDEX: Index = MappingProxyType({})
 
 
 def val_space(avars: Iterable[str]) -> list[frozenset[str]]:
@@ -104,60 +113,109 @@ def clause_form(f: Formula, max_atoms: int = DEFAULT_MAX_ATOMS,
     return frozenset(out)
 
 
-def clause_index(clauses: Iterable[Clause]) -> dict[Lit, tuple[Lit, list[Clause]]]:
-    """What making a literal true can falsify: each literal whose complement
-    some clause holds, mapped to that complement and the clauses holding it."""
-    holding: dict[Lit, list[Clause]] = {}
+def clause_index(clauses: Iterable[Clause]) -> Index:
+    """Each literal that some clause holds, mapped to the clauses holding it:
+    what making its complement true can falsify.  Tuples, not lists, since
+    descriptions keep an index per memoised clause form."""
+    index: dict[Lit, list[Clause]] = {}
     for c in clauses:
         for l in c:
-            holding.setdefault(l, []).append(c)
-    return {l.complement(): (l, cs) for l, cs in holding.items()}
+            index.setdefault(l, []).append(c)
+    return {l: tuple(cs) for l, cs in index.items()}
 
 
-def refutes(clauses: Iterable[Clause],
-            implicates: Mapping[Lit, tuple[Lit, list[Clause]]] | None = None) -> bool:
-    """Whether a clause set is unsatisfiable: DPLL with unit propagation
-    (Davis, Logemann and Loveland 1962).
+def refutes(clauses: Iterable[Clause], implicates: Index = NO_INDEX) -> bool:
+    """Whether a clause set is unsatisfiable: `find_model` finds no model."""
+    clauses = list(clauses)
+    part = (clauses, clause_index(c for c in clauses if len(c) > 1))
+    return find_model([part], implicates) is None
 
-    A branch is a partial valuation, kept as its sets of true and of false
-    literals.  Making a literal true revisits only the clauses holding its
-    complement: one with no literal true and none left open is a conflict,
-    which closes the branch, and one with a single open literal forces it.
-    A branch that leaves no clause open is a model.  Otherwise it splits on
-    an open literal of a shortest open clause, the literal first, then its
-    complement.  Open branches wait on a list, not on Python frames.
+
+def assume(parts: Iterable[Part], implicates: Index = NO_INDEX) -> State | None:
+    """The branch that unit propagation of the parts' clauses and the
+    implicates reaches, as its sets of true and of false literals; None on
+    a conflict.  It can start later `find_model` runs that share these
+    parts."""
+    found = _assume(parts, implicates, None)
+    return None if found is None else found[:2]
+
+
+def find_model(parts: Iterable[Part], implicates: Index = NO_INDEX,
+               start: State | None = None) -> set[Lit] | None:
+    """A model of the parts' clauses and of the implicates, as the true
+    literals of an open branch, or None if there is none: DPLL with unit
+    propagation (Davis, Logemann and Loveland 1962).
+
+    A part is a clause set with the `clause_index` of its clauses of two or
+    more literals; its units are made true at the start and hold in every
+    branch, so they need no index.  A branch is a partial valuation, kept
+    as its sets of true and of false literals, `false` holding the
+    complement of every true literal.  It begins at `start`, a branch that
+    `assume` reached through some of the same parts, and so shares their
+    propagation.  Making a literal true revisits only the clauses holding
+    its complement: one with no literal true and none left open is a
+    conflict, which closes the branch, and one with a single open literal
+    forces it.  A branch that leaves no clause open is a model.  Otherwise
+    it splits on an open literal of a shortest open clause, the literal
+    first, then its complement.  Open branches wait on a list, not on
+    Python frames.
 
     `implicates`, a `clause_index` of the prime implicates of a satisfiable
-    clause set, joins the refutation through unit propagation alone.  That
-    is exact: a partial valuation that falsifies no prime implicate extends
+    clause set, joins the search through unit propagation alone.  That is
+    exact: a partial valuation that falsifies no prime implicate extends
     to a model of them all, since otherwise they would entail the clause
     of its complemented literals, and some prime implicate would be a
     subset of that clause.  So a branch is a model once it leaves none of
-    `clauses` open, and each question pays only for the implicates its
-    literals reach.
+    the parts' clauses open, and each question pays only for the
+    implicates its literals reach.  The model may leave atoms undecided;
+    `extend` decides them.
     """
-    clauses = set(clauses)
-    if EMPTY_CLAUSE in clauses:
-        return True
-    indexes = (clause_index(clauses), implicates or {})
-    stack = [(set(), set(), [l for c in clauses if len(c) == 1 for l in c])]
+    found = _assume(parts, implicates, start)
+    if found is None:
+        return None
+    true, false, clauses, indexes = found
+    stack = [(true, false, [])]  # `_assume` has propagated the first branch
     while stack:
         true, false, forced = stack.pop()
-        if _propagate(true, false, forced, indexes):
-            left = [c - false for c in clauses if true.isdisjoint(c)]
-            if not left:
-                return False
-            l = next(iter(min(left, key=len)))
-            stack.append((set(true), set(false), [l.complement()]))
-            stack.append((true, false, [l]))
-    return True
+        if forced and not _propagate(true, false, forced, indexes):
+            continue
+        left = [c - false for c in clauses if true.isdisjoint(c)]
+        if not left:
+            return true
+        l = next(iter(min(left, key=len)))
+        stack.append((set(true), set(false), [l.complement()]))
+        stack.append((true, false, [l]))
+    return None
+
+
+def _assume(parts: Iterable[Part], implicates: Index, start: State | None):
+    """`assume`, with the clauses still open and the indexes to propagate
+    through, for `find_model` to branch on."""
+    true, false = (set(), set()) if start is None else (set(start[0]), set(start[1]))
+    forced: list[Lit] = []
+    clauses: list[Clause] = []
+    indexes = [implicates]
+    for part, index in parts:
+        if index:
+            indexes.append(index)
+        for c in part:
+            if true.isdisjoint(c):
+                rest = c - false
+                if len(rest) > 1:
+                    clauses.append(c)
+                elif rest:
+                    forced.extend(rest)
+                else:
+                    return None
+    if not _propagate(true, false, forced, indexes):
+        return None
+    return true, false, clauses, indexes
 
 
 def _propagate(true: set[Lit], false: set[Lit], forced: list[Lit],
-               indexes: tuple[Mapping[Lit, tuple[Lit, list[Clause]]], ...]) -> bool:
+               indexes: Iterable[Index]) -> bool:
     """Make the forced literals true, and each literal that forces in turn;
-    False on a conflict.  Only complements that some clause holds are
-    recorded as false, since only they can be asked about."""
+    False on a conflict."""
     while forced:
         l = forced.pop()
         if l in true:
@@ -165,19 +223,49 @@ def _propagate(true: set[Lit], false: set[Lit], forced: list[Lit],
         if l in false:
             return False
         true.add(l)
+        nl = l.complement()
+        false.add(nl)
         for index in indexes:
-            hit = index.get(l)
-            if hit is not None:
-                nl, holding = hit
-                false.add(nl)
-                for c in holding:
-                    if true.isdisjoint(c):
-                        rest = c - false
-                        if not rest:
-                            return False
-                        if len(rest) == 1:
-                            forced.extend(rest)
+            for c in index.get(nl, ()):
+                if true.isdisjoint(c):
+                    rest = c - false
+                    if not rest:
+                        return False
+                    if len(rest) == 1:
+                        forced.extend(rest)
     return True
+
+
+def extend(model: set[Lit], avars: Iterable[str], implicates: Index,
+           units: Collection[Lit]) -> None:
+    """Decide every atom of `avars` in a model that `find_model` returned.
+
+    `implicates` indexes the prime implicates of a satisfiable set, the same
+    that `find_model` searched with, and `units` holds their unit clauses'
+    literals.  Each undecided atom is made true if it is a unit implicate,
+    false otherwise, and unit-propagated through the implicates.  The
+    result still falsifies no implicate, so it still extends to a model of
+    them all, and it still satisfies every clause the model did.
+
+    No step conflicts, because prime implicates are propagation-complete:
+    if Ax ∪ L is consistent and entails a literal m, some prime implicate
+    lies inside ~L ∪ {m}, so propagation derives m.  The model L falsifies
+    no implicate, so Ax ∪ L is consistent, and `find_model` has already
+    propagated L through every implicate but the units, which hold no
+    literal to falsify.  A unit implicate is entailed, so making it true
+    keeps Ax ∪ L consistent.  Setting an atom a false could conflict only
+    if Ax ∪ L ⊨ a; then some prime implicate P lies inside ~L ∪ {a}.  P is
+    not {a}, which is no unit implicate, and P holds a, since otherwise L
+    falsifies P; so P's other literals are all false in L, and propagation
+    has already made a true.  So each step keeps Ax ∪ L consistent, and
+    propagation from a consistent Ax ∪ L adds only entailed literals, so
+    it never falsifies an implicate.
+    """
+    false = {l.complement() for l in model}
+    for a in avars:
+        l = Lit(a, False)
+        if l not in model and l not in false:
+            _propagate(model, false, [l if l in units else Lit(a, True)], (implicates,))
 
 
 def resolvents(c1: Clause, c2: Clause) -> Iterable[Clause]:

@@ -10,13 +10,15 @@ this derived closure of the facts.
 
 The axioms are the prime implicates of the filtered clause set: strict
 rules are their literal sets expanded, and fact and support checks are one
-refutation (`classical.refutes`) of a formula's clauses, read off its shape,
-in which the axioms take part through unit propagation alone.
-Supporters are read off an index built with the description: the axioms'
-atoms split into connected components, and only rules whose consequents
-touch the components of a formula's atoms are tested for supporting it
-(each distinct consequent once), so a defeasible chain's queries cost
-linear, not quadratic, work.
+search for a countermodel (`classical.find_model`) of a formula's clauses,
+read off its shape, in which the axioms take part through unit propagation
+alone.  Supporters are read off an index built with the description: the
+axioms' atoms split into connected components, and only rules whose
+consequents touch the components of a formula's atoms are tested for
+supporting it (each distinct consequent once), so a defeasible chain's
+queries cost linear, not quadratic, work.  One scan propagates ~f once,
+and the countermodels its candidates leave reject later candidates
+without a search.
 
 The distinguished strict rule with the empty antecedent (whose consequent
 conjoins all axioms) may not appear as the inferior side of any priority
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import classical
 from .classical import Clause
@@ -212,7 +214,7 @@ class PlausibleDescription:
     `priority` is the acyclic superior/inferior id-pair relation.  Query
     memos (facts per formula, consistency per consequent, supporters per
     formula, clause forms of a formula and of its negation per formula,
-    and proof values per algorithm and formula, shared by every query
+    the atoms a supporter scan decides per component, and proof values per algorithm and formula, shared by every query
     under any algorithm and history, see `engine._Prover`) always equal
     recomputation, take no part in equality, and concurrent reads are safe.
     """
@@ -229,6 +231,7 @@ class PlausibleDescription:
     _clause_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _negations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _proofs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _scopes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         derive = object.__setattr__  # the derived fields of a frozen instance
@@ -238,6 +241,8 @@ class PlausibleDescription:
         derive(self, "_rsd", tuple(filter(self._supporting, self.rules)))
         derive(self, "_inferiors", frozenset(inf for _, inf in self.priority))
         derive(self, "_implicates", classical.clause_index(self.axiom_clauses))
+        derive(self, "_units", frozenset(l for c in self.axiom_clauses if len(c) == 1
+                                         for l in c))
         # The supporter index: each distinct consequent with the positions
         # of its rules, each axiom atom's component, and the consequents
         # touching each component (all but the axiom rule's, see supporters).
@@ -274,42 +279,48 @@ class PlausibleDescription:
     def _supporting(self, r: Rule) -> bool:
         return r.arrow is not Arrow.WARNING and r.rid != self.rse_id
 
-    def _entails(self, premises: tuple[Formula, ...], f: Formula) -> bool:
-        """Whether the axioms and `premises` semantically entail f.
+    def _countermodel(self, premises: tuple[Formula, ...], f: Formula,
+                      start: classical.State | None = None) -> set[Lit] | None:
+        """A model of the axioms and `premises` that falsifies f, as the true
+        literals of an open branch, or None when they entail f.
 
-        Decided by refuting the clauses of the premises and of ~f with the
-        axioms, which are the prime implicates of a satisfiable set, so
-        they take part through unit propagation alone (`classical.refutes`)
-        and a check reaches only the axioms its literals touch.
+        Found by `classical.find_model` on the clauses of the premises and
+        of ~f, with the axioms, which are the prime implicates of a
+        satisfiable set, taking part through unit propagation alone, so a
+        check reaches only the axioms its literals touch.  `start` is a
+        branch that `classical.assume` reached from ~f's clauses.
         """
-        clauses = [c for g in premises for c in self._clauses(g, False)]
-        clauses += self._clauses(f, True)
-        return classical.refutes(clauses, self._implicates)
+        parts = [self._clauses(g, False) for g in premises]
+        parts.append(self._clauses(f, True))
+        return classical.find_model(parts, self._implicates, start)
 
-    def _clauses(self, f: Formula, negated: bool) -> Collection[Clause]:
-        """The clause form of f, or of ~f, memoised per formula; a literal's
-        one clause is built afresh, which costs less than a memo entry."""
+    def _clauses(self, f: Formula, negated: bool) -> classical.Part:
+        """The clause form of f, or of ~f, with its `clause_index`, memoised
+        per formula; a literal's one clause needs no index and is built
+        afresh, which costs less than a memo entry."""
         if type(f) is Atom:
-            return (frozenset((Lit(f.name, negated),)),)
+            return (frozenset((Lit(f.name, negated),)),), classical.NO_INDEX
         if type(f) is Neg and type(f.inner) is Atom:
-            return (frozenset((Lit(f.inner.name, not negated),)),)
+            return (frozenset((Lit(f.inner.name, not negated),)),), classical.NO_INDEX
         memo = self._negations if negated else self._clause_forms
         found = memo.get(f)
         if found is None:
-            found = memo[f] = classical.clause_form(f, self.max_atoms, negated)
+            clauses = classical.clause_form(f, self.max_atoms, negated)
+            index = classical.clause_index(c for c in clauses if len(c) > 1)
+            found = memo[f] = (clauses, index or classical.NO_INDEX)
         return found
 
     def is_fact(self, f: Formula) -> bool:
         """Whether the axioms semantically entail f."""
         hit = self._facts.get(f)
         if hit is None:
-            hit = self._facts[f] = self._entails((), f)
+            hit = self._facts[f] = self._countermodel((), f) is None
         return hit
 
     def _is_consistent(self, c: Formula) -> bool:
         hit = self._consistent.get(c)
         if hit is None:
-            hit = self._consistent[c] = not self._entails((c,), FALSUM)
+            hit = self._consistent[c] = self._countermodel((c,), FALSUM) is not None
         return hit
 
     def supporters(self, f: Formula,
@@ -329,7 +340,8 @@ class PlausibleDescription:
         and c; glued, they are a countermodel of `Ax ∪ {c} ⊨ f`.  The
         axiom rule's consequent is equivalent to Ax, so it supports exactly
         the facts and is never a candidate otherwise.  Each candidate
-        consequent is decided once, however many rules share it.
+        consequent is decided once, however many rules share it
+        (see `_supported`).
         """
         found = self._supporters.get(f)
         if found is None:
@@ -337,9 +349,7 @@ class PlausibleDescription:
                 consequents = filter(self._is_consistent, self._rules_with)
             else:
                 ks = {self._component.get(a, a) for a in atoms(f)}
-                touching = {c for k in ks for c in self._touching.get(k, ())}
-                consequents = (c for c in touching
-                               if self._entails((c,), f) and self._is_consistent(c))
+                consequents = self._supported(f, ks)
             at = sorted(i for c in consequents for i in self._rules_with[c])
             found = self._supporters[f] = tuple(self.rules[i] for i in at)
         if rules is None:
@@ -348,6 +358,53 @@ class PlausibleDescription:
             return tuple(filter(self._supporting, found))
         ids = {r.rid for r in found}
         return tuple(r for r in rules if r.rid in ids)
+
+    def _supported(self, f: Formula, ks: set[str]) -> Iterator[Formula]:
+        """The consequents touching the components `ks` that support f,
+        which is no fact (see `supporters`).
+
+        One scan shares its work, as incremental SAT shares it across
+        assumptions (Eén and Sörensson 2003, MiniSat).  ~f is propagated
+        through the axioms once, and each candidate c starts from that
+        branch.  A search that finds a model of Ax ∧ c ∧ ~f leaves it to a
+        pool local to this scan, once `classical.extend` has decided the
+        atoms of f and of the candidates in it.  A pooled model still
+        satisfies ~f and falsifies no axiom, so it extends to a model of
+        them all (see `classical.find_model`).  A later candidate whose
+        every clause meets a pooled model is satisfied by it too, so that
+        model extends to a countermodel of `Ax ∪ {c} ⊨ f`, and the
+        candidate is rejected without a search.  Deciding and checking a
+        model costs about one search, so a model is pooled only while two
+        or more candidates remain to be tested; a scan of one candidate
+        also propagates nothing ahead.
+        """
+        candidates = list(dict.fromkeys(c for k in ks for c in self._touching.get(k, ())))
+        start = None
+        if len(candidates) > 1:  # no conflict: f is no fact
+            start = classical.assume([self._clauses(f, True)], self._implicates)
+        pool: list[set[Lit]] = []
+        avars = None
+        for i, c in enumerate(candidates):
+            if pool:
+                clauses = self._clauses(c, False)[0]
+                if any(not any(map(m.isdisjoint, clauses)) for m in pool):
+                    continue
+            m = self._countermodel((c,), f, start)
+            if m is None:
+                if self._is_consistent(c):
+                    yield c
+            elif i + 2 < len(candidates):
+                if avars is None:
+                    avars = atoms(f).union(*map(self._scope, ks))
+                classical.extend(m, avars, self._implicates, self._units)
+                pool.append(m)
+
+    def _scope(self, k: str) -> frozenset[str]:
+        """The atoms of the consequents touching component k, memoised."""
+        found = self._scopes.get(k)
+        if found is None:
+            found = self._scopes[k] = frozenset().union(*map(atoms, self._touching.get(k, ())))
+        return found
 
     def superior_supporters(self, f: Formula, s: Rule,
                             rules: Sequence[Rule] | None = None) -> tuple[Rule, ...]:

@@ -28,10 +28,13 @@ from ppl import (
 from ppl import classical
 from ppl.classical import (
     EMPTY_CLAUSE,
+    assume,
     clause_form,
     clause_index,
     clauses_satisfiable,
     core_clauses,
+    extend,
+    find_model,
     is_tautology,
     refutes,
     saturate,
@@ -388,6 +391,30 @@ class TestSemanticOracle:
         assert checked > 100
 
 
+def _random_clause_lists():
+    """3,000 random clause lists over 3 to 5 atoms, some with the empty
+    clause, tautologies or repeated clauses."""
+    rng = random.Random(71)
+    for n_atoms in (3, 4, 5):
+        names = "abcde"[:n_atoms]
+        for _ in range(1000):
+            cs = [frozenset(Lit(rng.choice(names), rng.random() < 0.5)
+                            for _ in range(rng.randint(1, 3)))
+                  for _ in range(rng.randint(0, 3 * n_atoms))]
+            roll = rng.random()
+            if roll < 0.05:
+                cs.insert(rng.randint(0, len(cs)), EMPTY_CLAUSE)
+            elif roll < 0.3 and cs:
+                cs += rng.choices(cs, k=rng.randint(1, 3))
+            yield cs
+
+
+def _part(clauses):
+    """A kernel part: the clauses, and the index of those not units."""
+    clauses = list(clauses)
+    return clauses, clause_index(c for c in clauses if len(c) > 1)
+
+
 class TestRefutation:
     """`refutes`, DPLL with unit propagation, against valuations."""
 
@@ -401,27 +428,16 @@ class TestRefutation:
         assert not refutes([clause("a", "b")] * 3)
 
     def test_agrees_with_valuations_on_random_clause_sets(self):
-        rng = random.Random(71)
         seen = dict.fromkeys(["unsat", "empty set", "empty clause", "tautology",
                               "repeated"], 0)
-        for n_atoms in (3, 4, 5):
-            names = "abcde"[:n_atoms]
-            for _ in range(1000):
-                cs = [frozenset(Lit(rng.choice(names), rng.random() < 0.5)
-                                for _ in range(rng.randint(1, 3)))
-                      for _ in range(rng.randint(0, 3 * n_atoms))]
-                roll = rng.random()
-                if roll < 0.05:
-                    cs.insert(rng.randint(0, len(cs)), EMPTY_CLAUSE)
-                elif roll < 0.3 and cs:
-                    cs += rng.choices(cs, k=rng.randint(1, 3))
-                    seen["repeated"] += 1
-                unsat = not clauses_satisfiable(cs)
-                assert refutes(cs) == unsat, cs
-                seen["unsat"] += unsat
-                seen["empty set"] += not cs
-                seen["empty clause"] += EMPTY_CLAUSE in cs
-                seen["tautology"] += any(map(is_tautology, cs))
+        for cs in _random_clause_lists():
+            unsat = not clauses_satisfiable(cs)
+            assert refutes(cs) == unsat, cs
+            seen["unsat"] += unsat
+            seen["empty set"] += not cs
+            seen["empty clause"] += EMPTY_CLAUSE in cs
+            seen["tautology"] += any(map(is_tautology, cs))
+            seen["repeated"] += len(set(cs)) < len(cs)
         assert all(n > 40 for n in seen.values()), seen
         assert 600 < seen["unsat"] - seen["empty clause"] < 2000, seen
 
@@ -442,6 +458,54 @@ class TestRefutation:
             checked += 1
             unsat += expected
         assert checked > 1000 and 200 < unsat < checked - 200, (checked, unsat)
+
+    def test_models_satisfy_their_clauses(self):
+        found = 0
+        for cs in _random_clause_lists():
+            model = find_model([_part(cs)])
+            assert (model is None) == (not clauses_satisfiable(cs)), cs
+            if model is not None:
+                assert not any(l.complement() in model for l in model), (cs, model)
+                assert all(model & c for c in cs), (cs, model)
+                found += 1
+        assert 1000 < found < 2500, found
+
+    def test_shared_starts_and_extended_models(self):
+        # for a satisfiable T with prime implicates P: a search started where
+        # `assume` left one part agrees with valuations, and `extend` keeps a
+        # model consistent with every implicate whose atoms it decides
+        rng = random.Random(79)
+        checked = extended = 0
+        for _ in range(2000):
+            t = [c for c in random_clause_set(rng, 5, max_clauses=7) if c]
+            if not clauses_satisfiable(t):
+                continue
+            implicates = core_clauses(saturate(c for c in t if not is_tautology(c)))
+            index = clause_index(implicates)
+            units = {l for c in implicates if len(c) == 1 for l in c}
+            s1, s2 = (list(random_clause_set(rng, 5, max_clauses=3)) for _ in "12")
+            expected = not clauses_satisfiable(s1 + s2 + t)
+            start = assume([_part(s1)], index)
+            if start is None:
+                assert expected, (s1, t)
+                continue
+            model = find_model([_part(s1), _part(s2)], index, start)
+            assert (model is None) == expected, (s1, s2, t)
+            checked += 1
+            if model is None:
+                continue
+            decided = set(rng.sample("abcde", rng.randint(0, 5)))
+            extend(model, decided, index, units)
+            decided |= {l.atom for l in model}
+            assert not any(l.complement() in model for l in model)
+            assert all(model & c for c in s1 + s2), (s1, s2, model)
+            for c in implicates:
+                if {l.atom for l in c} <= decided:
+                    assert model & c, (t, model, c)
+            # the literals decided so far extend to a model of all of T
+            assert clauses_satisfiable(t + [frozenset((l,)) for l in model])
+            extended += len(decided) == 5
+        assert checked > 1000 and extended > 150, (checked, extended)
 
     def test_long_implication_chain_at_the_default_limit(self):
         # {p0}, p_i -> p_(i+1), {~p_1998}: 2,000 clauses, one propagation path

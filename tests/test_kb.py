@@ -316,13 +316,13 @@ class TestFactsFromPrimeImplicates:
         # kernel reads clauses off it and enumerates nothing
         doc = parse_kb((KB_DIR / "lottery4.ppl").read_text(encoding="utf-8"))
         desc = validate_description(doc.facts, doc.rules, doc.priority)
-        calls = _count_calls(monkeypatch, "clauses_of", "satisfiable", "entails", "refutes")
+        calls = _count_calls(monkeypatch, "clauses_of", "satisfiable", "entails", "find_model")
         s1, s2, s3 = (Atom(f"s{i}") for i in (1, 2, 3))
         for f in (Neg(s1), s1, Disj([s1, s2]), Disj([s1, s2, s3])):
             for alg in ALG_ORDER:
                 truth_value(desc, alg, f)
         assert calls["clauses_of"] == calls["satisfiable"] == calls["entails"] == 0
-        assert calls["refutes"] > 0
+        assert calls["find_model"] > 0
 
     def test_wide_axioms_narrow_queries(self):
         # 22 atoms in the axioms, at most 2 in any rule or query
@@ -340,11 +340,12 @@ class TestFactsFromPrimeImplicates:
         p = [Atom(f"p{i}") for i in range(25)]
         desc = validate_description([Disj([Neg(p[i]), p[i + 1]]) for i in range(24)],
                                     [Rule("r", (), Arrow.DEFEASIBLE, p[0])])
-        calls = _count_calls(monkeypatch, "clauses_of", "refutes")
+        calls = _count_calls(monkeypatch, "clauses_of", "find_model")
         assert "".join(truth_value(desc, alg, p[24]).value for alg in ALG_ORDER) == "utttttt"
-        # one refutation per (formula, candidate consequent) pair and per
-        # fact and consistency check: 1,399 here
-        assert calls["clauses_of"] == 0 and 0 < calls["refutes"] <= 2000
+        # one kernel run per fact and consistency check, and per candidate
+        # consequent that no pooled countermodel rejects: 477 here (1,399
+        # when every candidate was refuted on its own)
+        assert calls["clauses_of"] == 0 and 0 < calls["find_model"] <= 500
 
     def test_long_implication_chain(self):
         # 25 atoms: more than the default atom limit of entailment over Ax
@@ -410,10 +411,11 @@ class TestSupporterIndex:
     def test_chain_top_makes_linear_entailment_calls(self, monkeypatch):
         n = 200
         desc = desc_rule_chain(n)
-        calls = _count_calls(monkeypatch, "refutes")
+        calls = _count_calls(monkeypatch, "find_model")
         assert truth_value(desc, Alg.BETA, Atom(f"a{n - 1}")) is TruthValue.TRUE
-        # per link: two fact checks, one consistency and two support checks
-        assert 0 < calls["refutes"] <= 5 * n
+        # per link: two fact checks, one consistency and two support checks;
+        # each scan has one candidate, so it pools nothing
+        assert calls["find_model"] == 5 * n
 
     def test_shared_consequents_are_decided_once(self, monkeypatch):
         # 3-stage ambiguity ladder: rb and tb conclude b_i, ranb and w ~b_i
@@ -432,18 +434,49 @@ class TestSupporterIndex:
         desc = validate_description([], rules)
         asked = []
 
-        def recorded(self, premises, f, _entails=PlausibleDescription._entails):
+        def recorded(self, premises, f, start=None,
+                     _countermodel=PlausibleDescription._countermodel):
             asked.append((premises, f))
-            return _entails(self, premises, f)
+            return _countermodel(self, premises, f, start)
 
-        monkeypatch.setattr(PlausibleDescription, "_entails", recorded)
-        calls = _count_calls(monkeypatch, "refutes")
+        monkeypatch.setattr(PlausibleDescription, "_countermodel", recorded)
+        calls = _count_calls(monkeypatch, "find_model")
         for i in range(1, 4):
             for f in (a[i], b[i]):
                 for alg in ALG_ORDER:
                     truth_value(desc, alg, f)
-        # each question asked once, and each decided by one refutation
-        assert asked and len(asked) == len(set(asked)) == calls["refutes"]
+        # each question asked once, and each decided by one kernel run
+        assert asked and len(asked) == len(set(asked)) == calls["find_model"]
+
+
+class TestSupporterScan:
+    """One supporter scan propagates ~f once and rejects candidates that a
+    pooled countermodel satisfies, without a search."""
+
+    def test_pooled_models_take_the_unit_axioms(self):
+        # the scan of a tests ~a, which pools a countermodel, before
+        # or{a,~b} and a; the pooled model must decide b as the axiom {b}
+        # does, not negative, or it would satisfy or{a,~b} and reject it
+        a, b = Atom("a"), Atom("b")
+        desc = validate_description([b], [Rule("u1", (), Arrow.DEFEASIBLE, Neg(a)),
+                                          Rule("u2", (b,), Arrow.DEFEASIBLE,
+                                               Disj([a, Neg(b)])),
+                                          Rule("u3", (), Arrow.DEFEASIBLE, a)])
+        assert [r.rid for r in desc.supporters(a)] == ["u2", "u3"]
+        _assert_facts_and_support(desc, [a, Neg(a), b, Neg(b), Disj([a, b])])
+
+    def test_lottery_scans_run_few_kernels(self, monkeypatch):
+        # 8 tickets: 37,264 refutations when each candidate consequent was
+        # refuted on its own, 3,440 kernel runs with the pool
+        tickets = [Atom(f"s{i}") for i in range(1, 9)]
+        rules = [Rule(f"r{i}", (), Arrow.DEFEASIBLE, Neg(t)) for i, t in enumerate(tickets)]
+        rules += [Rule(f"q{i}", (), Arrow.DEFEASIBLE, Disj(tickets[:i] + tickets[i + 1:]))
+                  for i in range(8)]
+        desc = validate_description(lottery_facts(8), rules)
+        calls = _count_calls(monkeypatch, "find_model")
+        assert "".join(truth_value(desc, alg, Neg(tickets[0])).value
+                       for alg in ALG_ORDER) == "utttttt"
+        assert 0 < calls["find_model"] <= 5000
 
 
 class TestValidation:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import chain
 
 from .engine import (
@@ -43,8 +44,7 @@ _CHUNK = 1 << 16
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except _CliError as e:
@@ -62,7 +62,9 @@ class _CliError(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every call."""
     parser = argparse.ArgumentParser(
         prog="ppl", description="Plausible-logic reasoning over rule files."
     )

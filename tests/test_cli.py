@@ -245,6 +245,18 @@ class TestFailureContract:
         assert code == 2
         assert "ppl: error[RuntimeError]: broken engine" in capsys.readouterr().err
 
+    def test_calls_share_one_parser(self, capsys):
+        # built once per process; a usage error leaves it fit for the next call
+        path = str(KB_DIR / "ambiguity.ppl")
+        parser = cli._parser()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["query", path, "b"])  # no --alg
+        assert exc.value.code == 2
+        assert cli.main(["query", path, "--alg", "beta", "b"]) == 0
+        assert cli.main(["query", path, "--alg", "pi", "b"]) == 1
+        assert cli._parser() is parser
+        assert capsys.readouterr().out.split() == ["b", "beta", "+1", "t", "b", "pi", "-1", "u"]
+
     @pytest.mark.parametrize("formula", [
         "~" * 1200 + "~s1",
         "and{" * 400 + "~s1" + "}" * 400,

@@ -49,10 +49,10 @@ at the default budget stops after about 44,000 states.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count
+from json.encoder import encode_basestring_ascii
 
 from .formulas import Formula, Neg, canonical_set, format_formula
 from .kb import PlausibleDescription, Rule
@@ -449,6 +449,8 @@ class _TreeBuilder:
         self.position = desc._position
         self.max_nodes = max_nodes
         self.plans: dict = {}
+        # (alg, formulas) -> (entry bits their plans test, {h & those bits: level})
+        self.levels: dict = {}
 
     def _bit(self, alg: Alg, rid: str) -> int:
         return 1 << (2 * self.position[rid] + (alg in _PRIMED))
@@ -477,7 +479,27 @@ class _TreeBuilder:
 
     def _level(self, alg: Alg, h: int, formulas) -> tuple[int, dict]:
         """(formula, rule and foe nodes of history h, {bit: (alg, rule,
-        minus?)} of the entries they add, first use first)."""
+        minus?)} of the entries they add, first use first).
+
+        A level reads h only through the entry bits its plans test, so it
+        is stored per (alg, formulas) under h masked to those bits, and
+        shared: callers must not change it.
+        """
+        memo = self.levels.get((alg, formulas))
+        if memo is None:
+            mask = 0
+            for f in formulas:
+                for r, e, opponents in self._plan(alg, f)[1]:
+                    mask |= e
+                    for s, team, ce in opponents:
+                        mask |= ce
+                        for t, te in team:
+                            mask |= te
+            memo = self.levels[alg, formulas] = mask, {}
+        mask, seen = memo
+        level = seen.get(h & mask)
+        if level is not None:
+            return level
         size = 0
         below: dict = {}
         co = co_algorithm(alg)
@@ -495,7 +517,8 @@ class _TreeBuilder:
                             below[te] = alg, t, False
                     if not h & ce and ce not in below:
                         below[ce] = co, s, True
-        return size, below
+        level = seen[h & mask] = size, below
+        return level
 
     def count(self, alg: Alg, h: int, x) -> int:
         """Distinct nodes of the tree rooted at (alg, h, x); raises
@@ -694,7 +717,8 @@ def _json(node: EvalNode):
 
 
 def _subject_json(subject: Subject) -> dict:
-    """The JSON object of a subject: the one definition of its shape."""
+    """The JSON object of a subject: the definition of its shape, which
+    `tree_json_pieces` renders from templates to the same text."""
     out: dict = {
         "kind": subject.kind,
         "alg": subject.alg.value,
@@ -711,42 +735,81 @@ def _subject_json(subject: Subject) -> dict:
     return out
 
 
+# One history entry [tag, rule id] as it sits in a subject's "history" list.
+_JSON_ENTRY = '\n    [\n      %s,\n      %s\n    ]'
+_quote = encode_basestring_ascii  # what json.dumps applies to a str
+
+
 def tree_json_pieces(root: EvalNode):
     """`json.dumps(tree_json(root), indent=2, sort_keys=True)`, in pieces.
 
     The expanded tree is written from the DAG on an explicit stack, so depth
     costs memory, not frames, and no nesting limit applies.  Each DAG node's
-    op, subject and value are rendered once and re-indented per occurrence.
-    A caller that writes the pieces out as they come holds the DAG and its
-    rendered nodes, not the expanded document.
+    op, subject and value are rendered once, from fixed templates in key
+    order, and re-indented per occurrence.  A subject's history is most of
+    its text, and the nodes of a level share one history, each the history
+    above it plus one entry: each distinct history is rendered once, as the
+    rendering of the history above it plus its last entry.  A caller that
+    writes the pieces out as they come holds the DAG and its rendered nodes
+    and histories, not the expanded document.
     """
     tails: dict[int, str] = {}
+    # id(history) -> (history, its entries as the "history" list renders
+    # them); holding the history keeps its id from being reused.
+    histories: dict[int, tuple[History, str]] = {}
+
+    def entries(history: History, above: tuple[History, str]) -> tuple[History, str]:
+        hit = histories.get(id(history))
+        if hit is None:
+            up, text = above
+            if history and history[:-1] == up:
+                tag, rid = history[-1]
+                text += ("," if up else "") + _JSON_ENTRY % (_quote(tag.value), _quote(rid))
+            elif history != up:
+                text = ",".join(_JSON_ENTRY % (_quote(tag.value), _quote(rid))
+                                for tag, rid in history)
+            hit = histories[id(history)] = history, text
+        return hit
 
     def head(node: EvalNode, pad: str) -> str:
         return "{\n" + pad + ('"children": [\n' if node.children else '"children": [],\n')
 
-    def tail(node: EvalNode, pad: str) -> str:
+    def tail(node: EvalNode, pad: str, history: str) -> str:
         # pad indents the node's keys; the node itself sits two spaces left
         text = tails.get(id(node))
         if text is None:
-            subject = json.dumps(_subject_json(node.subject), indent=2, sort_keys=True)
-            text = tails[id(node)] = (f'"op": {json.dumps(node.op)},\n"subject": {subject},'
-                                      f'\n"value": {json.dumps(node.value)}')
+            s = node.subject
+            keys = ['"alg": ' + _quote(s.alg.value)]
+            if s.foe is not None:
+                keys.append('"foe": ' + _quote(s.foe))
+            if s.formula is not None:
+                keys.append('"formula": ' + _quote(format_formula(s.formula)))
+            if s.formulas is not None:
+                members = ",\n    ".join(_quote(format_formula(f)) for f in s.formulas)
+                keys.append('"formulas": ' + ("[\n    " + members + "\n  ]" if members else "[]"))
+            keys.append('"history": ' + ("[" + history + "\n  ]" if history else "[]"))
+            keys.append('"kind": ' + _quote(s.kind))
+            if s.rule is not None:
+                keys.append('"rule": ' + _quote(s.rule))
+            text = tails[id(node)] = (f'"op": {_quote(node.op)},\n"subject": {{\n  '
+                                      + ",\n  ".join(keys) + f"\n}},\n\"value\": {node.value}")
         close = "\n" + pad + "],\n" if node.children else ""
-        return close + pad + text.replace("\n", "\n" + pad) + "\n" + pad[2:] + "}"
+        text = text.replace("\n", "\n" + pad)
+        return f"{close}{pad}{text}\n{pad[2:]}}}"  # one copy of the long text
 
     yield head(root, "  ")
-    stack = [(root, "  ", enumerate(root.children))]
+    stack = [(root, "  ", entries(root.subject.history, ((), "")), enumerate(root.children))]
     while stack:
-        node, pad, children = stack[-1]
+        node, pad, history, children = stack[-1]
         i, child = next(children, (0, None))
         if child is None:
             stack.pop()
-            yield tail(node, pad)
+            yield tail(node, pad, history[1])
         else:
             item = pad + "  "
             yield (",\n" if i else "") + item + head(child, item + "  ")
-            stack.append((child, item + "  ", enumerate(child.children)))
+            stack.append((child, item + "  ", entries(child.subject.history, history),
+                          enumerate(child.children)))
 
 
 _DOT_SHAPE = {"min": "box", "max": "ellipse", "minus": "diamond"}

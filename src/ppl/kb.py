@@ -214,9 +214,10 @@ class PlausibleDescription:
     `priority` is the acyclic superior/inferior id-pair relation.  Query
     memos (facts per formula, consistency per consequent, supporters per
     formula, clause forms of a formula and of its negation per formula,
-    the atoms a supporter scan decides per component, and proof values per algorithm and formula, shared by every query
-    under any algorithm and history, see `engine._Prover`) always equal
-    recomputation, take no part in equality, and concurrent reads are safe.
+    the atoms a supporter scan decides per component, and proof values
+    per algorithm and formula, shared by every query under any algorithm
+    and history, see `engine._Prover`) always equal recomputation, take
+    no part in equality, and concurrent reads are safe.
     """
 
     rules: tuple[Rule, ...]

@@ -13,8 +13,10 @@ from conftest import KB_DIR, desc_rule_chain, make_random_theory, probe_formulas
 from ppl import (
     ALG_ORDER,
     Alg,
+    Arrow,
     Atom,
     Neg,
+    Rule,
     TreeBudgetError,
     evaluation_tree,
     parse_kb,
@@ -157,6 +159,37 @@ class TestWritersMatchTheReferences:
                     root = evaluation_tree(desc, alg, x)
                     assert expanded_size(root) <= 5 * MAX_EXPANDED
                     assert_writers_match(root)
+
+    def test_rule_ids_that_need_escaping(self):
+        # validate_description does not check id syntax, so rules built
+        # through the API can carry ids the parser would never read; the
+        # writer must escape them exactly as json.dumps does
+        a, b, c = Atom("a"), Atom("b"), Atom("c")
+        rid = ['r"0', "r\\a", "r\x07na", "r\u03b2", 'q"\\\x1f\u00e9\U0001d51e\u2028']
+        desc = validate_description([], [
+            Rule(rid[0], (), Arrow.DEFEASIBLE, c),
+            Rule(rid[1], (c,), Arrow.DEFEASIBLE, a),
+            Rule(rid[2], (), Arrow.DEFEASIBLE, Neg(a)),
+            Rule(rid[3], (c,), Arrow.DEFEASIBLE, b),
+            Rule(rid[4], (a,), Arrow.DEFEASIBLE, Neg(b)),
+        ], [(rid[3], rid[4])])
+        escaped = 0
+        for alg in ALG_ORDER:
+            for history in ((), [(alg, rid[4]), (alg, rid[1])]):
+                for x in (a, b, Neg(b), [a, b]):
+                    root = evaluation_tree(desc, alg, x, history)
+                    assert_writers_match(root)
+                    escaped += "\\ud835\\udd1e" in "".join(tree_json_pieces(root))
+        assert escaped
+
+    def test_large_ladder_past_the_compared_size(self):
+        # deep histories shared by many nodes: each one is rendered once
+        # and extended by one entry per level
+        root = evaluation_tree(ladder(3, False), Alg.BETA, Atom("b3"))
+        assert expanded_size(root) > MAX_EXPANDED
+        text = "".join(tree_json_pieces(root))
+        assert len(text) > 20_000_000
+        assert text == reference_json(root)
 
     def test_shared_subtrees_render_once_per_occurrence(self):
         # the ladder's DAG shares subtrees; each occurrence gets its own

@@ -246,6 +246,14 @@ class TestExactBudget:
                 evaluation_tree(desc, Alg.BETA, x, max_nodes=3)
 
 
+    def test_exact_count_far_past_the_budget(self):
+        # the levels stored per masked history, on a tree far larger than
+        # the reference builder can check
+        lottery3 = next(desc for path, desc in kb_files() if path.name == "lottery3.ppl")
+        builder = engine._TreeBuilder(lottery3, 10**9)
+        assert builder.count(Alg.BETA, 0, Neg(Atom("s1"))) == 1_157_094
+
+
 class TestNodesBuilt:
     @pytest.fixture
     def built(self, monkeypatch):

@@ -245,7 +245,6 @@ class TestExactBudget:
             with pytest.raises(TreeBudgetError):
                 evaluation_tree(desc, Alg.BETA, x, max_nodes=3)
 
-
     def test_exact_count_far_past_the_budget(self):
         # the levels stored per masked history, on a tree far larger than
         # the reference builder can check

@@ -7,13 +7,13 @@ ways as a unit) and three proof relations: classical refutation, the
 paraconsistent "judicious" refutation against the filtered clause set, and
 membership in the consequence set (judicious minus tautologies).
 
-Every internal closure is `saturate`, binary resolution that never keeps a
-tautological resolvent.  It has the same empty-clause membership and the
-same core as the exhaustive `resolution_closure`, which stays as the
-oracle; it has the same units by proof when the clause set is satisfiable,
-and by the law test otherwise (see `saturate`).  Semantic entailment and
-satisfiability are decided independently by exhaustive valuation, so
-resolution can be cross-checked against semantics.
+Both closures run one given-clause loop over a literal index.  Internal
+ones are `saturate`, which never keeps a tautological resolvent.  It has
+the same empty-clause membership and core as the exhaustive
+`resolution_closure`, and the same units by proof on satisfiable input
+and by the law test otherwise (see `saturate`).  As the two share the
+loop, valuation laws check it.  Semantic entailment and satisfiability
+are decided by exhaustive valuation, so resolution is cross-checked.
 
 Facts and support are decided at query time by `find_model`, DPLL with
 unit propagation that returns a model or None (`refutes` is its "no
@@ -268,29 +268,13 @@ def extend(model: set[Lit], avars: Iterable[str], implicates: Index,
             _propagate(model, false, [l if l in units else Lit(a, True)], (implicates,))
 
 
-def resolvents(c1: Clause, c2: Clause) -> Iterable[Clause]:
-    for l in c1:
-        if l.complement() in c2:
-            yield (c1 - {l}) | (c2 - {l.complement()})
-
-
 def resolution_closure(clauses: Iterable[Clause]) -> ClauseSet:
     """Least set containing `clauses` and closed under binary resolution.
 
-    Exhaustive, tautologies included: the test oracle for `saturate`.
+    Exhaustive, tautologies included.  It shares `saturate`'s loop, so as
+    the oracle for `saturate` it checks only the tautology filter.
     """
-    closed: set[Clause] = set()
-    frontier = list(set(clauses))
-    while frontier:
-        c = frontier.pop()
-        if c in closed:
-            continue
-        closed.add(c)
-        fresh = []
-        for d in closed:
-            fresh.extend(r for r in resolvents(c, d) if r not in closed)
-        frontier.extend(fresh)
-    return frozenset(closed)
+    return _close(clauses, True)
 
 
 def saturate(clauses: Iterable[Clause]) -> ClauseSet:
@@ -321,24 +305,36 @@ def saturate(clauses: Iterable[Clause]) -> ClauseSet:
 
     The units fail for an input tautology: with {b}, {c} and {~b, ~c},
     the clause {a, b, ~b, c, ~c} yields {a} only through tautological
-    resolvents.  So a clause set holding a tautology is closed
-    exhaustively; `clauses_of` never emits one.
+    resolvents.  So a clause set holding a tautology keeps them, and is
+    closed exhaustively; `clauses_of` never emits one.
     """
     clauses = frozenset(clauses)
-    if any(map(is_tautology, clauses)):
-        return resolution_closure(clauses)
+    return _close(clauses, any(map(is_tautology, clauses)))
+
+
+def _close(clauses: Iterable[Clause], keep_tautologies: bool) -> ClauseSet:
+    """Least superset of `clauses` closed under binary resolution, keeping
+    tautological resolvents only if `keep_tautologies`: the given-clause
+    loop of Otter and Prover9 (McCune).  A clause taken from the frontier
+    is indexed by literal, then resolves only with the indexed clauses
+    that hold the complement of one of its literals, itself included.  The
+    result is a least fixed point, whatever the visiting order."""
     closed: set[Clause] = set()
-    frontier = list(clauses)
+    index: dict[Lit, list[Clause]] = {}
+    frontier = list(set(clauses))
     while frontier:
         c = frontier.pop()
         if c in closed:
             continue
         closed.add(c)
-        fresh = []
-        for d in closed:
-            fresh.extend(r for r in resolvents(c, d)
-                         if r not in closed and not is_tautology(r))
-        frontier.extend(fresh)
+        for l in c:
+            index.setdefault(l, []).append(c)
+        for l in c:
+            nl = l.complement()
+            for d in index.get(nl, ()):
+                r = (c - {l}) | (d - {nl})
+                if r not in closed and (keep_tautologies or not is_tautology(r)):
+                    frontier.append(r)
     return frozenset(closed)
 
 

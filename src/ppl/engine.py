@@ -348,12 +348,12 @@ class Subject:
     foe: str | None = None
 
     def text(self) -> str:
-        hist = ",".join(f"{tag} {rid}" for tag, rid in self.history)
+        hist = ",".join(tag.value + " " + rid for tag, rid in self.history)
         if self.kind in ("set", "minus"):
             body = "{" + ",".join(format_formula(f) for f in self.formulas) + "}"
-            inner = f"({self.alg},({hist}),{body})"
+            inner = f"({self.alg.value},({hist}),{body})"
             return "-" + inner if self.kind == "minus" else inner
-        parts = [str(self.alg), f"({hist})", format_formula(self.formula)]
+        parts = [self.alg.value, f"({hist})", format_formula(self.formula)]
         if self.rule is not None:
             parts.append(self.rule)
         if self.foe is not None:

@@ -337,6 +337,45 @@ class TestSaturation:
         assert 20 < proved < 130
 
 
+def prime_implicates(cs):
+    """Subset-minimal non-tautological clauses over the atoms of `cs` that
+    every model satisfies, found by valuations: {∅} when `cs` has none."""
+    names = sorted({l.atom for c in cs for l in c})
+    literals = [(None, Lit(a, False), Lit(a, True)) for a in names]
+    candidates = [frozenset(l for l in ls if l is not None) for ls in product(*literals)]
+    # a model falsifies exactly the clauses inside its own false literals
+    falsified = [frozenset(Lit(a, a in v) for a in names) for v in val_space(names)
+                 if all(any((l.atom in v) != l.neg for l in c) for c in cs)]
+    implicates = {c for c in candidates if not any(c <= f for f in falsified)}
+    return {c for c in implicates if not any(c - {l} in implicates for l in c)}
+
+
+class TestClosureAgainstValuations:
+    """Both closures against oracles that do not share their loop."""
+
+    def test_cores_are_the_prime_implicates(self):
+        rng = random.Random(61)
+        seen = {"satisfiable": 0, "unsatisfiable": 0}
+        for n_atoms, count in ((3, 300), (4, 400), (5, 250)):
+            for _ in range(count):
+                cs = random_clause_set(rng, n_atoms, max_clauses=7)
+                primes = prime_implicates(cs)
+                seen["unsatisfiable" if EMPTY_CLAUSE in primes else "satisfiable"] += 1
+                assert core_clauses(resolution_closure(cs)) == primes, cs
+                assert core_clauses(saturate(cs)) == primes, cs
+        assert min(seen.values()) > 100, seen
+
+    def test_the_closure_holds_every_resolvent_of_its_members(self):
+        rng = random.Random(67)
+        for n_atoms, count in ((3, 300), (4, 400), (5, 250)):
+            for _ in range(count):
+                closed = resolution_closure(random_clause_set(rng, n_atoms, max_clauses=7))
+                for c, d in product(closed, repeat=2):
+                    for l in c:
+                        if l.complement() in d:
+                            assert (c - {l}) | (d - {l.complement()}) in closed
+
+
 class TestProofRelations:
     def test_membership_proves(self):
         assert proves([A], A)

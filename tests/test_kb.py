@@ -28,6 +28,7 @@ from ppl import (
     CyclicPriorityError,
     Disj,
     DuplicateRuleIdError,
+    Lit,
     Neg,
     PlausibleDescription,
     PriorityOverRseError,
@@ -143,11 +144,16 @@ class TestOneSaturation:
         doc = parse_kb((KB_DIR / "lottery4.ppl").read_text(encoding="utf-8"))
         validate_description(doc.facts, doc.rules, doc.priority)
         assert calls == {"saturate": 1, "resolution_closure": 0}
-        p = [Atom(f"p{i}") for i in range(7)]
-        chain = [Disj([Neg(p[i]), p[i + 1]]) for i in range(6)]
-        desc = validate_description(chain, [Rule("r", (), Arrow.DEFEASIBLE, p[0])])
-        assert calls == {"saturate": 2, "resolution_closure": 0}
-        assert len(desc.axiom_clauses) == 21  # every p_i -> p_j, i < j
+        for n in (6, 40):
+            calls["saturate"] = 0
+            p = [Atom(f"p{i}") for i in range(n + 1)]
+            chain = [Disj([Neg(p[i]), p[i + 1]]) for i in range(n)]
+            desc = validate_description(chain, [Rule("r", (), Arrow.DEFEASIBLE, p[0])])
+            assert calls == {"saturate": 1, "resolution_closure": 0}
+            # every p_i -> p_j, i < j: C(7,2) = 21 and C(41,2) = 820 axioms
+            assert len(desc.axiom_clauses) == {6: 21, 40: 820}[n]
+            assert desc.axiom_clauses == {frozenset({Lit(f"p{i}", True), Lit(f"p{j}", False)})
+                                          for i, j in combinations(range(n + 1), 2)}
 
     def test_conflicting_facts_saturate_twice(self, calls):
         desc = validate_description([A, Neg(A), B], [])

@@ -206,6 +206,13 @@ class _Prover:
     `memo[alg, f]` lists (D, history & D, value), and a lookup reuses any
     entry whose D-part matches the current history.
 
+    Before it starts a walk for a supporter r, the supporter loop looks r's
+    first antecedent up under the extended history, as that walk's first
+    step would.  On a hit of -1 the walk would end there, having read only
+    the hit's D, so the loop reads that D and moves to the next rule: the
+    memo and every value stay as they were, and on the lotteries most
+    supporters are refuted this way, without a generator.
+
     The memo is the description's `_proofs`, shared by every walk on it:
     an entry is exact under any history, whichever query stored it.  Only
     `reads` belongs to the walk.  Entries are appended whole, and a value
@@ -238,14 +245,22 @@ class _Prover:
                 return -1
         return +1
 
-    def _prove_formula(self, alg: Alg, h: int, f: Formula):
+    def _recall(self, alg: Alg, h: int, f: Formula):
+        """The memo's list for (alg, f), and the value it holds for h or None;
+        a hit's D is read."""
         known = self.memo.get((alg, f))
         if known is None:
             known = self.memo.setdefault((alg, f), [])
         for d, hd, value in known:
             if h & d == hd:
                 self.reads |= d
-                return value
+                return known, value
+        return known, None
+
+    def _prove_formula(self, alg: Alg, h: int, f: Formula):
+        known, value = self._recall(alg, h, f)
+        if value is not None:
+            return value
         outer, self.reads = self.reads, 0
         if self.desc.is_fact(f):
             value = +1
@@ -255,7 +270,11 @@ class _Prover:
             value = -1
             for r in self.desc.supporters(f, self.rsd):
                 e = self._fresh(h, alg, r.rid)
-                if e and (yield self._evidence_for(alg, h, e, f, r)) == +1:
+                if not e:
+                    continue
+                if r.antecedents and self._recall(alg, h | e, r.antecedents[0])[1] == -1:
+                    continue  # the walk's first step would end at this hit
+                if (yield self._evidence_for(alg, h, e, f, r)) == +1:
                     value = +1
                     break
         d = self.reads

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
@@ -306,9 +307,26 @@ def is_tautology(c: frozenset[Lit]) -> bool:
 
 
 def core_clauses(clauses: Iterable[frozenset[Lit]]) -> frozenset[frozenset[Lit]]:
-    """Contingent-or-empty, subset-minimal members (clause-set core)."""
-    kept = [c for c in set(clauses) if not is_tautology(c)]
-    return frozenset(c for c in kept if not any(d < c for d in kept))
+    """Contingent-or-empty, subset-minimal members (clause-set core).
+
+    Shortest first, each clause is tested only against the kept clauses
+    registered under one of its literals, and a kept clause is registered
+    under its rarest literal.  A proper subset d of c is no longer than c,
+    so it was tested first; if d was dropped, a kept subset of d is also one
+    of c.  A kept d holds its registered literal, so c holds it too.  The
+    empty clause is a subset of every other clause.
+    """
+    members = sorted({c for c in clauses if not is_tautology(c)}, key=len)
+    if members and not members[0]:
+        return frozenset(members[:1])
+    uses = Counter(l for c in members for l in c)
+    under: dict[Lit, list[frozenset[Lit]]] = {}
+    kept = []
+    for c in members:
+        if not any(d < c for l in c for d in under.get(l, ())):
+            kept.append(c)
+            under.setdefault(min(c, key=uses.__getitem__), []).append(c)
+    return frozenset(kept)
 
 
 def core(group: Iterable[Formula]) -> frozenset[Formula]:

@@ -18,7 +18,8 @@ consequents touch the components of a formula's atoms are tested for
 supporting it (each distinct consequent once), so a defeasible chain's
 queries cost linear, not quadratic, work.  One scan propagates ~f once,
 and the countermodels its candidates leave reject later candidates
-without a search.
+without a search.  A conjunction is not scanned: its supporters are those
+of all its members.
 
 The distinguished strict rule with the empty antecedent (whose consequent
 conjoins all axioms) may not appear as the inferior side of any priority
@@ -39,6 +40,7 @@ from .formulas import (
     DEFAULT_MAX_ATOMS,
     FALSUM,
     Atom,
+    Conj,
     Formula,
     Lit,
     Neg,
@@ -343,22 +345,62 @@ class PlausibleDescription:
         the facts and is never a candidate otherwise.  Each candidate
         consequent is decided once, however many rules share it
         (see `_supported`).
+
+        A conjunction that is no fact is not scanned: its supporters are
+        the rules supporting every member, in rule order.  Lemma:
+        `Ax ∪ {c} ⊨ and{g1..gk}` iff `Ax ∪ {c} ⊨ gi` for each i, and the
+        consistency of c does not depend on f.  A fact member is supported
+        by every rule with a consistent consequent, so the intersection
+        drops it.  Nested conjunctions are flattened on an explicit stack,
+        so each member scanned is no conjunction, and the strict rules'
+        antecedents share their literals' scans.
         """
         found = self._supporters.get(f)
         if found is None:
             if self.is_fact(f):
-                consequents = filter(self._is_consistent, self._rules_with)
+                found = self._rules_of(filter(self._is_consistent, self._rules_with))
+            elif type(f) is Conj:
+                found = self._supporting_all(f)
             else:
                 ks = {self._component.get(a, a) for a in atoms(f)}
-                consequents = self._supported(f, ks)
-            at = sorted(i for c in consequents for i in self._rules_with[c])
-            found = self._supporters[f] = tuple(self.rules[i] for i in at)
+                found = self._rules_of(self._supported(f, ks))
+            self._supporters[f] = found
         if rules is None:
             return found
         if rules is self._rsd:  # cost grows with the supporters, not the rules
             return tuple(filter(self._supporting, found))
         ids = {r.rid for r in found}
         return tuple(r for r in rules if r.rid in ids)
+
+    def _rules_of(self, consequents: Iterable[Formula]) -> tuple[Rule, ...]:
+        """The rules concluding any of the consequents, in rule order."""
+        at = sorted(i for c in consequents for i in self._rules_with[c])
+        return tuple(self.rules[i] for i in at)
+
+    def _supporting_all(self, f: Conj) -> tuple[Rule, ...]:
+        """The rules supporting every member of the conjunction f, which is
+        no fact, in rule order (see `supporters`).  Nested members are
+        flattened on a stack; fact members support every consistent rule
+        and are skipped."""
+        found = None
+        stack, seen = [f], {f}
+        while stack:
+            for g in stack.pop().members:
+                if g in seen:
+                    continue
+                seen.add(g)
+                if type(g) is Conj:
+                    stack.append(g)
+                elif not self.is_fact(g):
+                    theirs = self.supporters(g)
+                    if found is None:
+                        found = theirs
+                    else:
+                        ids = {r.rid for r in theirs}
+                        found = tuple(r for r in found if r.rid in ids)
+                    if not found:
+                        return ()
+        return found
 
     def _supported(self, f: Formula, ks: set[str]) -> Iterator[Formula]:
         """The consequents touching the components `ks` that support f,

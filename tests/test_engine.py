@@ -298,11 +298,12 @@ class TestReuseAcrossHistories:
         assert tree_value(desc, Alg.PI, f, history) == -1
 
     @staticmethod
-    def interleaving(rng, build, calls):
+    def interleaving(rng, build, calls, extra=()):
         """A seeded interleaving of queries on one description, each against
-        the tree on a second description that no proof touches."""
+        the tree on a second description that no proof touches; the probes
+        are `probe_formulas` and the `extra` formulas."""
         shared, fresh = build(), build()
-        probes = probe_formulas(shared)
+        probes = probe_formulas(shared) + list(extra)
         for _ in range(calls):
             alg = rng.choice(ALG_ORDER)
             history = random_history(rng, shared, alg)
@@ -324,6 +325,30 @@ class TestReuseAcrossHistories:
         rng = random.Random(20261019)
         for build in kb_descriptions():
             self.interleaving(rng, build, 300)
+
+    def test_shared_prover_equals_the_tree_on_a_lottery(self):
+        # the 4-ticket lottery's strict rules have one antecedent each, and
+        # a memo hit of -1 on it refutes most supporters before a walk
+        # starts; the antecedents and consequents are queried too
+        desc = desc_lottery4()
+        extra = [f for r in desc.rules for f in (*r.antecedents, r.consequent)]
+        rng = random.Random(20261020)
+        for _ in range(3):
+            self.interleaving(rng, desc_lottery4, 400, extra)
+
+    def test_refuted_antecedent_entries_are_read(self):
+        # f's supporter rf is refuted by the memo hit of its antecedent a,
+        # whose value read (pi, ra): so the value of f reads it too, and is
+        # not reused under the empty history
+        a, f = Atom("a"), Atom("f")
+
+        def build():
+            return validate_description([], [Rule("ra", (), Arrow.DEFEASIBLE, a),
+                                             Rule("rf", (a,), Arrow.DEFEASIBLE, f)])
+
+        desc, history = build(), [(Alg.PI, "ra")]
+        assert prove(desc, Alg.PI, a, history) == prove(desc, Alg.PI, f, history) == -1
+        assert prove(desc, Alg.PI, f) == tree_value(build(), Alg.PI, f) == +1
 
     def test_atom_limit_mid_proof_leaves_the_memo_exact(self):
         # d's supporter r needs x (stored first) and then a 3-atom formula
@@ -505,6 +530,18 @@ class TestStackSafety:
                 if alg is Alg.BETA:  # formula, rule, antecedent set per link
                     assert dot.count("shape=") == 3 * self.N
 
+    def test_deep_conjunction_under_a_shallow_limit(self):
+        # a conjunction nested 3,000 deep, equivalent to s1: its supporters
+        # flatten the members on a stack, not through nested calls
+        plain = mixed = S1
+        for i in range(3000):
+            plain = Conj([plain])
+            mixed = Conj([mixed, Neg(S2)]) if i % 2 else Conj([mixed])
+        desc = desc_lottery3()
+        with shallow_recursion_limit():
+            for f in (plain, mixed):
+                assert "".join(truth_value(desc, alg, f).value
+                               for alg in ALG_ORDER) == "uffffff"
 
     def test_long_chain_at_the_default_limit(self):
         # each link reads only its own consequent's supporters: linear work

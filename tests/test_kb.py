@@ -473,7 +473,8 @@ class TestSupporterScan:
 
     def test_lottery_scans_run_few_kernels(self, monkeypatch):
         # 8 tickets: 37,264 refutations when each candidate consequent was
-        # refuted on its own, 3,440 kernel runs with the pool
+        # refuted on its own, 3,440 kernel runs with the pool, and 1,583
+        # once a conjunction's supporters were read off its members'
         tickets = [Atom(f"s{i}") for i in range(1, 9)]
         rules = [Rule(f"r{i}", (), Arrow.DEFEASIBLE, Neg(t)) for i, t in enumerate(tickets)]
         rules += [Rule(f"q{i}", (), Arrow.DEFEASIBLE, Disj(tickets[:i] + tickets[i + 1:]))
@@ -482,7 +483,80 @@ class TestSupporterScan:
         calls = _count_calls(monkeypatch, "find_model")
         assert "".join(truth_value(desc, alg, Neg(tickets[0])).value
                        for alg in ALG_ORDER) == "utttttt"
-        assert 0 < calls["find_model"] <= 5000
+        assert 0 < calls["find_model"] <= 2000
+
+
+class TestConjunctionSupporters:
+    """A conjunction that is no fact is supported by the rules that support
+    every member; the split equals the direct scan over all the axioms, in
+    rule order, and so do its `rules=` subsets."""
+
+    @staticmethod
+    def conjunctions(rng, desc, fs, k):
+        """k of each kind of conjunction over fs: nested with a repeated
+        member, with a fact member (and{} among them), and with an
+        inconsistent member."""
+        facts = [VERUM, *desc.axioms]
+        out = []
+        for _ in range(k):
+            f, g, h = (rng.choice(fs) for _ in range(3))
+            out += [Conj([f, Conj([g, Conj([f, h])])]),
+                    Conj([f, Conj([rng.choice(facts), g])]),
+                    Conj([f, rng.choice((FALSUM, Conj([g, Neg(g)])))])]
+        return out
+
+    @staticmethod
+    def check(rng, desc, fs):
+        """Subsets first, so that they meet cold memos, then the direct scan.
+        Returns the number of conjunctions split and of their supporters."""
+        for f in fs:
+            subset = rng.sample(desc.rules, rng.randint(0, len(desc.rules)))
+            got = desc.supporters(f, subset)
+            full = desc.supporters(f)
+            assert got == tuple(r for r in subset if r in full), f
+            assert desc.supporters(f, desc.rsd()) == tuple(r for r in full
+                                                           if r in desc.rsd()), f
+        split = sum(type(f) is Conj and not desc.is_fact(f) for f in fs)
+        return split, _assert_facts_and_support(desc, fs)
+
+    def test_random_theories(self):
+        rng = random.Random(71)
+        split = supported = 0
+        for _ in range(150):
+            desc = make_random_theory(rng)
+            fs = [g for f in probe_formulas(desc) for g in (f, Neg(f))]
+            fs = rng.sample(fs, min(8, len(fs)))
+            fs += self.conjunctions(rng, desc, fs, 3)
+            counts = self.check(rng, desc, fs)
+            split, supported = split + counts[0], supported + counts[1]
+        assert split > 1000 and supported > 1000
+
+    def test_kb_files(self):
+        rng = random.Random(73)
+        for path in sorted(KB_DIR.glob("*.ppl")):
+            doc = parse_kb(path.read_text(encoding="utf-8"))
+            desc = validate_description(doc.facts, doc.rules, doc.priority)
+            fs = probe_formulas(desc) + [r.consequent for r in desc.rules]
+            fs += [f for r in desc.rules for f in r.antecedents]
+            fs += self.conjunctions(rng, desc, fs, 10)
+            split, _ = self.check(rng, desc, fs)
+            assert split >= 20, path.name
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_lottery_strict_antecedents(self, n):
+        # each ticket usually loses, the winner is among any n - 1 of them
+        tickets = [Atom(f"s{i}") for i in range(1, n + 1)]
+        rules = [Rule(f"d{i}", (), Arrow.DEFEASIBLE, Neg(t)) for i, t in enumerate(tickets)]
+        rules += [Rule(f"t{i}", (), Arrow.DEFEASIBLE, Disj(tickets[:i] + tickets[i + 1:]))
+                  for i in range(n)]
+        desc = validate_description(lottery_facts(n), rules)
+        fs = [r.antecedents[0] for r in desc.rules if r.arrow is Arrow.STRICT and r.antecedents]
+        # the 2^n - 2 conjunctions of negated tickets, and each ticket
+        assert len(fs) == 2 ** n - 2 + n
+        rng = random.Random(n)
+        fs += self.conjunctions(rng, desc, fs, 5)
+        split, supported = self.check(rng, desc, fs)
+        assert split > len(fs) // 2 and supported > 0
 
 
 class TestValidation:

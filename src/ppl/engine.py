@@ -34,17 +34,21 @@ so a streamed export holds the DAG, not the expanded output.
 
 A tree is counted before it is built.  Lemma: below a set or minus node
 with history h, every node (its history read as the part past h) and
-every value depend on h only through h's entry set and h's last entry.
-Proof: the construction rules test a history only for membership, and the
-last entry (a, r) fixes the node's algorithm a and its formulas, r's
-antecedents.  Only set and minus nodes extend a history, by one entry,
-so every node whose history is h hangs below the one set (or minus and
-set) node that appended h's last entry: the histories form a prefix trie,
-and the distinct nodes are the sum, over its histories, of the nodes at
-each.  Memoising that sum per (entry set, last entry) gives the exact
-count in time that follows the states, not the histories: the 3-ticket
-lottery's beta tree on ~s1 has 1,157,094 distinct nodes, and its refusal
-at the default budget stops after about 44,000 states.
+every value depend on h only through h's last entry and h & D, where D is
+the set of entries whose membership the construction rules test in that
+subtree.  Proof: the rules test a history only for membership, the last
+entry (a, r) fixes the node's algorithm a and its formulas, r's
+antecedents, and an entry the subtree adds was first tested, as absent,
+by the rule that adds it.  Only set and minus nodes extend a history, by
+one entry, so every node whose history is h hangs below the one set (or
+minus and set) node that appended h's last entry: the histories form a
+prefix trie, and the distinct nodes are the sum, over its histories, of
+the nodes at each.  Memoising that sum per last entry and D, under h & D,
+gives the exact count in time that follows the distinct subtrees, not
+the histories: the 3-ticket lottery's beta tree on ~s1 has 1,157,094
+distinct nodes, counted by reading 5,376 levels, and its refusal at the
+default budget reads 1,350.  The tree's root value is computed the same
+way, without the tree (see `_TreeEvaluator`).
 """
 
 from __future__ import annotations
@@ -399,6 +403,11 @@ class _TreeCore:
         self.desc = desc
         self.rsd = desc.rsd()
 
+    def _absent(self, hset: frozenset, entry: HistoryEntry) -> bool:
+        """Whether the history lacks entry: the only test `expand` makes of
+        a history."""
+        return entry not in hset
+
     def expand(self, subject: Subject) -> tuple[str, tuple[Subject, ...]]:
         kind = subject.kind
         alg, h = subject.alg, subject.history
@@ -420,7 +429,7 @@ class _TreeCore:
             return "max", tuple(
                 Subject("rule", alg, h, formula=f, rule=r.rid)
                 for r in self.desc.supporters(f, self.rsd)
-                if (alg, r.rid) not in hset
+                if self._absent(hset, (alg, r.rid))
             )
         if kind == "rule":
             f = subject.formula
@@ -440,10 +449,10 @@ class _TreeCore:
         children = [
             Subject("set", alg, h + ((alg, t.rid),), formulas=t.antecedents)
             for t in self.desc.superior_supporters(f, s, self.rsd)
-            if (alg, t.rid) not in hset
+            if self._absent(hset, (alg, t.rid))
         ]
         co = co_algorithm(alg)
-        if (co, s.rid) not in hset:
+        if self._absent(hset, (co, s.rid)):
             children.append(
                 Subject("minus", co, h + ((co, s.rid),), formulas=s.antecedents)
             )
@@ -458,8 +467,9 @@ class _TreeBuilder:
     supporters, each one's foes and each foe's team defeaters, each entry
     with its history bit (the encoding of `_Prover`).  A level is the set of
     nodes sharing one history h: the formula, rule and foe nodes below h's
-    set node.  `_level` reads a level off the plans: its size, and the
-    entries it adds, each naming the set or minus node one level down.
+    set node.  `_level` reads a level off the plans: the entry bits it
+    tests, its size, and the entries it adds, each naming the set or minus
+    node one level down.
     """
 
     def __init__(self, desc: PlausibleDescription, max_nodes: int):
@@ -496,9 +506,10 @@ class _TreeBuilder:
             self.plans[alg, f] = plan
         return plan
 
-    def _level(self, alg: Alg, h: int, formulas) -> tuple[int, dict]:
-        """(formula, rule and foe nodes of history h, {bit: (alg, rule,
-        minus?)} of the entries they add, first use first).
+    def _level(self, alg: Alg, h: int, formulas) -> tuple[int, int, dict]:
+        """(the entry bits the level's plans test, formula, rule and foe
+        nodes of history h, {bit: (alg, rule, minus?)} of the entries they
+        add, first use first).
 
         A level reads h only through the entry bits its plans test, so it
         is stored per (alg, formulas) under h masked to those bits, and
@@ -536,7 +547,7 @@ class _TreeBuilder:
                             below[te] = alg, t, False
                     if not h & ce and ce not in below:
                         below[ce] = co, s, True
-        level = seen[h & mask] = size, below
+        level = seen[h & mask] = mask, size, below
         return level
 
     def count(self, alg: Alg, h: int, x) -> int:
@@ -544,23 +555,41 @@ class _TreeBuilder:
         TreeBudgetError as soon as the count passes max_nodes.
 
         A state (h, e) is a set node's history as its entry set h and last
-        entry e; `sizes` holds the nodes at or below each state finished.
-        The walk adds every level it reaches, or a state's stored size, to
-        one running total, so the total never exceeds the tree's count.
+        entry e.  While it walks a state's subtree the count collects in
+        `reads` the set D of entry bits it tested: the mask of each level it
+        reads, and the D of each stored size it reuses.  The subtree's size
+        depends on h only through h & D: the walk is deterministic given
+        those membership answers, and each entry it adds was first tested,
+        as absent, by the level that adds it, so it is in D and any history
+        agreeing on D lacks it too.  So `sizes[e][D][h & D]` holds the
+        nodes at or below each state finished, and a state reuses the size
+        of any stored D its history agrees on.  The walk adds every level
+        it reaches, or a state's stored size, to one running total, so the
+        total never exceeds the tree's count.
         """
-        sizes: dict[tuple[int, int], int] = {}
+        sizes: dict[int, dict[int, dict[int, int]]] = {}
         limit = self.max_nodes
-        size, below = self._level(alg, h, (x,) if isinstance(x, Formula) else x)
+        _, size, below = self._level(alg, h, (x,) if isinstance(x, Formula) else x)
         total = size + (not isinstance(x, Formula))  # a set root's own node
-        stack = [(None, 0, h, iter(below.items()))]
+        reads = 0
+        # (last entry, total before the state, its history, entries left,
+        # the reads of the state above); the root has no last entry
+        stack = [(0, 0, h, iter(below.items()), 0)]
         while stack:
-            key, start, h, entries = stack[-1]
+            last, start, h, entries, outer = stack[-1]
             for e, (a, r, minus) in entries:
                 total += minus
-                known = sizes.get((h | e, e))
+                g = h | e
+                known = None
+                for d, stored in sizes.get(e, {}).items():
+                    known = stored.get(g & d)
+                    if known is not None:
+                        reads |= d
+                        break
                 if known is None:
-                    size, below = self._level(a, h | e, r.antecedents)
-                    stack.append(((h | e, e), total, h | e, iter(below.items())))
+                    mask, size, below = self._level(a, g, r.antecedents)
+                    stack.append((e, total, g, iter(below.items()), reads))
+                    reads = mask
                     total += 1 + size
                     break
                 total += known
@@ -568,8 +597,9 @@ class _TreeBuilder:
                     break
             else:
                 stack.pop()
-                if key is not None:
-                    sizes[key] = total - start
+                if last:
+                    sizes.setdefault(last, {}).setdefault(reads, {})[h & reads] = total - start
+                    reads |= outer
             if total > limit:
                 raise TreeBudgetError(f"more than {limit} distinct nodes")
         return total
@@ -587,7 +617,7 @@ class _TreeBuilder:
         """Walk returning the formula nodes of history h, building the
         levels below it first."""
         below = {}
-        for e, (a, r, minus) in self._level(alg, h, formulas)[1].items():
+        for e, (a, r, minus) in self._level(alg, h, formulas)[2].items():
             deeper = history + ((a, r.rid),)
             children = yield self._nodes(a, deeper, h | e, r.antecedents)
             node = EvalNode(Subject("set", a, deeper, formulas=r.antecedents), "min",
@@ -625,26 +655,52 @@ class _TreeBuilder:
 class _TreeEvaluator(_TreeCore):
     """Root value of the tree, computed without materializing nodes.
 
-    A subject's value depends on its history only through the entry set,
-    so values are shared across the (possibly astronomically many)
-    branches that differ only in entry order.  Children are evaluated
-    lazily; min and max are order-insensitive, so the result equals the
-    fully materialized tree's root value.
+    The evaluator walks `expand` and nothing else.  While it computes a
+    subject's value it collects in `reads` the set D of history entries
+    whose membership `expand` tested, at the subject, below it, or through
+    the stored D of a memo hit.  A formula node tests its supporters'
+    entries and a foe node its team defeaters' and the co-algorithm's
+    entry; set, minus and rule nodes test none.  The value depends on the
+    history h only through h & D.  Proof, by induction on the walk:
+    `expand` is deterministic given its membership answers, so under any
+    history h' with h' & D == h & D it returns the same children, and the
+    values decide which of them are walked: min stops at its first -1
+    child, max at its first +1.  A child keeps h or adds one entry e (a
+    rule's antecedents, a team defeater, the co-algorithm's minus node);
+    both histories then hold e, and agree on the rest of the child's D,
+    which is part of D.  So the memo maps a subject without its history to
+    {D: {h & D: value}}, and a lookup reuses the value of any D the
+    history agrees on: one value serves every branch that differs only in
+    entries the subtree never tests.  Min and max are order-insensitive,
+    so the result equals the fully materialized tree's root value.
     """
 
     def __init__(self, desc: PlausibleDescription):
         super().__init__(desc)
         self.memo: dict = {}
+        self.reads: set = set()
+
+    def _absent(self, hset: frozenset, entry: HistoryEntry) -> bool:
+        self.reads.add(entry)
+        return entry not in hset
 
     def value(self, subject: Subject) -> int:
+        self.reads = set()
         return _run(self._value(subject))
 
     def _value(self, subject: Subject):
-        key = (subject.kind, subject.alg, frozenset(subject.history),
-               subject.formulas, subject.formula, subject.rule, subject.foe)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
+        hset = frozenset(subject.history)
+        key = (subject.kind, subject.alg, subject.formulas, subject.formula,
+               subject.rule, subject.foe)
+        stored = self.memo.get(key)
+        if stored is None:
+            stored = self.memo[key] = {}
+        for d, values in stored.items():
+            hit = values.get(hset & d)
+            if hit is not None:
+                self.reads |= d
+                return hit
+        outer, self.reads = self.reads, set()
         op, child_subjects = self.expand(subject)
         if op == "minus":
             result = -(yield self._value(child_subjects[0]))
@@ -656,7 +712,10 @@ class _TreeEvaluator(_TreeCore):
                 if (yield self._value(c)) == stop:
                     result = stop
                     break
-        self.memo[key] = result
+        d = frozenset(self.reads)
+        stored.setdefault(d, {})[hset & d] = result
+        outer |= d
+        self.reads = outer
         return result
 
 
@@ -683,8 +742,10 @@ def evaluation_tree(desc: PlausibleDescription, alg: Alg, x, history=(),
     The budget is exact: TreeBudgetError is raised if and only if the tree
     has more than `max_nodes` distinct nodes, and it is raised before any
     node is built.  The count memoises the number of nodes at or below each
-    (entry set, last entry) state, which is all a subtree depends on (see
-    the module docstring), so a refusal costs the states it visits, not
+    set node with its last entry and the entries its subtree tested, which
+    is all that number depends on (see the module docstring and
+    `_TreeBuilder.count`), and reuses it under every history that agrees on
+    those entries; so a refusal costs the distinct subtrees it reads, not
     the nodes it refuses.  A tree that fits is then built from the same
     plans, one node per distinct subject.
     """
@@ -702,9 +763,10 @@ def tree_value(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
     """Root value of the evaluation tree, without materializing nodes.
 
     Follows the tree construction rules rather than the prover's
-    recursion, sharing values across branches whose histories contain the
-    same entries, so it stays tractable where the materialized tree would
-    not.  Always equals prove().
+    recursion, sharing each value across every branch whose history agrees
+    on the entries that value's walk tested (see `_TreeEvaluator`), so it
+    stays tractable where the materialized tree would not.  Always equals
+    prove().
     """
     alg, h = check_history(desc, alg, history)
     root = _root_subject(alg, h, _normalize(x))

@@ -215,11 +215,12 @@ class PlausibleDescription:
     `rules` holds the derived strict rules followed by the user rules;
     `priority` is the acyclic superior/inferior id-pair relation.  Query
     memos (facts per formula, consistency per consequent, supporters per
-    formula, clause forms of a formula and of its negation per formula,
-    the atoms a supporter scan decides per component, and proof values
-    per algorithm and formula, shared by every query under any algorithm
-    and history, see `engine._Prover`) always equal recomputation, take
-    no part in equality, and concurrent reads are safe.
+    formula, all and among `rsd()`, clause forms of a formula and of its
+    negation per formula, the atoms a supporter scan decides per
+    component, and proof values per algorithm and formula, shared by every
+    query under any algorithm and history, see `engine._Prover`) always
+    equal recomputation, take no part in equality, and concurrent reads
+    are safe.
     """
 
     rules: tuple[Rule, ...]
@@ -231,6 +232,7 @@ class PlausibleDescription:
     _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _consistent: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _supporters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _supporting_view: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _clause_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _negations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _proofs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -355,6 +357,10 @@ class PlausibleDescription:
         so each member scanned is no conjunction, and the strict rules'
         antecedents share their literals' scans.
         """
+        if rules is self._rsd:
+            view = self._supporting_view.get(f)
+            if view is not None:
+                return view
         found = self._supporters.get(f)
         if found is None:
             if self.is_fact(f):
@@ -367,8 +373,11 @@ class PlausibleDescription:
             self._supporters[f] = found
         if rules is None:
             return found
-        if rules is self._rsd:  # cost grows with the supporters, not the rules
-            return tuple(filter(self._supporting, found))
+        if rules is self._rsd:  # the walks ask for this view: memoised per formula
+            view = tuple(filter(self._supporting, found))
+            # the same tuple when the view drops nothing, as it mostly does
+            view = self._supporting_view[f] = found if len(view) == len(found) else view
+            return view
         ids = {r.rid for r in found}
         return tuple(r for r in rules if r.rid in ids)
 

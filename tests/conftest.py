@@ -172,6 +172,24 @@ def make_random_theory(rng: random.Random,
             return desc
 
 
+def make_wide_theory(rng: random.Random) -> PlausibleDescription:
+    """Eight defeasible rules over the literals of three atoms, each with up
+    to two literal antecedents, and random priorities half the time: many
+    rules share an antecedent, so one formula is met under many histories
+    that differ in entries its subtree may or may not test."""
+    lits = [Atom(a) for a in "pqr"] + [Neg(Atom(a)) for a in "pqr"]
+    rules = [Rule(f"u{i}", tuple(rng.sample(lits, rng.choices((0, 1, 2), (3, 5, 2))[0])),
+                  Arrow.DEFEASIBLE, rng.choice(lits))
+             for i in range(8)]
+    priority = []
+    if rng.random() < 0.5:
+        order = [r.rid for r in rules]
+        rng.shuffle(order)
+        priority = rng.sample(list(combinations(order, 2)), rng.randint(1, 6))
+    facts = [Disj(rng.sample(lits, 2))] if rng.random() < 0.3 else []
+    return validate_description(facts, rules, priority)
+
+
 def probe_formulas(desc: PlausibleDescription) -> list[Formula]:
     """Literals plus all 2-literal clauses and dual-clauses over the theory's atoms."""
     atom_names = sorted(

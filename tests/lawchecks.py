@@ -3,8 +3,9 @@
 Each checker returns a list of violation strings (empty means the law
 holds).  Proofs go through the public `prove`, whose memo lives on the
 description, so every check on one theory shares it; the checkers also
-share one tree evaluator per theory, since tree values depend only on the
-description, the algorithm, the history's entry set, and the formula.
+share one tree evaluator per theory, since each tree value depends only
+on the description, the algorithm, the formula, and the history's
+entries among those its walk tested.
 """
 
 from __future__ import annotations

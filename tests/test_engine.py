@@ -17,6 +17,7 @@ from conftest import (
     desc_rule_chain,
     lottery_facts,
     make_random_theory,
+    make_wide_theory,
     probe_formulas,
     shallow_recursion_limit,
 )
@@ -44,6 +45,7 @@ from ppl import (
     truth_value,
     validate_description,
 )
+from ppl.engine import _root_subject, _TreeEvaluator, check_history
 
 A, B = Atom("a"), Atom("b")
 S1, S2, S3 = Atom("s1"), Atom("s2"), Atom("s3")
@@ -320,6 +322,22 @@ class TestReuseAcrossHistories:
         for _ in range(200):
             seed = rng.random()
             self.interleaving(rng, lambda: make_random_theory(random.Random(seed)), 150)
+
+    def test_one_tree_evaluator_under_random_histories(self):
+        # the evaluator's memo, like the prover's, holds each value with the
+        # entries its walk tested: one evaluator serves every history
+        rng = random.Random(20261020)
+        for _ in range(100):
+            desc = make_wide_theory(rng)
+            evaluator = _TreeEvaluator(desc)
+            probes = probe_formulas(desc)
+            for _ in range(40):
+                alg = rng.choice(ALG_ORDER)
+                history = random_history(rng, desc, alg)
+                x = rng.choice(probes)
+                _, h = check_history(desc, alg, history)
+                assert (evaluator.value(_root_subject(alg, h, x))
+                        == prove(desc, alg, x, history)), (alg, history, x)
 
     def test_shared_prover_equals_the_tree_on_the_kb_files(self):
         rng = random.Random(20261019)

@@ -1,8 +1,9 @@
 """The planned tree builder against the per-subject reference builder.
 
-`evaluation_tree` counts a tree's distinct nodes per (entry set, last
-entry) state before it builds anything, then builds a tree that fits from
-the same plans.  The reference below builds one subject at a time from
+`evaluation_tree` counts a tree's distinct nodes before it builds
+anything, reusing each subtree's size under every history that agrees on
+the entries the subtree read, then builds a tree that fits from the same
+plans.  The reference below builds one subject at a time from
 `_TreeCore.expand`, sharing identical subjects through a dict; the two
 must give equal DAGs, equal node counts and equal exports, and the budget
 must refuse exactly the trees with more than `max_nodes` distinct nodes.
@@ -17,6 +18,7 @@ from conftest import (
     desc_lottery3,
     desc_rule_chain,
     make_random_theory,
+    make_wide_theory,
     probe_formulas,
 )
 from test_engine import random_history
@@ -42,6 +44,7 @@ from ppl.engine import (
     _run,
     _TreeCore,
     check_history,
+    co_algorithm,
     tree_json_pieces,
 )
 
@@ -219,6 +222,15 @@ def budget_cases():
                 yield name, desc, alg, x
 
 
+def assert_exact_budget(desc, alg, x, history, d, root=None):
+    """The tree of (alg, history, x), whose distinct nodes are d, builds at
+    `max_nodes = d` (as root, when given) and is refused at d - 1."""
+    got = evaluation_tree(desc, alg, x, history, max_nodes=d)
+    assert distinct(got) == d and (root is None or got == root), (alg, history, x)
+    with pytest.raises(TreeBudgetError, match=f"^more than {d - 1} distinct nodes$"):
+        evaluation_tree(desc, alg, x, history, max_nodes=d - 1)
+
+
 class TestExactBudget:
     def test_builds_at_its_count_and_refuses_below(self):
         checked = 0
@@ -227,12 +239,53 @@ class TestExactBudget:
                 root = evaluation_tree(desc, alg, x, max_nodes=5_000)
             except TreeBudgetError:
                 continue
-            d = distinct(root)
-            assert evaluation_tree(desc, alg, x, max_nodes=d) == root
-            with pytest.raises(TreeBudgetError, match=f"^more than {d - 1} distinct nodes$"):
-                evaluation_tree(desc, alg, x, max_nodes=d - 1)
+            assert_exact_budget(desc, alg, x, (), distinct(root), root)
             checked += 1
         assert checked > 240
+
+    def test_wide_theories_from_random_histories(self):
+        # a stored size is reused under any history agreeing on the entries
+        # its subtree read; start histories, and rules reaching one state by
+        # different paths, make histories differ in entries a state's own
+        # level does not test but a level below it does
+        rng = random.Random(20261020)
+        checked = started = 0
+        for _ in range(150):
+            desc = make_wide_theory(rng)
+            probes = probe_formulas(desc)
+            for alg in ALG_ORDER:
+                history = random_history(rng, desc, alg)
+                x = rng.choice(probes)
+                try:
+                    root = evaluation_tree(desc, alg, x, history, max_nodes=5_000)
+                except TreeBudgetError:
+                    continue
+                assert_exact_budget(desc, alg, x, history, distinct(root), root)
+                checked += 1
+                started += bool(history)
+        assert checked > 950 and started > 700
+
+    def test_mid_size_counts_equal_the_reference(self):
+        # trees of a few hundred to ten thousand nodes, where most sizes are
+        # reused, from the empty history and from one entry of a rule the
+        # query uses
+        s1, s2 = Atom("s1"), Atom("s2")
+        cases = [(desc, Alg.PI, x, history)
+                 for path, desc in kb_files() if path.name.startswith("lottery")
+                 for x in (s1, Neg(s1), [s1, s2])
+                 for history in ((), ((Alg.PI_P, desc.rules[-1].rid),))]
+        for stages in (3, 4):
+            for prio in (False, True):
+                desc = ladder(stages, prio)
+                for alg in (Alg.PI, Alg.BETA, Alg.PSI_P):
+                    for history in ((), ((alg, "rb1"),), ((co_algorithm(alg), "rna1"),)):
+                        cases.append((desc, alg, Atom(f"b{stages}"), history))
+        sizes = set()
+        for desc, alg, x, history in cases:
+            root, d = reference_tree(desc, alg, x, history, limit=20_000)
+            assert_exact_budget(desc, alg, x, history, d)
+            sizes.add(d)
+        assert max(sizes) > 9_000 and len(sizes) > 20
 
     def test_nodes_still_being_built_count(self):
         # the chain's beta tree holds a formula, a rule and a set node per

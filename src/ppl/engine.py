@@ -685,7 +685,6 @@ class _TreeEvaluator(_TreeCore):
         return entry not in hset
 
     def value(self, subject: Subject) -> int:
-        self.reads = set()
         return _run(self._value(subject))
 
     def _value(self, subject: Subject):

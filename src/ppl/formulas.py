@@ -11,6 +11,9 @@ The text grammar (used by the KB file format and the CLI) is::
     atom     = [A-Za-z_][A-Za-z0-9_]*        ("and"/"or" are reserved)
     formula  = atom | "~" formula | "and{" list "}" | "or{" list "}"
     list     = formula ("," formula)* | nothing
+
+over tokens: runs of [A-Za-z0-9_], the arrows "=>" and "~>", and every
+other character on its own, with spaces and tabs between them skipped.
 """
 
 from __future__ import annotations
@@ -141,7 +144,6 @@ FALSUM = Disj(())
 
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_BLANKS = re.compile(r"[ \t]*")
 
 
 def _is_identifier(name: str) -> bool:
@@ -383,52 +385,68 @@ def format_formula(f: Formula) -> str:
 
 
 def parse_formula(text: str) -> Formula:
-    f, pos = parse_formula_at(text, 0)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise FormulaSyntaxError(f"unexpected {text[pos]!r} after formula", pos)
+    return _parse_all(text, _tokens(text), 0, {})
+
+
+# The tokens of a formula or a KB line: [A-Za-z0-9_] runs, the two arrows,
+# and every other character but the blanks (space and tab) on its own.
+_TOKEN = re.compile(r"[A-Za-z0-9_]+|[=~]>|[^ \t]")
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of `text`, ended by "" (no token is empty)."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    return tokens
+
+
+def _offset(text: str, i: int) -> int:
+    """The offset of token i of `text`, or len(text) past its last token.
+    Only the error path re-scans the text for it."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)
+
+
+def _parse_all(text: str, tokens: list[str], i: int, atoms: dict) -> Formula:
+    """The formula that tokens[i:] hold, and nothing after it."""
+    f, i = _parse(text, tokens, i, [], atoms)
+    if tokens[i]:
+        raise FormulaSyntaxError(f"unexpected {tokens[i][0]!r} after formula", _offset(text, i))
     return f
 
 
-def parse_formula_at(text: str, pos: int) -> tuple[Formula, int]:
-    """Parse one formula starting at `pos`; returns (formula, next position)."""
-    return _parse(text, pos, [])
-
-
-def _parse_member_list(text: str, pos: int) -> tuple[list[Formula], int]:
-    """Parse the members after an opening '{'; returns (members, position after '}')."""
-    return _parse(text, pos, [(list, [])])
-
-
-def _parse(text: str, pos: int, stack: list) -> tuple:
-    """Parse into the open frames of `stack` until it empties.
+def _parse(text: str, tokens: list[str], i: int, stack: list, atoms: dict) -> tuple:
+    """Parse tokens[i:] into the open frames of `stack` until it empties;
+    returns (formula, index of the next token).
 
     A frame is None for a pending `~`, or (constructor, members) for an
     open member list, so nesting depth is bounded by memory, not by the
-    recursion limit.
+    recursion limit.  `atoms` maps each name read so far to its one Atom.
     """
     while True:
-        pos = _skip_ws(text, pos)
-        word = _IDENTIFIER.match(text, pos)
-        if stack and stack[-1] and not stack[-1][1] and text.startswith("}", pos):
-            cls, _ = stack.pop()  # a list closed before its first member
-            f, pos = cls(()), pos + 1
-        elif text.startswith("~", pos):
+        tok = tokens[i]
+        i += 1
+        f = atoms.get(tok)
+        if f is not None:
+            pass  # a name read before
+        elif tok == "~":
             stack.append(None)
-            pos += 1
             continue
-        elif word is None:
-            message = f"unexpected {text[pos]!r}" if pos < len(text) else "expected a formula"
-            raise FormulaSyntaxError(message, pos)
-        elif word[0] in ("and", "or"):
-            pos = _skip_ws(text, word.end())
-            if not text.startswith("{", pos):
-                raise FormulaSyntaxError(f"expected '{{' after {word[0]!r}", pos)
-            stack.append((Conj if word[0] == "and" else Disj, []))
-            pos += 1
+        elif tok == "and" or tok == "or":
+            if tokens[i] != "{":
+                raise FormulaSyntaxError(f"expected '{{' after {tok!r}", _offset(text, i))
+            stack.append((Conj if tok == "and" else Disj, []))
+            i += 1
             continue
+        elif tok == "}" and stack and stack[-1] and not stack[-1][1]:
+            f = stack.pop()[0](())  # a list closed before its first member
+        elif _is_identifier(tok):
+            f = atoms[tok] = Atom(tok)
+        elif tok == "~>":  # a `~`, then a '>' where a formula must start
+            raise FormulaSyntaxError("unexpected '>'", _offset(text, i - 1) + 1)
         else:
-            f, pos = Atom(word[0]), word.end()
+            message = f"unexpected {tok[0]!r}" if tok else "expected a formula"
+            raise FormulaSyntaxError(message, _offset(text, i - 1))
         while stack:  # f is complete: close every frame it completes
             if stack[-1] is None:
                 stack.pop()
@@ -436,19 +454,15 @@ def _parse(text: str, pos: int, stack: list) -> tuple:
                 continue
             cls, members = stack[-1]
             members.append(f)
-            pos = _skip_ws(text, pos)
-            if text.startswith(",", pos):
-                pos += 1
+            tok = tokens[i]
+            i += 1
+            if tok == ",":
                 break
-            if not text.startswith("}", pos):
-                message = (f"expected ',' or '}}', got {text[pos]!r}" if pos < len(text)
+            if tok != "}":
+                message = (f"expected ',' or '}}', got {tok[0]!r}" if tok
                            else "unterminated member list")
-                raise FormulaSyntaxError(message, pos)
+                raise FormulaSyntaxError(message, _offset(text, i - 1))
             stack.pop()
-            f, pos = cls(members), pos + 1
+            f = cls(members)
         else:
-            return f, pos
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    return _BLANKS.match(text, pos).end()  # type: ignore[union-attr]
+            return f, i

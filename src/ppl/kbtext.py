@@ -7,8 +7,17 @@ One declaration per line; `#` starts a comment; blank lines are ignored::
     rule w1: {a} ~> ~c           # warning
     prio: r11 > r14
 
+Lines end at "\n", "\r\n" or "\r" only, so a comment holding any other
+line break still ends at the newline.  A line that `str.strip` empties is
+skipped.  Each line is read as one list of tokens (`formulas._TOKEN`):
+runs of [A-Za-z0-9_], the arrows "=>" and "~>", and every other character
+on its own, with only spaces and tabs between them skipped.  One table per
+document holds one Atom per name, so each name is checked and hashed once,
+and equal atoms of a document are the same object.
+
 Rule ids follow atom syntax.  Parsing collects every failure as a
-Diagnostic with a 1-based line and column; serialization emits canonical
+Diagnostic with a 1-based line and column, the column of the offending
+token found by scanning its line again; serialization emits canonical
 formula text, so parse -> serialize -> parse is the identity on the
 canonical form.
 """
@@ -18,11 +27,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .formulas import (Formula, FormulaSyntaxError, _is_identifier, _parse_member_list,
-                       _skip_ws, format_formula, parse_formula_at)
+from .formulas import (Formula, FormulaSyntaxError, _is_identifier, _offset, _parse,
+                       _parse_all, _tokens, format_formula)
 from .kb import Arrow, Rule
 
-_WORD = re.compile(r"[A-Za-z0-9_]*")
+_WORD = re.compile(r"[A-Za-z0-9_]")  # starts a token that is a whole [A-Za-z0-9_] run
 
 
 @dataclass(frozen=True)
@@ -58,21 +67,44 @@ def parse_kb(text: str) -> KbDocument:
     doc = KbDocument()
     diags: list[Diagnostic] = []
     rule_lines: dict[str, int] = {}
-    prio_lines: list[tuple[int, int, str]] = []  # line, col, rule id
+    targets: list[tuple[int, str, int, str]] = []  # line number, line, token index, rule id
+    atoms: dict = {}  # name -> its one Atom in this document
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0]
         if not line.strip():
             continue
+        tokens = _tokens(line)
         try:
-            _parse_line(line, lineno, doc, rule_lines, prio_lines)
-        except _LineError as e:
-            diags.append(Diagnostic("error", lineno, e.col, e.code, e.message))
+            word = tokens[0]
+            if word == "fact":
+                if tokens[1] != ":":
+                    _fail("expected ':' after 'fact'", line, 1)
+                doc.facts.append(_parse_all(line, tokens, 2, atoms))
+            elif word == "rule":
+                rule = _rule(line, tokens, atoms)
+                if rule.rid in rule_lines:
+                    diags.append(Diagnostic(
+                        "error", lineno, 1, "duplicate-rule-id",
+                        f"rule id {rule.rid!r} already declared on line {rule_lines[rule.rid]}"))
+                else:
+                    rule_lines[rule.rid] = lineno
+                    doc.rules.append(rule)
+            elif word == "prio":
+                if tokens[1] != ":":
+                    _fail("expected ':' after 'prio'", line, 1)
+                doc.priority.append(_prio(line, tokens, lineno, targets))
+            else:
+                _fail("expected 'fact:', 'rule <id>:', or 'prio:'", line, 0,
+                      len(word) if _WORD.match(word) else 0)
+        except FormulaSyntaxError as e:
+            diags.append(Diagnostic("error", lineno, e.pos + 1, "syntax", e.message))
 
-    for lineno, col, rid in prio_lines:
+    for lineno, line, i, rid in targets:
         if rid not in rule_lines:
             diags.append(
-                Diagnostic("error", lineno, col, "unknown-rule-id",
+                Diagnostic("error", lineno, _offset(line, i) + 1, "unknown-rule-id",
                            f"priority target {rid!r} is not a declared rule")
             )
 
@@ -81,101 +113,45 @@ def parse_kb(text: str) -> KbDocument:
     return doc
 
 
-class _LineError(Exception):
-    def __init__(self, code: str, message: str, col: int):
-        self.code = code
-        self.message = message
-        self.col = col
+def _fail(message: str, line: str, i: int, shift: int = 0):
+    """A syntax error at token i of `line`, `shift` characters into it."""
+    raise FormulaSyntaxError(message, _offset(line, i) + shift)
 
 
-def _fail(code: str, message: str, pos: int):
-    raise _LineError(code, message, pos + 1)  # columns are 1-based
+def _rule(line, tokens, atoms):
+    rid = _rule_id(line, tokens, 1, "expected a rule id after 'rule'")
+    if tokens[2] != ":":
+        _fail("expected ':' after the rule id", line, 2)
+    if tokens[3] != "{":
+        _fail("expected '{' to open the antecedent set", line, 3)
+    antecedents, i = _parse(line, tokens, 4, [(tuple, [])], atoms)
+    arrow = tokens[i]
+    if arrow != "=>" and arrow != "~>":
+        _fail("expected '=>' or '~>' after the antecedents", line, i)
+    consequent = _parse_all(line, tokens, i + 1, atoms)
+    return Rule(rid, antecedents, Arrow.DEFEASIBLE if arrow == "=>" else Arrow.WARNING,
+                consequent)
 
 
-def _parse_line(line, lineno, doc, rule_lines, prio_lines):
-    pos = _skip_ws(line, 0)
-    word, pos = _word(line, pos)
-    if word == "fact":
-        pos = _expect(line, pos, ":", "expected ':' after 'fact'")
-        doc.facts.append(_formula(line, pos))
-    elif word == "rule":
-        _rule_line(line, pos, lineno, doc, rule_lines)
-    elif word == "prio":
-        pos = _expect(line, pos, ":", "expected ':' after 'prio'")
-        _prio_line(line, pos, lineno, doc, prio_lines)
-    else:
-        _fail("syntax", "expected 'fact:', 'rule <id>:', or 'prio:'", pos)
+def _prio(line, tokens, lineno, targets):
+    """The pair of `prio: sup > inf`, after recording each id as a target."""
+    sup = _rule_id(line, tokens, 2, "expected a rule id")
+    targets.append((lineno, line, 2, sup))
+    if tokens[3] != ">":
+        _fail("expected '>' between rule ids", line, 3)
+    inf = _rule_id(line, tokens, 4, "expected a rule id after '>'")
+    targets.append((lineno, line, 4, inf))
+    if tokens[5] and line[_offset(line, 4) + len(inf):].strip():
+        _fail("trailing text after priority pair", line, 4, len(inf))
+    return sup, inf
 
 
-def _rule_line(line, pos, lineno, doc, rule_lines):
-    rid, _, pos = _rule_id(line, pos, "expected a rule id after 'rule'")
-    pos = _expect(line, pos, ":", "expected ':' after the rule id")
-    pos = _expect(line, pos, "{", "expected '{' to open the antecedent set")
-    antecedents, pos = _parsed(_parse_member_list, line, pos)
-    pos = _skip_ws(line, pos)
-    if line.startswith("=>", pos):
-        arrow = Arrow.DEFEASIBLE
-    elif line.startswith("~>", pos):
-        arrow = Arrow.WARNING
-    else:
-        _fail("syntax", "expected '=>' or '~>' after the antecedents", pos)
-    consequent = _formula(line, pos + 2)
-    if rid in rule_lines:
-        _fail("duplicate-rule-id",
-              f"rule id {rid!r} already declared on line {rule_lines[rid]}", 0)
-    rule_lines[rid] = lineno
-    doc.rules.append(Rule(rid, tuple(antecedents), arrow, consequent))
-
-
-def _prio_line(line, pos, lineno, doc, prio_lines):
-    sup, start, end = _rule_id(line, pos, "expected a rule id")
-    prio_lines.append((lineno, start + 1, sup))
-    pos = _expect(line, end, ">", "expected '>' between rule ids")
-    inf, start, end = _rule_id(line, pos, "expected a rule id after '>'")
-    prio_lines.append((lineno, start + 1, inf))
-    if line[end:].strip():
-        _fail("syntax", "trailing text after priority pair", end)
-    doc.priority.append((sup, inf))
-
-
-def _rule_id(line, pos, missing):
-    """The rule id after `pos`, with its start and end positions."""
-    start = _skip_ws(line, pos)
-    rid, end = _word(line, start)
-    if not rid:
-        _fail("syntax", missing, start)
+def _rule_id(line, tokens, i, missing):
+    rid = tokens[i]
     if not _is_identifier(rid):
-        _fail("syntax", f"rule id {rid!r} does not follow atom syntax", start)
-    return rid, start, end
-
-
-def _formula(line, pos):
-    """The formula that fills the line from `pos`."""
-    f, pos = _parsed(parse_formula_at, line, pos)
-    pos = _skip_ws(line, pos)
-    if pos != len(line):
-        _fail("syntax", f"unexpected {line[pos]!r} after formula", pos)
-    return f
-
-
-def _parsed(parse, line, pos):
-    """Run a formula-grammar parser, reporting its failure as a diagnostic."""
-    try:
-        return parse(line, pos)
-    except FormulaSyntaxError as e:
-        _fail("syntax", e.message, e.pos)
-
-
-def _word(line, pos):
-    m = _WORD.match(line, pos)
-    return m[0], m.end()
-
-
-def _expect(line, pos, char, message):
-    pos = _skip_ws(line, pos)
-    if not line.startswith(char, pos):
-        _fail("syntax", message, pos)
-    return pos + 1
+        _fail(f"rule id {rid!r} does not follow atom syntax" if _WORD.match(rid) else missing,
+              line, i)
+    return rid
 
 
 def serialize_kb(doc: KbDocument) -> str:

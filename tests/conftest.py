@@ -135,6 +135,19 @@ def _formula_pool(rng: random.Random, atom_names) -> list[Formula]:
     return pool
 
 
+def random_formula(rng: random.Random, depth: int) -> Formula:
+    """A random formula over a, b and c, nested up to `depth` deep, with
+    negations and and/or sets of up to three members (empty ones too)."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.35:
+        a = Atom(rng.choice("abc"))
+        return Neg(a) if rng.random() < 0.5 else a
+    if roll < 0.55:
+        return Neg(random_formula(rng, depth - 1))
+    members = [random_formula(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+    return Conj(members) if rng.random() < 0.5 else Disj(members)
+
+
 def make_random_theory(rng: random.Random,
                        max_rules: int = 6) -> PlausibleDescription:
     """A small random theory: <=3 atoms, <=`max_rules` rules, <=4 acyclic

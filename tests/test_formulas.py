@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from conftest import random_formula
 from ppl import (
     Atom,
     Conj,
@@ -93,7 +94,7 @@ class TestCanonicalOrder:
     def test_sorting_agrees_with_the_reference_key(self):
         rng = random.Random(29)
         for _ in range(20):
-            fs = [_random_formula(rng, 4) for _ in range(150)]
+            fs = [random_formula(rng, 4) for _ in range(150)]
             expected = sorted(fs, key=_reference_key)  # stable, like sorted(fs)
             assert all(f is g for f, g in zip(sorted(fs), expected))
             assert canonical_set(fs) == tuple(sorted(set(fs), key=_reference_key))
@@ -101,7 +102,7 @@ class TestCanonicalOrder:
 
     def test_lt_and_eq_agree_with_the_reference_key(self):
         rng = random.Random(31)
-        pool = [_random_formula(rng, 2) for _ in range(40)]  # repeats give equal pairs
+        pool = [random_formula(rng, 2) for _ in range(40)]  # repeats give equal pairs
         equal_pairs = 0
         for _ in range(3000):
             f, g = rng.choice(pool), rng.choice(pool)
@@ -202,7 +203,7 @@ class TestClassify:
     def test_evaluate_agrees_with_the_recursive_definition(self):
         rng = random.Random(13)
         for _ in range(300):
-            f = _random_formula(rng, 3)
+            f = random_formula(rng, 3)
             for bits in product((False, True), repeat=3):
                 v = {a for a, bit in zip("abc", bits) if bit}
                 assert evaluate(f, v) is _reference_value(f, v), (f, v)
@@ -210,19 +211,8 @@ class TestClassify:
     def test_agrees_with_truth_table_on_random_formulas(self):
         rng = random.Random(11)
         for _ in range(150):
-            f = _random_formula(rng, 2)
+            f = random_formula(rng, 2)
             assert classify(f) is _truth_table_class(f)
-
-
-def _random_formula(rng, depth):
-    roll = rng.random()
-    if depth == 0 or roll < 0.35:
-        a = Atom(rng.choice("abc"))
-        return Neg(a) if rng.random() < 0.5 else a
-    if roll < 0.55:
-        return Neg(_random_formula(rng, depth - 1))
-    members = [_random_formula(rng, depth - 1) for _ in range(rng.randint(0, 3))]
-    return Conj(members) if rng.random() < 0.5 else Disj(members)
 
 
 class TestSimplify:
@@ -286,14 +276,34 @@ class TestTextGrammar:
     def test_canonical_form_is_sorted(self):
         assert format_formula(parse_formula("or{b,a}")) == "or{a,b}"
 
-    @pytest.mark.parametrize(
-        "text,pos",
-        [("", 0), ("or{a", 4), ("and a", 4), ("a b", 2), ("~", 1), ("or{a b}", 5)],
-    )
-    def test_errors_carry_positions(self, text, pos):
+    @pytest.mark.parametrize("text,pos,message", [
+    ("", 0, "expected a formula"),
+    ("   ", 3, "expected a formula"),
+    ("or{a", 4, "unterminated member list"),
+    ("and a", 4, "expected '{' after 'and'"),
+    ("a b", 2, "unexpected 'b' after formula"),
+    ("~", 1, "expected a formula"),
+    ("or{a b}", 5, "expected ',' or '}', got 'b'"),
+    ("or{a,é}", 5, "unexpected 'é'"),
+    ("or", 2, "expected '{' after 'or'"),
+    ("and", 3, "expected '{' after 'and'"),
+    ("a => b", 2, "unexpected '=' after formula"),
+    ("~>a", 1, "unexpected '>'"),
+    ("=>", 0, "unexpected '='"),
+    ("a}", 1, "unexpected '}' after formula"),
+    ("{a}", 0, "unexpected '{'"),
+    ("or{a,}", 5, "unexpected '}'"),
+    ("1a", 0, "unexpected '1'"),
+    ("a\x0c", 1, "unexpected '\\x0c' after formula"),
+    ("\x0ca", 0, "unexpected '\\x0c'"),
+    ("a\n", 1, "unexpected '\\n' after formula"),
+    ("and{a,or{b", 10, "unterminated member list"),
+    ("~ ~ é", 4, "unexpected 'é'"),
+    ])
+    def test_errors_carry_positions(self, text, pos, message):
         with pytest.raises(FormulaSyntaxError) as exc:
             parse_formula(text)
-        assert exc.value.pos == pos
+        assert (exc.value.pos, exc.value.message) == (pos, message)
 
     @pytest.mark.parametrize("opening,closing", [("~", ""), ("and{", "}"), ("or{a,", "}")])
     def test_deep_nesting_needs_no_recursion(self, opening, closing):

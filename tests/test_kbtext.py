@@ -1,11 +1,12 @@
 """Knowledge-base file parsing, diagnostics, and round-tripping."""
 
 import random
+import re
 
 import pytest
 
-from conftest import KB_DIR
-from ppl import Arrow, Atom, Disj, Neg, parse_kb, serialize_kb
+from conftest import KB_DIR, random_formula
+from ppl import Arrow, Atom, Disj, FormulaSyntaxError, Neg, parse_formula, parse_kb, serialize_kb
 from ppl.kbtext import KbSyntaxError
 
 AMBIGUITY = """\
@@ -110,6 +111,171 @@ class TestDiagnostics:
         with pytest.raises(KbSyntaxError) as exc:
             parse_kb("junk\nfact: ~\nrule r: {} => a\nprio: r > gone\n")
         assert len(exc.value.diagnostics) == 3
+
+
+# Every diagnostic path of the reader, with the full text it reports:
+# (document, [(line, col, code, message), ...]).
+DIAGNOSTICS = [
+    ("what: a\n", [(1, 5, "syntax", "expected 'fact:', 'rule <id>:', or 'prio:'")]),
+    ("what : a\n", [(1, 5, "syntax", "expected 'fact:', 'rule <id>:', or 'prio:'")]),
+    ("{a} => b\n", [(1, 1, "syntax", "expected 'fact:', 'rule <id>:', or 'prio:'")]),
+    ("fact a\n", [(1, 6, "syntax", "expected ':' after 'fact'")]),
+    ("fact\n", [(1, 5, "syntax", "expected ':' after 'fact'")]),
+    ("prio r > s\n", [(1, 6, "syntax", "expected ':' after 'prio'")]),
+    ("rule r {} => a\n", [(1, 8, "syntax", "expected ':' after the rule id")]),
+    ("rule : {} => a\n", [(1, 6, "syntax", "expected a rule id after 'rule'")]),
+    ("rule\n", [(1, 5, "syntax", "expected a rule id after 'rule'")]),
+    ("rule 1r: {} => a\n", [(1, 6, "syntax", "rule id '1r' does not follow atom syntax")]),
+    ("rule and: {} => ~a\n", [(1, 6, "syntax", "rule id 'and' does not follow atom syntax")]),
+    ("rule or: {} => a\n", [(1, 6, "syntax", "rule id 'or' does not follow atom syntax")]),
+    ("rule r: a => b\n", [(1, 9, "syntax", "expected '{' to open the antecedent set")]),
+    ("rule r: {} => and a\n", [(1, 19, "syntax", "expected '{' after 'and'")]),
+    ("fact: or a\n", [(1, 10, "syntax", "expected '{' after 'or'")]),
+    ("fact: and\n", [(1, 10, "syntax", "expected '{' after 'and'")]),
+    ("rule r: {a\n", [(1, 11, "syntax", "unterminated member list")]),
+    ("fact: or{a,\n", [(1, 12, "syntax", "expected a formula")]),
+    ("fact: and{a\n", [(1, 12, "syntax", "unterminated member list")]),
+    ("rule r: {a b} => c\n", [(1, 12, "syntax", "expected ',' or '}', got 'b'")]),
+    ("rule r: {a,} => c\n", [(1, 12, "syntax", "unexpected '}'")]),
+    ("rule r: {a} -> b\n", [(1, 13, "syntax", "expected '=>' or '~>' after the antecedents")]),
+    ("rule r: {a} b\n", [(1, 13, "syntax", "expected '=>' or '~>' after the antecedents")]),
+    ("rule r: {a}\n", [(1, 12, "syntax", "expected '=>' or '~>' after the antecedents")]),
+    ("rule r: {a} ~ > b\n", [(1, 13, "syntax", "expected '=>' or '~>' after the antecedents")]),
+    ("rule r: {a} = > b\n", [(1, 13, "syntax", "expected '=>' or '~>' after the antecedents")]),
+    ("rule r: {a} => ~>b\n", [(1, 17, "syntax", "unexpected '>'")]),
+    ("rule r: {a => b} => c\n", [(1, 12, "syntax", "expected ',' or '}', got '='")]),
+    ("fact: a => b\n", [(1, 9, "syntax", "unexpected '=' after formula")]),
+    ("fact: a ~> b\n", [(1, 9, "syntax", "unexpected '~' after formula")]),
+    ("fact: ~>a\n", [(1, 8, "syntax", "unexpected '>'")]),
+    ("fact: a b\n", [(1, 9, "syntax", "unexpected 'b' after formula")]),
+    ("rule r: {} => a b\n", [(1, 17, "syntax", "unexpected 'b' after formula")]),
+    ("rule r: {} => a\nrule s: {} => b\nprio: r > s t\n",
+     [(3, 12, "syntax", "trailing text after priority pair")]),
+    ("rule r: {} => a\nrule s: {} => b\nprio: r > s >\n",
+     [(3, 12, "syntax", "trailing text after priority pair")]),
+    ("rule r: {} => a\nprio: r s\n", [(2, 9, "syntax", "expected '>' between rule ids")]),
+    ("rule r: {} => a\nprio: > r\n", [(2, 7, "syntax", "expected a rule id")]),
+    ("rule r: {} => a\nprio: r >\n", [(2, 10, "syntax", "expected a rule id after '>'")]),
+    ("rule r: {} => a\nprio: 1r > r\n",
+     [(2, 7, "syntax", "rule id '1r' does not follow atom syntax")]),
+    ("rule r: {} => a\nprio: r >  or\n",
+     [(2, 12, "syntax", "rule id 'or' does not follow atom syntax")]),
+    ("rule r: {} => a\nprio: r => r\n", [(2, 9, "syntax", "expected '>' between rule ids")]),
+    ("rule r: {} => a\nrule r: {} => b\n",
+     [(2, 1, "duplicate-rule-id", "rule id 'r' already declared on line 1")]),
+    ("rule r9: {} => a\nprio: r9 > rX\n",
+     [(2, 12, "unknown-rule-id", "priority target 'rX' is not a declared rule")]),
+    ("rule r: {é} => c\n", [(1, 10, "syntax", "unexpected 'é'")]),
+    ("fact: é\n", [(1, 7, "syntax", "unexpected 'é'")]),
+    ("fact: aé\n", [(1, 8, "syntax", "unexpected 'é' after formula")]),
+    ("rule é: {} => a\n", [(1, 6, "syntax", "expected a rule id after 'rule'")]),
+    ("é\n", [(1, 1, "syntax", "expected 'fact:', 'rule <id>:', or 'prio:'")]),
+    ("fact:\n", [(1, 6, "syntax", "expected a formula")]),
+    ("fact:   \n", [(1, 9, "syntax", "expected a formula")]),
+    ("rule r: {} =>\n", [(1, 14, "syntax", "expected a formula")]),
+    ("fact: ~\n", [(1, 8, "syntax", "expected a formula")]),
+    ("fact: 1a\n", [(1, 7, "syntax", "unexpected '1'")]),
+    ("fact: or{a,1b}\n", [(1, 12, "syntax", "unexpected '1'")]),
+    ("fact: \xa0a\n", [(1, 7, "syntax", "unexpected '\\xa0'")]),
+    ("fact: and{a}}\n", [(1, 13, "syntax", "unexpected '}' after formula")]),
+    ("fact: or{}}\n", [(1, 11, "syntax", "unexpected '}' after formula")]),
+    ("fact: ,\n", [(1, 7, "syntax", "unexpected ','")]),
+    ("junk\nfact: ~\nrule r: {} => a\nprio: r > gone\n",
+     [(1, 5, "syntax", "expected 'fact:', 'rule <id>:', or 'prio:'"),
+      (2, 8, "syntax", "expected a formula"),
+      (4, 11, "unknown-rule-id", "priority target 'gone' is not a declared rule")]),
+    ("prio: x > y\nprio: x > y\n",
+     [(1, 7, "unknown-rule-id", "priority target 'x' is not a declared rule"),
+      (1, 11, "unknown-rule-id", "priority target 'y' is not a declared rule"),
+      (2, 7, "unknown-rule-id", "priority target 'x' is not a declared rule"),
+      (2, 11, "unknown-rule-id", "priority target 'y' is not a declared rule")]),
+    ("prio: rX\nrule r: {} => a\n",
+     [(1, 7, "unknown-rule-id", "priority target 'rX' is not a declared rule"),
+      (1, 9, "syntax", "expected '>' between rule ids")]),
+    ("prio: rX > \nfact: a b c\nrule r: {} => a\nrule r: {} => a\n",
+     [(1, 7, "unknown-rule-id", "priority target 'rX' is not a declared rule"),
+      (1, 12, "syntax", "expected a rule id after '>'"),
+      (2, 9, "syntax", "unexpected 'b' after formula"),
+      (4, 1, "duplicate-rule-id", "rule id 'r' already declared on line 3")]),
+    ("rule r: {} => a\nprio: gone > r z\n",
+     [(2, 7, "unknown-rule-id", "priority target 'gone' is not a declared rule"),
+      (2, 15, "syntax", "trailing text after priority pair")]),
+]
+
+
+class TestDiagnosticTable:
+    @pytest.mark.parametrize("text,expected", DIAGNOSTICS)
+    def test_full_text(self, text, expected):
+        with pytest.raises(KbSyntaxError) as exc:
+            parse_kb(text)
+        assert [(d.line, d.col, d.code, d.message) for d in exc.value.diagnostics] == expected
+
+
+class TestLines:
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c",
+                                      "\x1c", "\x1d", "\x1e"])
+    def test_lines_end_only_at_newlines(self, char):
+        doc = parse_kb(f"rule r: {{}} => a  # note{char}more\nfact: b\n")
+        assert ([r.rid for r in doc.rules], doc.facts) == (["r"], [Atom("b")])
+        with pytest.raises(KbSyntaxError) as exc:
+            parse_kb(f"# x{char}y\nfact: a{char}\n")
+        assert [(d.line, d.col, d.message) for d in exc.value.diagnostics] == [
+            (2, 8, f"unexpected {char!r} after formula")]
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_crlf_and_cr_endings(self, ending):
+        text = "fact: a\nrule r: {} => b  # c\n\nrule s: {a} ~> ~b\nprio: r > s\n"
+        doc, again = parse_kb(text), parse_kb(text.replace("\n", ending))
+        assert (again.facts, again.rules, again.priority) == (
+            doc.facts, doc.rules, doc.priority)
+        with pytest.raises(KbSyntaxError) as exc:
+            parse_kb(text.replace("\n", ending) + f"fact: ~{ending}")
+        assert [(d.line, d.col) for d in exc.value.diagnostics] == [(6, 8)]
+
+    def test_other_blanks_by_strip(self):
+        # lines of characters that str.strip() removes are skipped, and so is
+        # such text after a priority pair; inside a declaration it is an error
+        doc = parse_kb("\xa0\u3000\nrule r: {} => a\nrule s: {} => b\nprio: r > s\xa0\u2003\n")
+        assert doc.priority == [("r", "s")]
+
+
+def _spaced(rng, text):
+    """`text` with a random run of spaces and tabs before, between and after its tokens."""
+    tokens = re.findall(r"[A-Za-z0-9_]+|=>|.", text)
+    return "".join(rng.choice(["", "", " ", "\t", "  ", " \t "]) + t for t in tokens + [""])
+
+
+class TestTokens:
+    def test_one_atom_per_name(self):
+        text = "rule r0: {} => a0\n" + "".join(
+            f"rule r{i}: {{a{i - 1}}} => a{i}\n" for i in range(1, 50))
+        doc = parse_kb("fact: or{a0,~a1}\n" + text)
+        for prev, rule in zip(doc.rules, doc.rules[1:]):
+            assert rule.antecedents[0] is prev.consequent
+        a0, not_a1 = doc.facts[0].members
+        assert a0 is doc.rules[0].consequent and not_a1.inner is doc.rules[1].consequent
+
+    def test_random_blanks_between_tokens(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            f = random_formula(rng, 4)
+            text = _spaced(rng, str(f))
+            assert parse_formula(text) == f
+            assert parse_kb(f"fact:{text}\nrule r:{_spaced(rng, '{' + str(f) + '}=>a')}\n"
+                            ).rules[0].antecedents == (f,)
+
+    def test_stray_characters_are_located(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            text = _spaced(rng, str(random_formula(rng, 4)))
+            pos = rng.randint(0, len(text))
+            bad = text[:pos] + rng.choice(["é", "=", ">", "\x0c"]) + text[pos:]
+            with pytest.raises(FormulaSyntaxError) as exc:
+                parse_formula(bad)
+            assert exc.value.pos == pos, bad
+            with pytest.raises(KbSyntaxError) as exc:
+                parse_kb(f"fact: {bad}\n")
+            assert [d.col for d in exc.value.diagnostics] == [pos + 7], bad
 
 
 class TestRoundTrip:

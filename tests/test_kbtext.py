@@ -234,7 +234,7 @@ class TestLines:
 
     def test_other_blanks_by_strip(self):
         # lines of characters that str.strip() removes are skipped, and so is
-        # such text after a priority pair; inside a declaration it is an error
+        # such text after a priority pair
         doc = parse_kb("\xa0\u3000\nrule r: {} => a\nrule s: {} => b\nprio: r > s\xa0\u2003\n")
         assert doc.priority == [("r", "s")]
 
@@ -261,8 +261,8 @@ class TestTokens:
             f = random_formula(rng, 4)
             text = _spaced(rng, str(f))
             assert parse_formula(text) == f
-            assert parse_kb(f"fact:{text}\nrule r:{_spaced(rng, '{' + str(f) + '}=>a')}\n"
-                            ).rules[0].antecedents == (f,)
+            doc = parse_kb(f"fact:{text}\nrule r:{_spaced(rng, '{' + str(f) + '}=>a')}\n")
+            assert (doc.facts, doc.rules[0].antecedents) == ([f], (f,))
 
     def test_stray_characters_are_located(self):
         rng = random.Random(23)

@@ -14,13 +14,9 @@ count as foes is the only thing that distinguishes the algorithms:
 A history records every (algorithm, rule) choice made on the current
 branch; a choice may never repeat, which bounds the depth of every branch
 by twice the number of rules and makes every query terminate with +1 or -1.
-Most entries cannot affect a given sub-proof, so the prover memoises each
-value with the set of entries whose membership its computation tested, and
-reuses it under any history that agrees with it on that set: the memo
-grows with the formulas and the entries they read, not with the histories.
-A proof value is a function of the description alone, so the memo lives on
-the description and every query on it, under any algorithm, history or
-thread, reuses what earlier queries stored.
+The prover memoises each value on the description with the entries its
+computation read, so the memo grows with the formulas, not the histories,
+and every query reuses it (see `_Prover`).
 Every walk below is a generator run by one driver (`_run`) on an explicit
 stack, so that depth is limited by memory, not by Python's recursion limit.
 
@@ -31,24 +27,9 @@ flip.  The root value of the tree always equals the recursive verdict.
 The tree is built as a DAG, one node per distinct subject; its exports
 expand it as they write, on an explicit stack, rendering each node once,
 so a streamed export holds the DAG, not the expanded output.
-
-A tree is counted before it is built.  Lemma: below a set or minus node
-with history h, every node (its history read as the part past h) and
-every value depend on h only through h's last entry and h & D, where D is
-the set of entries whose membership the construction rules test in that
-subtree.  Proof: the rules test a history only for membership, the last
-entry (a, r) fixes the node's algorithm a and its formulas, r's
-antecedents, and an entry the subtree adds was first tested, as absent,
-by the rule that adds it.  Only set and minus nodes extend a history, by
-one entry, so every node whose history is h hangs below the one set (or
-minus and set) node that appended h's last entry: the histories form a
-prefix trie, and the distinct nodes are the sum, over its histories, of
-the nodes at each.  Memoising that sum per last entry and D, under h & D,
-gives the exact count in time that follows the distinct subtrees, not
-the histories: the 3-ticket lottery's beta tree on ~s1 has 1,157,094
-distinct nodes, counted by reading 5,376 levels, and its refusal at the
-default budget reads 1,350.  The tree's root value is computed the same
-way, without the tree (see `_TreeEvaluator`).
+A tree is counted before it is built, each subtree's size memoised with
+the entries it read (see `_TreeBuilder.count`); the tree's root value is
+computed the same way, without the tree (see `_TreeEvaluator`).
 """
 
 from __future__ import annotations
@@ -98,7 +79,7 @@ _CO = {
 # Algorithms that regard nothing as evidence against a formula.
 _BLIND = frozenset((Alg.PHI, Alg.PI_P))
 
-# The algorithms whose history entries take the odd bits (see _Prover).
+# The algorithms whose history entries take the odd bits (see _bit).
 _PRIMED = frozenset((Alg.BETA_P, Alg.PSI_P, Alg.PI_P))
 
 
@@ -172,6 +153,19 @@ def foes(desc: PlausibleDescription, alg: Alg, f: Formula, r: Rule) -> tuple[Rul
     return tuple(s for s in against if not desc.superior(r, s))
 
 
+def _bit(desc: PlausibleDescription, alg: Alg, rid: str) -> int:
+    """The history bit of entry (alg, rid): bit `2 * position + 1` if alg is
+    primed and bit `2 * position` otherwise, position being rid's index in
+    `desc.rules`.
+
+    Two bits a rule suffice: a walk under alg only ever holds entries of
+    alg and of its co-algorithm, which differ in priming (phi is its own),
+    and `memo[alg, f]` is only read and written by walks under alg or its
+    co-algorithm.
+    """
+    return 1 << (2 * desc._position[rid] + (alg in _PRIMED))
+
+
 def _run(walk):
     """Result of a generator walk, driven on an explicit stack.
 
@@ -195,20 +189,16 @@ def _run(walk):
 class _Prover:
     """One proof walk over a description's shared memo of proof values.
 
-    A history is an int bitset over (algorithm, rule) entries: the entry
-    (alg, r) is bit `2 * position(r) + 1` if alg is primed and bit
-    `2 * position(r)` otherwise, so extending a history is one `|`.  Two
-    bits a rule suffice: a walk under alg only ever holds entries of alg
-    and of its co-algorithm, which differ in priming (phi is its own), and
-    `memo[alg, f]` is only read and written by walks under alg or its
-    co-algorithm.  While computing a formula's value the prover collects in
-    `reads` the set D of entries whose membership it tested, directly, in
-    sub-proofs, or through the stored D of a memo hit.  The value depends
-    on the history only through its intersection with D: the recursion is
-    deterministic given its membership answers, and an entry a sub-proof
-    adds was first tested, as absent, by the sub-proof itself.  So
-    `memo[alg, f]` lists (D, history & D, value), and a lookup reuses any
-    entry whose D-part matches the current history.
+    A history is an int bitset over (algorithm, rule) entries, one bit each
+    (see `_bit`), so extending a history is one `|`.  While computing a
+    formula's value the prover collects in `reads` the set D of entries
+    whose membership it tested, directly, in sub-proofs, or through the
+    stored D of a memo hit.  The value depends on the history only through
+    its intersection with D: the recursion is deterministic given its
+    membership answers, and an entry a sub-proof adds was first tested, as
+    absent, by the sub-proof itself.  So `memo[alg, f]` lists (D,
+    history & D, value), and a lookup reuses any entry whose D-part matches
+    the current history.
 
     Before it starts a walk for a supporter r, the supporter loop looks r's
     first antecedent up under the extended history, as that walk's first
@@ -218,28 +208,23 @@ class _Prover:
     supporters are refuted this way, without a generator.
 
     The memo is the description's `_proofs`, shared by every walk on it:
-    an entry is exact under any history, whichever query stored it.  Only
-    `reads` belongs to the walk.  Entries are appended whole, and a value
-    is stored only once its computation ends, so concurrent walks and a
-    walk cut short by an exception leave only exact entries behind.
+    a proof value is a function of the description alone, so an entry is
+    exact under any history, whichever query stored it, and the memo grows
+    with the formulas and the entries they read, not with the histories.
+    Only `reads` belongs to the walk.  Entries are appended whole, and a
+    value is stored only once its computation ends, so concurrent walks and
+    a walk cut short by an exception leave only exact entries behind.
     """
 
     def __init__(self, desc: PlausibleDescription):
         self.desc = desc
         self.rsd = desc.rsd()
-        self.position = desc._position
         self.memo = desc._proofs
         self.reads = 0
 
-    def prove(self, alg: Alg, hset: frozenset, x) -> int:
-        h = 0
-        for tag, rid in hset:
-            h |= self._fresh(h, tag, rid)
-        return _run(self._prove(alg, h, x))
-
     def _fresh(self, h: int, alg: Alg, rid: str) -> int:
         """The bit of entry (alg, rid) if h lacks it, else 0; a read either way."""
-        e = 1 << (2 * self.position[rid] + (alg in _PRIMED))
+        e = _bit(self.desc, alg, rid)
         self.reads |= e
         return 0 if h & e else e
 
@@ -314,8 +299,9 @@ def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
     later query, whose history agrees on the entries that value's
     computation tested (see _Prover).
     """
-    alg, h = check_history(desc, alg, history)
-    return _Prover(desc).prove(alg, frozenset(h), _normalize(x))
+    alg, history = check_history(desc, alg, history)
+    h = sum(_bit(desc, tag, rid) for tag, rid in history)  # distinct bits: their OR
+    return _run(_Prover(desc)._prove(alg, h, _normalize(x)))
 
 
 def provable(desc: PlausibleDescription, alg: Alg, x) -> bool:
@@ -465,44 +451,46 @@ class _TreeBuilder:
     Both steps follow the construction rules of `_TreeCore.expand` through
     one plan per (algorithm, formula): whether the formula is a fact, its
     supporters, each one's foes and each foe's team defeaters, each entry
-    with its history bit (the encoding of `_Prover`).  A level is the set of
-    nodes sharing one history h: the formula, rule and foe nodes below h's
-    set node.  `_level` reads a level off the plans: the entry bits it
-    tests, its size, and the entries it adds, each naming the set or minus
-    node one level down.
+    with its history bit (see `_bit`), and the OR of the bits the plan
+    tests.  A level is the set of nodes sharing one history h: the formula,
+    rule and foe nodes below h's set node.  `_level` reads a level off the
+    plans: the entry bits it tests, its size, and the entries it adds, each
+    naming the set or minus node one level down.
     """
 
     def __init__(self, desc: PlausibleDescription, max_nodes: int):
         self.desc = desc
         self.rsd = desc.rsd()
-        self.position = desc._position
         self.max_nodes = max_nodes
         self.plans: dict = {}
         # (alg, formulas) -> (entry bits their plans test, {h & those bits: level})
         self.levels: dict = {}
 
-    def _bit(self, alg: Alg, rid: str) -> int:
-        return 1 << (2 * self.position[rid] + (alg in _PRIMED))
-
-    def _plan(self, alg: Alg, f: Formula) -> tuple[str, tuple]:
-        """(op, ((r, bit, ((s, ((t, bit), ...), co bit), ...)), ...)) of
-        the formula node (alg, h, f), whatever h is."""
+    def _plan(self, alg: Alg, f: Formula) -> tuple[str, tuple, int]:
+        """(op, ((r, bit, ((s, ((t, bit), ...), co bit), ...)), ...), the
+        OR of those bits) of the formula node (alg, h, f), whatever h is."""
         plan = self.plans.get((alg, f))
         if plan is None:
             desc = self.desc
             if desc.is_fact(f):
-                plan = "min", ()
+                plan = "min", (), 0
             elif alg is Alg.PHI:
-                plan = "max", ()
+                plan = "max", (), 0
             else:
                 co = co_algorithm(alg)
-                plan = "max", tuple(
-                    (r, self._bit(alg, r.rid), tuple(
-                        (s, tuple((t, self._bit(alg, t.rid))
+                rules = tuple(
+                    (r, _bit(desc, alg, r.rid), tuple(
+                        (s, tuple((t, _bit(desc, alg, t.rid))
                                   for t in desc.superior_supporters(f, s, self.rsd)),
-                         self._bit(co, s.rid))
+                         _bit(desc, co, s.rid))
                         for s in foes(desc, alg, f, r)))
                     for r in desc.supporters(f, self.rsd))
+                # a team defeater supports f, so its bit is some rule's; the
+                # foes of one rule are distinct, so their bits' sum is their OR
+                mask = 0
+                for r, e, opponents in rules:
+                    mask |= e | sum(ce for s, team, ce in opponents)
+                plan = "max", rules, mask
             self.plans[alg, f] = plan
         return plan
 
@@ -519,12 +507,7 @@ class _TreeBuilder:
         if memo is None:
             mask = 0
             for f in formulas:
-                for r, e, opponents in self._plan(alg, f)[1]:
-                    mask |= e
-                    for s, team, ce in opponents:
-                        mask |= ce
-                        for t, te in team:
-                            mask |= te
+                mask |= self._plan(alg, f)[2]
             memo = self.levels[alg, formulas] = mask, {}
         mask, seen = memo
         level = seen.get(h & mask)
@@ -554,18 +537,30 @@ class _TreeBuilder:
         """Distinct nodes of the tree rooted at (alg, h, x); raises
         TreeBudgetError as soon as the count passes max_nodes.
 
-        A state (h, e) is a set node's history as its entry set h and last
-        entry e.  While it walks a state's subtree the count collects in
-        `reads` the set D of entry bits it tested: the mask of each level it
-        reads, and the D of each stored size it reuses.  The subtree's size
-        depends on h only through h & D: the walk is deterministic given
-        those membership answers, and each entry it adds was first tested,
-        as absent, by the level that adds it, so it is in D and any history
+        Only set and minus nodes extend a history, by one entry, so every
+        node whose history is h hangs below the one set (or minus and set)
+        node that appended h's last entry: the histories form a prefix
+        trie, and the distinct nodes are the sum, over its histories, of the
+        nodes of each one's level.  A state (h, e) is a set node's history
+        as its entry set h and last entry e.  While it walks a state's
+        subtree the count collects in `reads` the set D of entry bits it
+        tested: the mask of each level it reads, and the D of each stored
+        size it reuses.
+
+        Lemma: the nodes at or below a state depend on h only through e and
+        h & D.  Proof: the construction rules test a history only for
+        membership, so the walk is deterministic given those answers; e =
+        (a, r) fixes the node's algorithm a and its formulas, r's
+        antecedents; and each entry the subtree adds was first tested, as
+        absent, by the level that adds it, so it is in D and any history
         agreeing on D lacks it too.  So `sizes[e][D][h & D]` holds the
         nodes at or below each state finished, and a state reuses the size
-        of any stored D its history agrees on.  The walk adds every level
-        it reaches, or a state's stored size, to one running total, so the
-        total never exceeds the tree's count.
+        of any stored D its history agrees on: the count costs the distinct
+        subtrees, not the histories.  The 3-ticket lottery's beta tree on
+        ~s1 has 1,157,094 distinct nodes, counted by reading 5,376 levels;
+        its refusal at the default budget reads 1,350.  The walk adds every
+        level it reaches, or a state's stored size, to one running total,
+        so the total never exceeds the tree's count.
         """
         sizes: dict[int, dict[int, dict[int, int]]] = {}
         limit = self.max_nodes
@@ -628,7 +623,7 @@ class _TreeBuilder:
             below[e] = node
         out = []
         for f in formulas:
-            op, rules = self._plan(alg, f)
+            op, rules, _ = self._plan(alg, f)
             children = []
             for r, e, opponents in rules:
                 if h & e:
@@ -740,20 +735,14 @@ def evaluation_tree(desc: PlausibleDescription, alg: Alg, x, history=(),
 
     The budget is exact: TreeBudgetError is raised if and only if the tree
     has more than `max_nodes` distinct nodes, and it is raised before any
-    node is built.  The count memoises the number of nodes at or below each
-    set node with its last entry and the entries its subtree tested, which
-    is all that number depends on (see the module docstring and
-    `_TreeBuilder.count`), and reuses it under every history that agrees on
-    those entries; so a refusal costs the distinct subtrees it reads, not
-    the nodes it refuses.  A tree that fits is then built from the same
-    plans, one node per distinct subject.
+    node is built, by a count that costs the distinct subtrees it reads,
+    not the nodes it refuses (see `_TreeBuilder.count`).  A tree that fits
+    is then built from the same plans, one node per distinct subject.
     """
     alg, history = check_history(desc, alg, history)
     x = _normalize(x)
     builder = _TreeBuilder(desc, max_nodes)
-    h = 0
-    for tag, rid in history:
-        h |= builder._bit(tag, rid)
+    h = sum(_bit(desc, tag, rid) for tag, rid in history)  # distinct bits: their OR
     builder.count(alg, h, x)
     return _run(builder.build(alg, history, h, x))
 

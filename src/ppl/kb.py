@@ -215,8 +215,8 @@ class PlausibleDescription:
     `rules` holds the derived strict rules followed by the user rules;
     `priority` is the acyclic superior/inferior id-pair relation.  Query
     memos (facts per formula, consistency per consequent, supporters per
-    formula, all and among `rsd()`, clause forms of a formula and of its
-    negation per formula, the atoms a supporter scan decides per
+    formula, all and among `rsd()` in one entry, clause forms of a formula
+    and of its negation per formula, the atoms a supporter scan decides per
     component, and proof values per algorithm and formula, shared by every
     query under any algorithm and history, see `engine._Prover`) always
     equal recomputation, take no part in equality, and concurrent reads
@@ -232,7 +232,6 @@ class PlausibleDescription:
     _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _consistent: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _supporters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _supporting_view: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _clause_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _negations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _proofs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -241,7 +240,7 @@ class PlausibleDescription:
     def __post_init__(self):
         derive = object.__setattr__  # the derived fields of a frozen instance
         derive(self, "_by_id", {r.rid: r for r in self.rules})
-        # Each rule's position in `rules`: the prover numbers history entries by it.
+        # Each rule's position in `rules`: `engine._bit` numbers history entries by it.
         derive(self, "_position", {r.rid: i for i, r in enumerate(self.rules)})
         derive(self, "_rsd", tuple(filter(self._supporting, self.rules)))
         derive(self, "_inferiors", frozenset(inf for _, inf in self.priority))
@@ -357,12 +356,8 @@ class PlausibleDescription:
         so each member scanned is no conjunction, and the strict rules'
         antecedents share their literals' scans.
         """
-        if rules is self._rsd:
-            view = self._supporting_view.get(f)
-            if view is not None:
-                return view
-        found = self._supporters.get(f)
-        if found is None:
+        entry = self._supporters.get(f)
+        if entry is None:
             if self.is_fact(f):
                 found = self._rules_of(filter(self._is_consistent, self._rules_with))
             elif type(f) is Conj:
@@ -370,14 +365,15 @@ class PlausibleDescription:
             else:
                 ks = {self._component.get(a, a) for a in atoms(f)}
                 found = self._rules_of(self._supported(f, ks))
-            self._supporters[f] = found
+            # the walks ask for the view among rsd(); it is the same tuple
+            # when it drops nothing, as it mostly does
+            view = tuple(filter(self._supporting, found))
+            entry = self._supporters[f] = found, found if len(view) == len(found) else view
+        found, view = entry
+        if rules is self._rsd:
+            return view
         if rules is None:
             return found
-        if rules is self._rsd:  # the walks ask for this view: memoised per formula
-            view = tuple(filter(self._supporting, found))
-            # the same tuple when the view drops nothing, as it mostly does
-            view = self._supporting_view[f] = found if len(view) == len(found) else view
-            return view
         ids = {r.rid for r in found}
         return tuple(r for r in rules if r.rid in ids)
 

@@ -21,6 +21,7 @@ from conftest import (
 )
 from lawchecks import TheoryCheck
 from ppl import (
+    ALG_ORDER,
     Alg,
     Arrow,
     Atom,
@@ -32,6 +33,7 @@ from ppl import (
     parse_kb,
     provable,
     prove,
+    tree_value,
     truth_value,
     validate_description,
 )
@@ -143,6 +145,29 @@ def test_criterion_4_four_ticket_truth_profile():
         assert truth_value(desc, Alg.PI, Disj(s[:2])) is TruthValue.UNDETERMINED
         assert truth_value(desc, Alg.PI, Disj(s[:3])) is TruthValue.TRUE
         assert truth_value(desc, Alg.PI, Disj(s)) is TruthValue.TRUE
+
+
+def test_shipped_priorities_truth_profile():
+    # kb/penguin.ppl, by hand.  phi proves facts alone, and no literal of
+    # fly, bird or penguin is a fact.  The axiom penguin -> bird makes rp and
+    # #s(penguin) supporters of bird; ~bird and ~penguin have no provable
+    # supporter, so every algorithm but phi proves penguin (its one foe,
+    # #s(~bird), is disabled since ~bird is unprovable) and bird.  fly's
+    # supporter rb meets the foe rn, which no rule beats and which the
+    # co-algorithm cannot disable, as it proves penguin.  ~fly's supporters
+    # rs and rn both meet the warning rule rw, which no rule beats and
+    # which the co-algorithm cannot disable, as it proves bird (rs also
+    # meets rb, which rn team-defeats).  psi-p only counts foes superior to
+    # the rule in use: rb still meets rn, rs meets rb alone, and rn meets
+    # none, so ~fly is proved and fly is not.  pi-p counts no foes at all.
+    desc = build((KB_DIR / "penguin.ppl").read_text(encoding="utf-8"))
+    profiles = {"fly": "uuuuufa", "bird": "utttttt", "penguin": "utttttt"}
+    for name, profile in profiles.items():
+        f = Atom(name)
+        assert "".join(str(truth_value(desc, alg, f)) for alg in ALG_ORDER) == profile
+        for x in (f, Neg(f)):
+            for alg in ALG_ORDER:
+                assert tree_value(desc, alg, x) == prove(desc, alg, x), (x, alg)
 
 
 def test_criterion_5_hierarchy_over_random_theories():

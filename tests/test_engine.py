@@ -206,6 +206,12 @@ class TestHistories:
             query(desc, Alg.PI, A, [entry])
         assert str(exc.value) == f"history entry {entry!r} is not an (algorithm, rule id) pair"
 
+    @pytest.mark.parametrize("query", [prove, tree_value, evaluation_tree])
+    def test_unknown_algorithm_tag_rejected(self, query):
+        desc = desc_plausible_default()
+        with pytest.raises(InvalidHistoryError, match="^unknown algorithm tag 'gamma'$"):
+            query(desc, Alg.PI, A, [("gamma", "ra")])
+
     def test_unknown_rule_rejected(self):
         desc = desc_plausible_default()
         with pytest.raises(Exception):

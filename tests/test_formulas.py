@@ -158,6 +158,8 @@ class TestLits:
     def test_rejects_non_clause(self):
         with pytest.raises(ValueError):
             lits(Disj([Conj([A, B])]))
+        with pytest.raises(ValueError, match="^not a clause or dual-clause: "):
+            lits(Neg(Conj([A, B])))
 
 
 def _reference_value(f, true_atoms):

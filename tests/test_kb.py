@@ -621,6 +621,12 @@ class TestValidation:
         with pytest.raises(UnknownRuleIdError):
             validate_description([], rules, [("r9", "rX")])
 
+    def test_unknown_superior_id(self):
+        rules = [Rule("r9", (), Arrow.DEFEASIBLE, A)]
+        with pytest.raises(UnknownRuleIdError) as exc:
+            validate_description([], rules, [("rX", "r9")])
+        assert exc.value.rid == "rX"
+
     def test_duplicate_ids_rejected(self):
         rules = [
             Rule("r", (), Arrow.DEFEASIBLE, A),

@@ -288,6 +288,13 @@ class TestRoundTrip:
         assert again.priority == doc.priority
         assert serialize_kb(again) == text
 
+    def test_priority_lines_round_trip(self):
+        text = ("rule r1: {} => a\nrule r2: {} => ~a\nrule r3: {a} => b\n"
+                "prio: r2 > r1\nprio: r1 > r3\n")
+        doc = parse_kb(text)
+        assert serialize_kb(doc) == text
+        assert parse_kb(serialize_kb(doc)).priority == [("r2", "r1"), ("r1", "r3")]
+
     def test_round_trip_random_documents(self):
         rng = random.Random(61)
         lits = [Atom(a) for a in "abc"] + [Neg(Atom(a)) for a in "abc"]

@@ -14,9 +14,11 @@ count as foes is the only thing that distinguishes the algorithms:
 A history records every (algorithm, rule) choice made on the current
 branch; a choice may never repeat, which bounds the depth of every branch
 by twice the number of rules and makes every query terminate with +1 or -1.
-The prover memoises each value on the description with the entries its
-computation read, so the memo grows with the formulas, not the histories,
-and every query reuses it (see `_Prover`).
+The prover's loop over a formula's supporters is this definition written
+out: a fresh supporter, its antecedents proved, then each foe
+team-defeated or else disabled.  The prover memoises each value on the
+description with the entries its computation read, so the memo grows with
+the formulas, not the histories, and every query reuses it (see `_Prover`).
 Every walk below is a generator run by one driver (`_run`) on an explicit
 stack, so that depth is limited by memory, not by Python's recursion limit.
 
@@ -200,6 +202,15 @@ class _Prover:
     history & D, value), and a lookup reuses any entry whose D-part matches
     the current history.
 
+    `_prove_formula` proves a non-fact f under history h in one loop over
+    f's supporters.  A supporter r whose entry h lacks proves f if its
+    antecedents are proved under h plus r's entry and every foe s falls:
+    s is team-defeated if a superior supporter t whose entry h lacks has
+    its antecedents proved under h plus t's entry, and disabled if the
+    co-algorithm's entry for s is absent from h and the co-algorithm
+    cannot prove s's antecedents under h plus that entry.  Team defeaters
+    and the disable step extend h, not h plus r's entry.
+
     Before it starts a walk for a supporter r, the supporter loop looks r's
     first antecedent up under the extended history, as that walk's first
     step would.  On a hit of -1 the walk would end there, having read only
@@ -257,38 +268,31 @@ class _Prover:
             value = -1
         else:
             value = -1
+            co = co_algorithm(alg)
             for r in self.desc.supporters(f, self.rsd):
                 e = self._fresh(h, alg, r.rid)
                 if not e:
                     continue
                 if r.antecedents and self._recall(alg, h | e, r.antecedents[0])[1] == -1:
                     continue  # the walk's first step would end at this hit
-                if (yield self._evidence_for(alg, h, e, f, r)) == +1:
+                if (yield self._prove(alg, h | e, r.antecedents)) == -1:
+                    continue
+                for s in foes(self.desc, alg, f, r):
+                    for t in self.desc.superior_supporters(f, s, self.rsd):
+                        te = self._fresh(h, alg, t.rid)
+                        if te and (yield self._prove(alg, h | te, t.antecedents)) == +1:
+                            break  # s is team-defeated
+                    else:
+                        ce = self._fresh(h, co, s.rid)
+                        if not ce or (yield self._prove(co, h | ce, s.antecedents)) == +1:
+                            break  # s is neither team-defeated nor disabled
+                else:
                     value = +1
                     break
         d = self.reads
         known.append((d, h & d, value))
         self.reads = outer | d
         return value
-
-    def _evidence_for(self, alg: Alg, h: int, e: int, f: Formula, r: Rule):
-        if (yield self._prove(alg, h | e, r.antecedents)) == -1:
-            return -1
-        for s in foes(self.desc, alg, f, r):
-            if (yield self._defeated(alg, h, f, s)) == -1:
-                return -1
-        return +1
-
-    def _defeated(self, alg: Alg, h: int, f: Formula, s: Rule):
-        for t in self.desc.superior_supporters(f, s, self.rsd):
-            e = self._fresh(h, alg, t.rid)
-            if e and (yield self._prove(alg, h | e, t.antecedents)) == +1:
-                return +1
-        co = co_algorithm(alg)
-        e = self._fresh(h, co, s.rid)
-        if e and (yield self._prove(co, h | e, s.antecedents)) == -1:
-            return +1
-        return -1
 
 
 def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
@@ -382,16 +386,41 @@ class TreeBudgetError(Exception):
     """Tree construction refused: too many distinct nodes."""
 
 
-class _TreeCore:
-    """Shared construction rules: (operation, child subjects) of a subject."""
+class _TreeEvaluator:
+    """The tree's construction rules, and the root value of the tree,
+    computed without materializing nodes.
+
+    `expand` gives a subject's operation and child subjects; the evaluator
+    walks `expand` and nothing else.  While it computes a subject's value
+    it collects in `reads` the set D of history entries whose membership
+    `expand` tested, at the subject, below it, or through the stored D of a
+    memo hit.  A formula node tests its supporters' entries and a foe node
+    its team defeaters' and the co-algorithm's entry; set, minus and rule
+    nodes test none.  The value depends on the history h only through
+    h & D.  Proof, by induction on the walk:
+    `expand` is deterministic given its membership answers, so under any
+    history h' with h' & D == h & D it returns the same children, and the
+    values decide which of them are walked: min stops at its first -1
+    child, max at its first +1.  A child keeps h or adds one entry e (a
+    rule's antecedents, a team defeater, the co-algorithm's minus node);
+    both histories then hold e, and agree on the rest of the child's D,
+    which is part of D.  So the memo maps a subject without its history to
+    {D: {h & D: value}}, and a lookup reuses the value of any D the
+    history agrees on: one value serves every branch that differs only in
+    entries the subtree never tests.  Min and max are order-insensitive,
+    so the result equals the fully materialized tree's root value.
+    """
 
     def __init__(self, desc: PlausibleDescription):
         self.desc = desc
         self.rsd = desc.rsd()
+        self.memo: dict = {}
+        self.reads: set = set()
 
     def _absent(self, hset: frozenset, entry: HistoryEntry) -> bool:
-        """Whether the history lacks entry: the only test `expand` makes of
-        a history."""
+        """Whether the history lacks entry, a read: the only test `expand`
+        makes of a history."""
+        self.reads.add(entry)
         return entry not in hset
 
     def expand(self, subject: Subject) -> tuple[str, tuple[Subject, ...]]:
@@ -444,18 +473,52 @@ class _TreeCore:
             )
         return "max", tuple(children)
 
+    def value(self, subject: Subject) -> int:
+        return _run(self._value(subject))
+
+    def _value(self, subject: Subject):
+        hset = frozenset(subject.history)
+        key = (subject.kind, subject.alg, subject.formulas, subject.formula,
+               subject.rule, subject.foe)
+        stored = self.memo.get(key)
+        if stored is None:
+            stored = self.memo[key] = {}
+        for d, values in stored.items():
+            hit = values.get(hset & d)
+            if hit is not None:
+                self.reads |= d
+                return hit
+        outer, self.reads = self.reads, set()
+        op, child_subjects = self.expand(subject)
+        if op == "minus":
+            result = -(yield self._value(child_subjects[0]))
+        else:
+            # a min node stops at its first -1 child, a max node at its first +1
+            stop = -1 if op == "min" else +1
+            result = -stop
+            for c in child_subjects:
+                if (yield self._value(c)) == stop:
+                    result = stop
+                    break
+        d = frozenset(self.reads)
+        stored.setdefault(d, {})[hset & d] = result
+        outer |= d
+        self.reads = outer
+        return result
+
 
 class _TreeBuilder:
     """Counts a tree's distinct nodes, then materializes a tree that fits.
 
-    Both steps follow the construction rules of `_TreeCore.expand` through
-    one plan per (algorithm, formula): whether the formula is a fact, its
-    supporters, each one's foes and each foe's team defeaters, each entry
-    with its history bit (see `_bit`), and the OR of the bits the plan
-    tests.  A level is the set of nodes sharing one history h: the formula,
-    rule and foe nodes below h's set node.  `_level` reads a level off the
-    plans: the entry bits it tests, its size, and the entries it adds, each
-    naming the set or minus node one level down.
+    Both steps follow the construction rules of `_TreeEvaluator.expand`
+    through one plan per (algorithm, formula): whether the formula is a
+    fact, its supporters, each one's foes and each foe's team defeaters,
+    each entry with its history bit (see `_bit`), and the OR of the bits the
+    plan tests.  A level is the set of nodes sharing one history h: the
+    formula, rule and foe nodes below h's set node.  `_level` reads a level
+    off the plans: the entry bits it tests, its size, and the entries it
+    adds, each naming the set or minus node one level down.  Both steps
+    are walks run by `_run`.
     """
 
     def __init__(self, desc: PlausibleDescription, max_nodes: int):
@@ -465,6 +528,8 @@ class _TreeBuilder:
         self.plans: dict = {}
         # (alg, formulas) -> (entry bits their plans test, {h & those bits: level})
         self.levels: dict = {}
+        # last entry e -> {D: {h & D: nodes at or below the state}} (see count)
+        self.sizes: dict[int, dict[int, dict[int, int]]] = {}
 
     def _plan(self, alg: Alg, f: Formula) -> tuple[str, tuple, int]:
         """(op, ((r, bit, ((s, ((t, bit), ...), co bit), ...)), ...), the
@@ -542,10 +607,10 @@ class _TreeBuilder:
         node that appended h's last entry: the histories form a prefix
         trie, and the distinct nodes are the sum, over its histories, of the
         nodes of each one's level.  A state (h, e) is a set node's history
-        as its entry set h and last entry e.  While it walks a state's
-        subtree the count collects in `reads` the set D of entry bits it
-        tested: the mask of each level it reads, and the D of each stored
-        size it reuses.
+        as its entry set h and last entry e.  The walk over a state's
+        subtree (`_count`) returns the set D of entry bits it tested: the
+        mask of each level it reads, and the D of each stored size it
+        reuses.
 
         Lemma: the nodes at or below a state depend on h only through e and
         h & D.  Proof: the construction rules test a history only for
@@ -560,44 +625,40 @@ class _TreeBuilder:
         ~s1 has 1,157,094 distinct nodes, counted by reading 5,376 levels;
         its refusal at the default budget reads 1,350.  The walk adds every
         level it reaches, or a state's stored size, to one running total,
-        so the total never exceeds the tree's count.
+        so the total never exceeds the tree's count; it checks the total
+        against the budget before each entry and once more at the end.
         """
-        sizes: dict[int, dict[int, dict[int, int]]] = {}
-        limit = self.max_nodes
-        _, size, below = self._level(alg, h, (x,) if isinstance(x, Formula) else x)
-        total = size + (not isinstance(x, Formula))  # a set root's own node
-        reads = 0
-        # (last entry, total before the state, its history, entries left,
-        # the reads of the state above); the root has no last entry
-        stack = [(0, 0, h, iter(below.items()), 0)]
-        while stack:
-            last, start, h, entries, outer = stack[-1]
-            for e, (a, r, minus) in entries:
-                total += minus
-                g = h | e
-                known = None
-                for d, stored in sizes.get(e, {}).items():
-                    known = stored.get(g & d)
-                    if known is not None:
-                        reads |= d
-                        break
-                if known is None:
-                    mask, size, below = self._level(a, g, r.antecedents)
-                    stack.append((e, total, g, iter(below.items()), reads))
-                    reads = mask
-                    total += 1 + size
-                    break
-                total += known
-                if total > limit:
+        self.total = not isinstance(x, Formula)  # a set root's own node
+        _run(self._count(alg, h, (x,) if isinstance(x, Formula) else x))
+        self._check_budget()
+        return self.total
+
+    def _check_budget(self):
+        if self.total > self.max_nodes:
+            raise TreeBudgetError(f"more than {self.max_nodes} distinct nodes")
+
+    def _count(self, alg: Alg, h: int, formulas):
+        """Walk adding the nodes of the level of history h, and of every
+        state below it, to `total`; returns the entry bits D it read."""
+        reads, size, below = self._level(alg, h, formulas)
+        self.total += size
+        for e, (a, r, minus) in below.items():
+            self._check_budget()
+            self.total += minus
+            g = h | e
+            stored = self.sizes.setdefault(e, {})
+            for d, known in stored.items():
+                size = known.get(g & d)
+                if size is not None:
+                    self.total += size
                     break
             else:
-                stack.pop()
-                if last:
-                    sizes.setdefault(last, {}).setdefault(reads, {})[h & reads] = total - start
-                    reads |= outer
-            if total > limit:
-                raise TreeBudgetError(f"more than {limit} distinct nodes")
-        return total
+                start = self.total
+                self.total += 1  # the state's set node
+                d = yield self._count(a, g, r.antecedents)
+                stored.setdefault(d, {})[g & d] = self.total - start
+            reads |= d
+        return reads
 
     def build(self, alg: Alg, history: History, h: int, x):
         """Walk materializing the tree: one node per subject, the set and
@@ -645,72 +706,6 @@ class _TreeBuilder:
             out.append(EvalNode(Subject("formula", alg, history, formula=f),
                                 op, _aggregate(op, children), children))
         return tuple(out)
-
-
-class _TreeEvaluator(_TreeCore):
-    """Root value of the tree, computed without materializing nodes.
-
-    The evaluator walks `expand` and nothing else.  While it computes a
-    subject's value it collects in `reads` the set D of history entries
-    whose membership `expand` tested, at the subject, below it, or through
-    the stored D of a memo hit.  A formula node tests its supporters'
-    entries and a foe node its team defeaters' and the co-algorithm's
-    entry; set, minus and rule nodes test none.  The value depends on the
-    history h only through h & D.  Proof, by induction on the walk:
-    `expand` is deterministic given its membership answers, so under any
-    history h' with h' & D == h & D it returns the same children, and the
-    values decide which of them are walked: min stops at its first -1
-    child, max at its first +1.  A child keeps h or adds one entry e (a
-    rule's antecedents, a team defeater, the co-algorithm's minus node);
-    both histories then hold e, and agree on the rest of the child's D,
-    which is part of D.  So the memo maps a subject without its history to
-    {D: {h & D: value}}, and a lookup reuses the value of any D the
-    history agrees on: one value serves every branch that differs only in
-    entries the subtree never tests.  Min and max are order-insensitive,
-    so the result equals the fully materialized tree's root value.
-    """
-
-    def __init__(self, desc: PlausibleDescription):
-        super().__init__(desc)
-        self.memo: dict = {}
-        self.reads: set = set()
-
-    def _absent(self, hset: frozenset, entry: HistoryEntry) -> bool:
-        self.reads.add(entry)
-        return entry not in hset
-
-    def value(self, subject: Subject) -> int:
-        return _run(self._value(subject))
-
-    def _value(self, subject: Subject):
-        hset = frozenset(subject.history)
-        key = (subject.kind, subject.alg, subject.formulas, subject.formula,
-               subject.rule, subject.foe)
-        stored = self.memo.get(key)
-        if stored is None:
-            stored = self.memo[key] = {}
-        for d, values in stored.items():
-            hit = values.get(hset & d)
-            if hit is not None:
-                self.reads |= d
-                return hit
-        outer, self.reads = self.reads, set()
-        op, child_subjects = self.expand(subject)
-        if op == "minus":
-            result = -(yield self._value(child_subjects[0]))
-        else:
-            # a min node stops at its first -1 child, a max node at its first +1
-            stop = -1 if op == "min" else +1
-            result = -stop
-            for c in child_subjects:
-                if (yield self._value(c)) == stop:
-                    result = stop
-                    break
-        d = frozenset(self.reads)
-        stored.setdefault(d, {})[hset & d] = result
-        outer |= d
-        self.reads = outer
-        return result
 
 
 def _aggregate(op: str, children: tuple[EvalNode, ...]) -> int:

@@ -155,6 +155,25 @@ class TestPriorityDefeat:
         assert prove(desc, Alg.PI_P, A, [("pi-p", "ranb")]) == +1
         assert prove(desc, Alg.PSI_P, A, [("psi-p", "ranb")]) == +1
 
+    def test_team_defeaters_do_not_hold_the_supporters_entry(self):
+        # psi proves u0's antecedent p, and u0's one foe is u2 (u4 is
+        # inferior to u0).  u1 team-defeats u2 only if psi proves u1's
+        # antecedent p under the history plus (psi, u1), which it cannot;
+        # with u0's entry in that history as well it could, and ~p would be
+        # proved.  The co-algorithm proves ~p, so u2 is not disabled either.
+        p = Atom("p")
+        desc = validate_description([], [
+            Rule("u0", (p,), Arrow.DEFEASIBLE, Neg(p)),
+            Rule("u1", (p,), Arrow.DEFEASIBLE, Neg(p)),
+            Rule("u2", (Neg(p),), Arrow.DEFEASIBLE, p),
+            Rule("u4", (), Arrow.DEFEASIBLE, p),
+        ], [("u1", "u2"), ("u0", "u4")])
+        assert prove(desc, Alg.PSI, Neg(p)) == tree_value(desc, Alg.PSI, Neg(p)) == -1
+        assert prove(desc, Alg.PSI, p, [("psi", "u0")]) == +1
+        assert prove(desc, Alg.PSI, p, [("psi", "u1")]) == -1
+        assert prove(desc, Alg.PSI, p, [("psi", "u0"), ("psi", "u1")]) == +1
+        assert prove(desc, Alg.PSI_P, Neg(p), [("psi-p", "u2")]) == +1
+
 
 class TestWarningRules:
     def test_warnings_attack_but_never_support(self):
@@ -486,11 +505,9 @@ class TestEvaluationTrees:
                 assert tree_value(desc, alg, f) == prove(desc, alg, f)
 
     def test_nodes_follow_the_construction_rules(self):
-        from ppl.engine import _TreeCore
-
         for build in (desc_ambiguity, desc_retracted_default):
             desc = build()
-            core = _TreeCore(desc)
+            core = _TreeEvaluator(desc)
             for alg in (Alg.PI, Alg.BETA, Alg.PSI_P):
                 root = evaluation_tree(desc, alg, B)
                 stack = [root]

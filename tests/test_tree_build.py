@@ -3,10 +3,11 @@
 `evaluation_tree` counts a tree's distinct nodes before it builds
 anything, reusing each subtree's size under every history that agrees on
 the entries the subtree read, then builds a tree that fits from the same
-plans.  The reference below builds one subject at a time from
-`_TreeCore.expand`, sharing identical subjects through a dict; the two
-must give equal DAGs, equal node counts and equal exports, and the budget
-must refuse exactly the trees with more than `max_nodes` distinct nodes.
+plans.  The reference below builds one subject at a time from the
+construction rules of `_TreeEvaluator.expand`, sharing identical subjects
+through a dict; the two must give equal DAGs, equal node counts and equal
+exports, and the budget must refuse exactly the trees with more than
+`max_nodes` distinct nodes, after reading no more levels than it needs.
 """
 
 import random
@@ -42,7 +43,7 @@ from ppl.engine import (
     _normalize,
     _root_subject,
     _run,
-    _TreeCore,
+    _TreeEvaluator,
     check_history,
     co_algorithm,
     tree_json_pieces,
@@ -53,7 +54,7 @@ class _TooLarge(Exception):
     pass
 
 
-class ReferenceBuilder(_TreeCore):
+class ReferenceBuilder(_TreeEvaluator):
     """Materializes nodes one subject at a time, sharing subtrees with
     identical subjects; gives up once more than `limit` nodes are built."""
 
@@ -304,6 +305,30 @@ class TestExactBudget:
         lottery3 = next(desc for path, desc in kb_files() if path.name == "lottery3.ppl")
         builder = engine._TreeBuilder(lottery3, 10**9)
         assert builder.count(Alg.BETA, 0, Neg(Atom("s1"))) == 1_157_094
+
+    def test_refusal_stops_reading_levels(self, monkeypatch):
+        # the count checks its running total before each entry, so a refusal
+        # reads only the levels that bring the total past the budget
+        calls = 0
+        level = engine._TreeBuilder._level
+
+        def counted(builder, *args):
+            nonlocal calls
+            calls += 1
+            return level(builder, *args)
+
+        monkeypatch.setattr(engine._TreeBuilder, "_level", counted)
+        lotteries = {path.name: desc for path, desc in kb_files()
+                     if path.name.startswith("lottery")}
+        for name, most in (("lottery3.ppl", 1_350), ("lottery4.ppl", 3_002)):
+            calls = 0
+            with pytest.raises(TreeBudgetError, match="^more than 200000 distinct nodes$"):
+                evaluation_tree(lotteries[name], Alg.BETA, Neg(Atom("s1")))
+            assert 0 < calls <= most, (name, calls)
+        calls = 0
+        builder = engine._TreeBuilder(lotteries["lottery3.ppl"], 10**9)
+        assert builder.count(Alg.BETA, 0, Neg(Atom("s1"))) == 1_157_094
+        assert calls == 5_376
 
 
 class TestNodesBuilt:

@@ -82,9 +82,8 @@ def clauses_of(x, max_atoms: int = DEFAULT_MAX_ATOMS) -> ClauseSet:
     return frozenset(out)
 
 
-def clause_form(f: Formula, max_atoms: int = DEFAULT_MAX_ATOMS,
-                negated: bool = False) -> ClauseSet:
-    """Clauses equivalent to f, or to ~f when `negated`, read off f's shape.
+def clause_form(f: Formula, max_atoms: int = DEFAULT_MAX_ATOMS) -> ClauseSet:
+    """Clauses equivalent to f, read off f's shape.
 
     A double negation cancels, a conjunction (`and`, or a negated `or`)
     contributes its members' clauses, and a disjunction of literals (`or`,
@@ -96,7 +95,7 @@ def clause_form(f: Formula, max_atoms: int = DEFAULT_MAX_ATOMS,
     keeps `clauses_of`.
     """
     out: set[Clause] = set()
-    todo = [(f, negated)]
+    todo = [(f, False)]
     while todo:
         f, negated = todo.pop()
         while type(f) is Neg and type(f.inner) is not Atom:

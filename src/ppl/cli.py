@@ -94,8 +94,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _atom_limit(text: str) -> int:
+    """A `--max-atoms` value: an int, 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {n}")
+    return n
+
+
 def _common(sub):
-    sub.add_argument("--max-atoms", type=int, default=DEFAULT_MAX_ATOMS,
+    sub.add_argument("--max-atoms", type=_atom_limit, default=DEFAULT_MAX_ATOMS,
                      metavar="N", help="atoms a formula may have where its clause form is "
                      "enumerated: each fact at validation, and at query time only a disjunction "
                      "with a member that is not a literal (default %(default)s)")

@@ -12,14 +12,16 @@ The axioms are the prime implicates of the filtered clause set: strict
 rules are their literal sets expanded, and fact and support checks are one
 search for a countermodel (`classical.find_model`) of a formula's clauses,
 read off its shape, in which the axioms take part through unit propagation
-alone.  Supporters are read off an index built with the description: the
-axioms' atoms split into connected components, and only rules whose
-consequents touch the components of a formula's atoms are tested for
-supporting it (each distinct consequent once), so a defeasible chain's
-queries cost linear, not quadratic, work.  One scan propagates ~f once,
-and the countermodels its candidates leave reject later candidates
-without a search.  A conjunction is not scanned: its supporters are those
-of all its members.
+alone.  A consequent is consistent with the axioms when its negation is no
+fact, so consistency is a fact check.  Supporters are read off an index
+built with the description: the axioms' atoms split into connected
+components, and only rules whose consequents touch the components of a
+formula's atoms are tested for supporting it (each distinct consequent
+once), so a defeasible chain's queries cost linear, not quadratic, work.
+One scan propagates ~f once, and the countermodels its candidates leave
+reject later candidates without a search.  A conjunction is not scanned:
+its supporters are those of all its members, each member's taken among
+the rules found so far.
 
 The distinguished strict rule with the empty antecedent (whose consequent
 conjoins all axioms) may not appear as the inferior side of any priority
@@ -28,7 +30,7 @@ pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
@@ -38,7 +40,6 @@ from . import classical
 from .classical import Clause
 from .formulas import (
     DEFAULT_MAX_ATOMS,
-    FALSUM,
     Atom,
     Conj,
     Formula,
@@ -213,14 +214,16 @@ class PlausibleDescription:
     """An immutable, validated knowledge base ready for querying.
 
     `rules` holds the derived strict rules followed by the user rules;
-    `priority` is the acyclic superior/inferior id-pair relation.  Query
-    memos (facts per formula, consistency per consequent, supporters per
-    formula, all and among `rsd()` in one entry, clause forms of a formula
-    and of its negation per formula, the atoms a supporter scan decides per
-    component, and proof values per algorithm and formula, shared by every
-    query under any algorithm and history, see `engine._Prover`) always
-    equal recomputation, take no part in equality, and concurrent reads
-    are safe.
+    `priority` is the acyclic superior/inferior id-pair relation.  The
+    query memos are derived state, made with the description and no part
+    of its fields: facts per formula, consistency per consequent,
+    supporters per formula (all and among `rsd()` in one entry), the clause
+    forms of a formula and of its negation per formula without leading
+    negations, the atoms a supporter scan decides per component, and proof
+    values per algorithm and formula, shared by every query under any
+    algorithm and history (see `engine._Prover`).  They always equal
+    recomputation, take no part in equality, and concurrent reads are
+    safe.
     """
 
     rules: tuple[Rule, ...]
@@ -229,16 +232,12 @@ class PlausibleDescription:
     axioms: tuple[Formula, ...]
     rse_id: str | None
     max_atoms: int = DEFAULT_MAX_ATOMS
-    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _consistent: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _supporters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _clause_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _negations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _proofs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _scopes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         derive = object.__setattr__  # the derived fields of a frozen instance
+        for memo in ("_facts", "_consistent", "_supporters", "_clause_forms",
+                     "_negations", "_proofs", "_scopes"):
+            derive(self, memo, {})
         derive(self, "_by_id", {r.rid: r for r in self.rules})
         # Each rule's position in `rules`: `engine._bit` numbers history entries by it.
         derive(self, "_position", {r.rid: i for i, r in enumerate(self.rules)})
@@ -299,17 +298,20 @@ class PlausibleDescription:
         return classical.find_model(parts, self._implicates, start)
 
     def _clauses(self, f: Formula, negated: bool) -> classical.Part:
-        """The clause form of f, or of ~f, with its `clause_index`, memoised
-        per formula; a literal's one clause needs no index and is built
+        """The clause form of f, or of ~f, with its `clause_index`.
+
+        Negations are stripped first, each flipping `negated`, so g and
+        every negation of g share the memo entries of g's clause form and
+        of ~g's.  A literal's one clause needs no index and is built
         afresh, which costs less than a memo entry."""
+        while type(f) is Neg:
+            f, negated = f.inner, not negated
         if type(f) is Atom:
             return (frozenset((Lit(f.name, negated),)),), classical.NO_INDEX
-        if type(f) is Neg and type(f.inner) is Atom:
-            return (frozenset((Lit(f.inner.name, not negated),)),), classical.NO_INDEX
         memo = self._negations if negated else self._clause_forms
         found = memo.get(f)
         if found is None:
-            clauses = classical.clause_form(f, self.max_atoms, negated)
+            clauses = classical.clause_form(Neg(f) if negated else f, self.max_atoms)
             index = classical.clause_index(c for c in clauses if len(c) > 1)
             found = memo[f] = (clauses, index or classical.NO_INDEX)
         return found
@@ -322,14 +324,16 @@ class PlausibleDescription:
         return hit
 
     def _is_consistent(self, c: Formula) -> bool:
+        """Whether c is consistent with the axioms: ~c is no fact."""
         hit = self._consistent.get(c)
         if hit is None:
-            hit = self._consistent[c] = self._countermodel((c,), FALSUM) is not None
+            hit = self._consistent[c] = not self.is_fact(Neg(c))
         return hit
 
     def supporters(self, f: Formula,
                    rules: Sequence[Rule] | None = None) -> tuple[Rule, ...]:
-        """Rules whose consequent is consistent with and implies f (with the axioms).
+        """Rules whose consequent is consistent with and implies f (with the
+        axioms), among `rules` if given: the paper's R[f] for a rule set R.
 
         Read off the index built at construction, in `rules` order.  For a
         fact f that is every rule with a consistent consequent.  Otherwise
@@ -384,9 +388,10 @@ class PlausibleDescription:
 
     def _supporting_all(self, f: Conj) -> tuple[Rule, ...]:
         """The rules supporting every member of the conjunction f, which is
-        no fact, in rule order (see `supporters`).  Nested members are
-        flattened on a stack; fact members support every consistent rule
-        and are skipped."""
+        no fact, in rule order (see `supporters`).  Each member g narrows
+        the rules found so far to their supporters of g, found[g].  Nested
+        members are flattened on a stack; fact members support every
+        consistent rule and are skipped."""
         found = None
         stack, seen = [f], {f}
         while stack:
@@ -397,12 +402,7 @@ class PlausibleDescription:
                 if type(g) is Conj:
                     stack.append(g)
                 elif not self.is_fact(g):
-                    theirs = self.supporters(g)
-                    if found is None:
-                        found = theirs
-                    else:
-                        ids = {r.rid for r in theirs}
-                        found = tuple(r for r in found if r.rid in ids)
+                    found = self.supporters(g, found)
                     if not found:
                         return ()
         return found

@@ -203,6 +203,25 @@ def make_wide_theory(rng: random.Random) -> PlausibleDescription:
     return validate_description(facts, rules, priority)
 
 
+def make_ranked_theory(rng: random.Random) -> PlausibleDescription:
+    """Four to six defeasible rules over the literals of one atom, most with
+    one literal antecedent, ranked by two to eight random priority pairs
+    80% of the time.  Their foes are often settled only several walks down,
+    by a team defeater or the co-algorithm's disable step, where the answer
+    can hinge on the history holding the supporter's own entry."""
+    lits = [Atom("p"), Neg(Atom("p"))]
+    rules = [Rule(f"u{i}", tuple(rng.sample(lits, rng.choices((0, 1), (1, 4))[0])),
+                  Arrow.DEFEASIBLE, rng.choice(lits))
+             for i in range(rng.randint(4, 6))]
+    priority = []
+    if rng.random() < 0.8:
+        order = [r.rid for r in rules]
+        rng.shuffle(order)
+        pairs = list(combinations(order, 2))
+        priority = rng.sample(pairs, min(len(pairs), rng.randint(2, 8)))
+    return validate_description([], rules, priority)
+
+
 def probe_formulas(desc: PlausibleDescription) -> list[Formula]:
     """Literals plus all 2-literal clauses and dual-clauses over the theory's atoms."""
     atom_names = sorted(

@@ -126,9 +126,8 @@ class TestClauseForm:
         rng = random.Random(79)
         for _ in range(600):
             f = _random_formula(rng, 3)
-            for negated in (False, True):
-                g = Neg(f) if negated else f
-                got, ref = clause_form(f, negated=negated), clauses_of(g)
+            for g in (f, Neg(f)):
+                got, ref = clause_form(g), clauses_of(g)
                 for v in val_space(atoms(f)):
                     assert holds(got, v) == holds(ref, v) == evaluate(g, v), (g, got)
 
@@ -157,11 +156,12 @@ class TestClauseForm:
             (Disj(wide), False, [frozenset(Lit(x.name, False) for x in wide)]),
         ]
         for f, negated, expected in cases:
-            assert clause_form(f, max_atoms=2, negated=negated) == frozenset(expected), f
+            g = Neg(f) if negated else f
+            assert clause_form(g, max_atoms=2) == frozenset(expected), g
 
     def test_atom_limit_bounds_only_the_enumerated_part(self):
         f = parse_formula("or{a,and{b,c}}")  # its negation is a conjunction of clauses
-        assert clause_form(f, max_atoms=2, negated=True) == {clause("~a"), clause("~b", "~c")}
+        assert clause_form(Neg(f), max_atoms=2) == {clause("~a"), clause("~b", "~c")}
         with pytest.raises(AtomLimitError):
             clause_form(f, max_atoms=2)
         g = Conj([Disj([Atom(f"x{i}"), Conj([Atom(f"y{i}"), Atom(f"z{i}")])])
@@ -172,7 +172,7 @@ class TestClauseForm:
         depth = 20000
         f = parse_formula("and{" * depth + "~~a" + "}" * depth)
         assert clause_form(f) == {clause("a")}
-        assert clause_form(f, negated=True) == {clause("~a")}
+        assert clause_form(Neg(f)) == {clause("~a")}
 
 
 def _random_formula(rng, depth):

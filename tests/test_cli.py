@@ -107,6 +107,14 @@ class TestCheck:
         assert res.returncode == 2
         assert "atom" in res.stderr.lower()
 
+    @pytest.mark.parametrize("command", [["check"], ["query", "b", "--alg", "beta"]])
+    def test_negative_atom_limit_is_a_usage_error(self, command):
+        path = str(KB_DIR / "ambiguity.ppl")
+        res = run_cli(command[0], path, *command[1:], "--max-atoms", "-1")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert "argument --max-atoms: must be 0 or more, not -1" in res.stderr
+        assert run_cli(command[0], path, *command[1:], "--max-atoms", "0").returncode == 0
+
     @pytest.mark.parametrize("command", [["query"], ["tree", "--format", "dot"]])
     def test_atom_limit_at_query_time(self, tmp_path, command):
         # validation stays within 2 atoms per fact, and the checks behind

@@ -17,6 +17,7 @@ from conftest import (
     desc_rule_chain,
     lottery_facts,
     make_random_theory,
+    make_ranked_theory,
     make_wide_theory,
     probe_formulas,
     shallow_recursion_limit,
@@ -173,6 +174,16 @@ class TestPriorityDefeat:
         assert prove(desc, Alg.PSI, p, [("psi", "u1")]) == -1
         assert prove(desc, Alg.PSI, p, [("psi", "u0"), ("psi", "u1")]) == +1
         assert prove(desc, Alg.PSI_P, Neg(p), [("psi-p", "u2")]) == +1
+
+    def test_ranked_theories_agree_with_the_tree(self):
+        # seeds 33, 95 and 192 give theories, like the one above, on which a
+        # prover that proves team defeaters under the supporter's entry as
+        # well changes a verdict
+        for seed in range(200):
+            desc = make_ranked_theory(random.Random(seed))
+            for f in probe_formulas(desc):
+                for alg in ALG_ORDER:
+                    assert prove(desc, alg, f) == tree_value(desc, alg, f), (seed, alg, f)
 
 
 class TestWarningRules:

@@ -67,6 +67,11 @@ class TestStructure:
     def test_atoms_collects_all(self):
         assert atoms(Conj([Disj([A, Neg(B)]), C])) == {"a", "b", "c"}
 
+    def test_set_formulas_size_and_iterate_their_members(self):
+        f = Disj([C, A, C, Neg(B)])
+        assert len(f) == 3 and list(f) == list(f.members) == [A, C, Neg(B)]
+        assert len(VERUM) == 0 and list(VERUM) == []
+
 
 def _same_hash(f):
     """f with every hash in it forced to 0, so == must decide on structure."""
@@ -113,6 +118,11 @@ class TestCanonicalOrder:
             equal_pairs += kf == kg
         assert equal_pairs > 100
 
+    def test_order_is_defined_between_formulas_only(self):
+        assert A.__lt__("b") is NotImplemented
+        with pytest.raises(TypeError):
+            A < "b"
+
     def test_deep_sets_compare_and_sort_without_recursion(self):
         x_text, y_text = ("and{" * 20000 + atom + "}" * 20000 for atom in "ab")
         text = f"and{{{x_text},{y_text}}}"
@@ -125,6 +135,9 @@ class TestCanonicalOrder:
 
 
 class TestComplement:
+    def test_literals_print_as_formulas(self):
+        assert (repr(Lit("a", False)), repr(Lit("a", True))) == ("a", "~a")
+
     def test_atom(self):
         assert complement(Lit("a", False)) == Lit("a", True)
 

@@ -1,7 +1,7 @@
 """Axiom construction, strict-rule synthesis, validation, and rule indexing."""
 
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from itertools import combinations
 
 import pytest
@@ -274,12 +274,15 @@ class TestBuildStrictRules:
 
 
 def _assert_facts_and_support(desc, fs):
-    """is_fact and supporters against entailment over all the axioms.
+    """is_fact, consistency and supporters against entailment over all the
+    axioms.
 
     The supporters are the full scan of the rules, in their order.
     Returns the number of (rule, formula) pairs with support.
     """
     ax, supported = desc.axioms, 0
+    for r in desc.rules:
+        assert desc._is_consistent(r.consequent) == satisfiable(ax + (r.consequent,)), r
     for f in fs:
         assert desc.is_fact(f) == entails(ax, f), (ax, f)
         expected = tuple(r for r in desc.rules if satisfiable(ax + (r.consequent,))
@@ -316,6 +319,15 @@ class TestFactsFromPrimeImplicates:
             supported += _assert_facts_and_support(desc, fs)
             checks += len(fs) * len(desc.rules)
         assert supported > 5000 and checks > 30000
+
+    def test_negations_share_the_clause_form_entries(self):
+        a, b = Atom("a"), Atom("b")
+        desc = validate_description([Disj([a, b])], [])
+        g = Conj([a, Neg(b)])
+        for f in (g, Neg(g), Neg(Neg(g))):
+            desc.is_fact(f)
+            desc.supporters(f)
+        assert list(desc._clause_forms) == list(desc._negations) == [g]
 
     def test_queries_build_no_clause_form(self, monkeypatch):
         # every formula here is a clause or a conjunction of clauses, so the
@@ -419,9 +431,10 @@ class TestSupporterIndex:
         desc = desc_rule_chain(n)
         calls = _count_calls(monkeypatch, "find_model")
         assert truth_value(desc, Alg.BETA, Atom(f"a{n - 1}")) is TruthValue.TRUE
-        # per link: two fact checks, one consistency and two support checks;
-        # each scan has one candidate, so it pools nothing
-        assert calls["find_model"] == 5 * n
+        # per link: two fact checks, of a_i and ~a_i, the second also
+        # deciding a_i's consistency, and two support checks; each scan has
+        # one candidate, so it pools nothing
+        assert calls["find_model"] == 4 * n
 
     def test_shared_consequents_are_decided_once(self, monkeypatch):
         # 3-stage ambiguity ladder: rb and tb conclude b_i, ranb and w ~b_i
@@ -734,6 +747,9 @@ class TestRuleIndexing:
         with pytest.raises(FrozenInstanceError):
             warm.rules = ()
         assert warm.rules == fresh.rules
+        # the memos are derived state, not fields
+        assert [f.name for f in fields(warm)] == ["rules", "priority", "axiom_clauses",
+                                                  "axioms", "rse_id", "max_atoms"]
 
     def test_caches_are_pure_memos(self):
         # warm caches answer exactly like a fresh description

@@ -18,8 +18,10 @@ built with the description: the axioms' atoms split into connected
 components, and only rules whose consequents touch the components of a
 formula's atoms are tested for supporting it (each distinct consequent
 once), so a defeasible chain's queries cost linear, not quadratic, work.
-One scan propagates ~f once, and the countermodels its candidates leave
-reject later candidates without a search.  A conjunction is not scanned:
+A scan propagates ~f once.  The countermodels its candidates leave are
+pooled on the description per set of components, each with a mask of the
+candidates it satisfies, so every later scan over those components rejects
+candidates by bit tests, not by searches.  A conjunction is not scanned:
 its supporters are those of all its members, each member's taken among
 the rules found so far.
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from . import classical
 from .classical import Clause
@@ -219,11 +221,11 @@ class PlausibleDescription:
     of its fields: facts per formula, consistency per consequent,
     supporters per formula (all and among `rsd()` in one entry), the clause
     forms of a formula and of its negation per formula without leading
-    negations, the atoms a supporter scan decides per component, and proof
-    values per algorithm and formula, shared by every query under any
-    algorithm and history (see `engine._Prover`).  They always equal
-    recomputation, take no part in equality, and concurrent reads are
-    safe.
+    negations, the countermodel pool of the supporter scans per set of
+    components (see `_supported`), and proof values per algorithm and
+    formula, shared by every query under any algorithm and history (see
+    `engine._Prover`).  They always equal recomputation or, for the pools,
+    only spare it, take no part in equality, and concurrent reads are safe.
     """
 
     rules: tuple[Rule, ...]
@@ -236,7 +238,7 @@ class PlausibleDescription:
     def __post_init__(self):
         derive = object.__setattr__  # the derived fields of a frozen instance
         for memo in ("_facts", "_consistent", "_supporters", "_clause_forms",
-                     "_negations", "_proofs", "_scopes"):
+                     "_negations", "_proofs", "_pools"):
             derive(self, memo, {})
         derive(self, "_by_id", {r.rid: r for r in self.rules})
         # Each rule's position in `rules`: `engine._bit` numbers history entries by it.
@@ -263,6 +265,10 @@ class PlausibleDescription:
             self._consistent[axioms] = True  # the axioms are satisfiable
         derive(self, "_rules_with", rules_with)
         derive(self, "_component", component)
+        comp_atoms: dict[str, list[str]] = {}  # each component's atoms
+        for a, k in component.items():
+            comp_atoms.setdefault(k, []).append(a)
+        derive(self, "_comp_atoms", comp_atoms)
         derive(self, "_touching", touching)
 
     def rule(self, rid: str) -> Rule:
@@ -407,52 +413,67 @@ class PlausibleDescription:
                         return ()
         return found
 
-    def _supported(self, f: Formula, ks: set[str]) -> Iterator[Formula]:
+    def _supported(self, f: Formula, ks: Collection[str]) -> Iterator[Formula]:
         """The consequents touching the components `ks` that support f,
         which is no fact (see `supporters`).
 
-        One scan shares its work, as incremental SAT shares it across
-        assumptions (Eén and Sörensson 2003, MiniSat).  ~f is propagated
-        through the axioms once, and each candidate c starts from that
-        branch.  A search that finds a model of Ax ∧ c ∧ ~f leaves it to a
-        pool local to this scan, once `classical.extend` has decided the
-        atoms of f and of the candidates in it.  A pooled model still
-        satisfies ~f and falsifies no axiom, so it extends to a model of
-        them all (see `classical.find_model`).  A later candidate whose
-        every clause meets a pooled model is satisfied by it too, so that
-        model extends to a countermodel of `Ax ∪ {c} ⊨ f`, and the
-        candidate is rejected without a search.  Deciding and checking a
-        model costs about one search, so a model is pooled only while two
-        or more candidates remain to be tested; a scan of one candidate
-        also propagates nothing ahead.
+        The scans of a description share their work, as incremental SAT
+        shares it across assumptions (Eén and Sörensson 2003, MiniSat).  ~f
+        is propagated through the axioms once, and each candidate c starts
+        from that branch.  A search that finds a model of Ax ∧ c ∧ ~f
+        leaves it to a pool kept on the description for the set of
+        components `ks`: the pool fixes the candidate tuple when it is made,
+        and each entry is a model with a mask holding one bit for each
+        candidate of that tuple that the model satisfies.  Before it is
+        pooled, `classical.extend` decides in the model every atom of the
+        components and of the candidates.  The atoms of every formula whose
+        components are `ks` lie in those components, so a pooled model
+        decides each later f of this pool and each candidate: it satisfies
+        ~f exactly when it meets every clause of ~f, and its mask bits are
+        exact.  A pooled model falsifies no axiom, so it extends to a model
+        of them all (see `classical.find_model`).  One that satisfies ~f
+        and c therefore extends to a countermodel of `Ax ∪ {c} ⊨ f`, so a
+        scan ORs the masks of the pooled models that satisfy ~f and runs the
+        kernel only on the candidates left unmarked.  Deciding a model and
+        taking its mask costs about one search, so a model is pooled only
+        while two or more candidates remain after the one tested; a scan of
+        one or two candidates makes no pool, and a scan of one propagates
+        nothing ahead.  An entry is appended whole, so concurrent scans
+        never pair a model with another's mask.
         """
-        candidates = list(dict.fromkeys(c for k in ks for c in self._touching.get(k, ())))
+        key = frozenset(ks)
+        pool = self._pools.get(key)
+        rejected = 0
+        if pool is None:
+            candidates = tuple(dict.fromkeys(c for k in ks for c in self._touching.get(k, ())))
+        else:
+            candidates, _, entries = pool
+            negation = self._clauses(f, True)[0]
+            for m, mask in entries:
+                if not any(map(m.isdisjoint, negation)):
+                    rejected |= mask
         start = None
         if len(candidates) > 1:  # no conflict: f is no fact
             start = classical.assume([self._clauses(f, True)], self._implicates)
-        pool: list[set[Lit]] = []
-        avars = None
         for i, c in enumerate(candidates):
-            if pool:
-                clauses = self._clauses(c, False)[0]
-                if any(not any(map(m.isdisjoint, clauses)) for m in pool):
-                    continue
+            if rejected >> i & 1:
+                continue
             m = self._countermodel((c,), f, start)
             if m is None:
                 if self._is_consistent(c):
                     yield c
             elif i + 2 < len(candidates):
-                if avars is None:
-                    avars = atoms(f).union(*map(self._scope, ks))
-                classical.extend(m, avars, self._implicates, self._units)
-                pool.append(m)
-
-    def _scope(self, k: str) -> frozenset[str]:
-        """The atoms of the consequents touching component k, memoised."""
-        found = self._scopes.get(k)
-        if found is None:
-            found = self._scopes[k] = frozenset().union(*map(atoms, self._touching.get(k, ())))
-        return found
+                if pool is None:
+                    scope = frozenset().union(*(self._comp_atoms.get(k, (k,)) for k in ks),
+                                              *map(atoms, candidates))
+                    pool = self._pools.setdefault(key, (candidates, scope, []))
+                order, scope, entries = pool
+                classical.extend(m, scope, self._implicates, self._units)
+                mask = sum(1 << j for j, d in enumerate(order)
+                           if not any(map(m.isdisjoint, self._clauses(d, False)[0])))
+                entries.append((m, mask))
+                if order is candidates:  # else another scan made the pool first
+                    rejected |= mask
 
     def superior_supporters(self, f: Formula, s: Rule,
                             rules: Sequence[Rule] | None = None) -> tuple[Rule, ...]:

@@ -620,7 +620,9 @@ class TestConcurrentReads:
                         out += [prove(desc, alg, x, [(tag, rid)]) for x in probes + sets]
             return out
 
-        for build in (desc_ambiguity, desc_lottery3):
+        # lottery4's scans pool countermodels, so the threads also race on
+        # the pooled (model, mask) entries
+        for build in (desc_ambiguity, desc_lottery3, desc_lottery4):
             want = profile(build())
             shared = build()
             start = threading.Barrier(4)

@@ -361,9 +361,11 @@ class TestFactsFromPrimeImplicates:
         calls = _count_calls(monkeypatch, "clauses_of", "find_model")
         assert "".join(truth_value(desc, alg, p[24]).value for alg in ALG_ORDER) == "utttttt"
         # one kernel run per fact and consistency check, and per candidate
-        # consequent that no pooled countermodel rejects: 477 here (1,399
-        # when every candidate was refuted on its own)
-        assert calls["clauses_of"] == 0 and 0 < calls["find_model"] <= 500
+        # consequent that no pooled countermodel rejects: 426 here with one
+        # pool shared by every scan over the chain's component, 475 with a
+        # pool local to each scan, 1,399 when every candidate was refuted on
+        # its own
+        assert calls["clauses_of"] == 0 and 0 < calls["find_model"] <= 450
 
     def test_long_implication_chain(self):
         # 25 atoms: more than the default atom limit of entailment over Ax
@@ -486,8 +488,10 @@ class TestSupporterScan:
 
     def test_lottery_scans_run_few_kernels(self, monkeypatch):
         # 8 tickets: 37,264 refutations when each candidate consequent was
-        # refuted on its own, 3,440 kernel runs with the pool, and 1,583
-        # once a conjunction's supporters were read off its members'
+        # refuted on its own, 3,440 kernel runs with a pool local to each
+        # scan, 1,583 once a conjunction's supporters were read off its
+        # members', 1,574 with consistency decided by the fact check, and
+        # 1,511 with one pool per component set shared by every scan
         tickets = [Atom(f"s{i}") for i in range(1, 9)]
         rules = [Rule(f"r{i}", (), Arrow.DEFEASIBLE, Neg(t)) for i, t in enumerate(tickets)]
         rules += [Rule(f"q{i}", (), Arrow.DEFEASIBLE, Disj(tickets[:i] + tickets[i + 1:]))
@@ -496,7 +500,103 @@ class TestSupporterScan:
         calls = _count_calls(monkeypatch, "find_model")
         assert "".join(truth_value(desc, alg, Neg(tickets[0])).value
                        for alg in ALG_ORDER) == "utttttt"
-        assert 0 < calls["find_model"] <= 2000
+        assert 0 < calls["find_model"] <= 1550
+
+    def test_later_scans_reuse_the_pooled_models(self, monkeypatch):
+        # s1's scan pools countermodels over the lottery's one component;
+        # s2's scan, over the same component, rejects every candidate that a
+        # pooled model of ~s2 satisfies without a search, so it searches
+        # less than the same scan on a fresh description
+        tested = []
+
+        def recorded(self, premises, f, start=None,
+                     _countermodel=PlausibleDescription._countermodel):
+            if premises:
+                tested.append(premises[0])
+            return _countermodel(self, premises, f, start)
+
+        monkeypatch.setattr(PlausibleDescription, "_countermodel", recorded)
+        fresh, warm = desc_lottery3(), desc_lottery3()
+        fresh.supporters(S2)
+        cold = list(tested)
+        warm.supporters(S1)
+        (candidates, _, entries), = warm._pools.values()
+        rejected = {c for m, mask in entries if Lit("s2", True) in m  # m satisfies ~s2
+                    for j, c in enumerate(candidates) if mask >> j & 1}
+        del tested[:]
+        assert warm.supporters(S2) == fresh.supporters(S2)
+        assert rejected and not rejected & set(tested)
+        assert len(tested) < len(cold)
+
+
+def _component_theory(rng):
+    """Facts linking the atoms of two or three axiom components, and six to
+    nine defeasible rules whose consequents, like the probe formulas
+    returned with them, take literals from several components and from an
+    atom outside the axioms."""
+    names = ["pqr"[i] + str(j) for i in range(rng.randint(2, 3)) for j in range(2)]
+    if len(names) == 4:
+        names += ["q2"]
+    groups = {}
+    for a in names:
+        groups.setdefault(a[0], []).append(Atom(a))
+
+    def lit(a):
+        return Neg(a) if rng.random() < 0.5 else a
+
+    facts = [Disj([lit(a), lit(b)]) for group in groups.values()
+             for a, b in zip(group, group[1:])]
+    lits = [l for a in names + ["z"] for l in (Atom(a), Neg(Atom(a)))]
+
+    def spanning():
+        members = rng.sample(lits, rng.randint(2, 3))
+        f = Disj(members) if rng.random() < 0.5 else Conj(members)
+        return Neg(f) if rng.random() < 0.2 else f
+
+    rules = [Rule(f"u{i}", (), Arrow.DEFEASIBLE,
+                  rng.choice(lits) if rng.random() < 0.3 else spanning())
+             for i in range(rng.randint(6, 9))]
+    fs = lits + [spanning() for _ in range(12)]
+    return facts, rules, fs
+
+
+class TestSharedPool:
+    """The countermodels a scan pools serve every later scan over the same
+    components: each later answer equals entailment over all the axioms,
+    whatever the order of the queries and of the components a scan walks."""
+
+    def test_component_theories(self):
+        rng = random.Random(83)
+        pooled = 0
+        for _ in range(20):
+            facts, rules, fs = _component_theory(rng)
+            for _ in range(2):
+                desc = validate_description(facts, rules)
+                _assert_facts_and_support(desc, rng.sample(fs, len(fs)))
+                pooled += sum(len(entries) for _, _, entries in desc._pools.values())
+        assert pooled > 200
+
+    def test_component_orders(self):
+        # a scan's candidates come in the order of its components; the
+        # pool's masks index the tuple fixed when the pool was made
+        rng = random.Random(89)
+        walked = 0
+        for _ in range(40):
+            facts, rules, fs = _component_theory(rng)
+            desc = validate_description(facts, rules)
+            ax = desc.axioms
+            for f in rng.sample(fs, len(fs)):
+                if desc.is_fact(f) or type(f) is Conj:
+                    continue
+                want = {r.consequent for r in desc.rules
+                        if satisfiable(ax + (r.consequent,))
+                        and entails(ax + (r.consequent,), f)}
+                ks = list({desc._component.get(a, a) for a in atoms(f)})
+                for _ in range(3):
+                    rng.shuffle(ks)
+                    assert set(desc._supported(f, ks)) == want, (facts, rules, f, ks)
+                walked += len(ks) > 1
+        assert walked > 200
 
 
 class TestConjunctionSupporters:

@@ -224,8 +224,9 @@ class PlausibleDescription:
     negations, the countermodel pool of the supporter scans per set of
     components (see `_supported`), and proof values per algorithm and
     formula, shared by every query under any algorithm and history (see
-    `engine._Prover`).  They always equal recomputation or, for the pools,
-    only spare it, take no part in equality, and concurrent reads are safe.
+    `engine._Prover`).  They always equal recomputation (a pool's models
+    only spare searches), take no part in equality, and concurrent reads
+    are safe.
     """
 
     rules: tuple[Rule, ...]

@@ -620,8 +620,8 @@ class TestConcurrentReads:
                         out += [prove(desc, alg, x, [(tag, rid)]) for x in probes + sets]
             return out
 
-        # lottery4's scans pool countermodels, so the threads also race on
-        # the pooled (model, mask) entries
+        # the lotteries' scans share countermodel pools; lottery4's pool
+        # more models over more candidates, for the threads to race on
         for build in (desc_ambiguity, desc_lottery3, desc_lottery4):
             want = profile(build())
             shared = build()

@@ -11,6 +11,10 @@ count as foes is the only thing that distinguishes the algorithms:
   psi-p                   only opposing rules strictly superior to the one in use
   phi, pi-p               none
 
+So beta-p is beta with primed and unprimed history entries swapped, and
+without priorities psi is pi and psi-p is pi-p: `prove` answers each of
+these queries by the walk of the algorithm it equals (see `prove`).
+
 A history records every (algorithm, rule) choice made on the current
 branch; a choice may never repeat, which bounds the depth of every branch
 by twice the number of rules and makes every query terminate with +1 or -1.
@@ -83,6 +87,10 @@ _BLIND = frozenset((Alg.PHI, Alg.PI_P))
 
 # The algorithms whose history entries take the odd bits (see _bit).
 _PRIMED = frozenset((Alg.BETA_P, Alg.PSI_P, Alg.PI_P))
+
+# The algorithm whose walk answers each of these when there are no
+# priorities (see prove).
+_UNRANKED = {Alg.PSI: Alg.PI, Alg.PSI_P: Alg.PI_P}
 
 
 def co_algorithm(alg: Alg) -> Alg:
@@ -302,8 +310,32 @@ def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
     under any algorithm: a value is reused on every branch, of this or a
     later query, whose history agrees on the entries that value's
     computation tested (see _Prover).
+
+    A beta-p query, and without priorities a psi or psi-p query, runs the
+    walk of the algorithm it equals, by two lemmas:
+
+    - beta-p is beta with the history's tags swapped:
+      prove(beta-p, h, x) == prove(beta, σ(h), x), σ swapping the tags beta
+      and beta-p.  Proof, by induction on the supporter loop: `foes` gives
+      both the same non-inferior opposing rules, and the two walks differ
+      only in the tag of the entries they test and add, each testing and
+      adding its own supporters' and team defeaters' entries and its
+      co-algorithm's disable entries; each is the other's co-algorithm.
+      This holds with or without priorities.
+    - With no priorities, psi is pi and psi-p is pi-p: `foes` gives pi and
+      psi every opposing rule and psi-p and pi-p none, no rule has a
+      superior supporter, and `_bit` reads only priming, so the history's
+      bits stay as they are.
+
+    Only the query's own algorithm is redirected; the co-algorithm walks
+    inside it keep their own.
     """
     alg, history = check_history(desc, alg, history)
+    if alg is Alg.BETA_P:
+        alg = Alg.BETA
+        history = [(co_algorithm(tag), rid) for tag, rid in history]
+    elif not desc.priority and alg in _UNRANKED:
+        alg = _UNRANKED[alg]
     h = sum(_bit(desc, tag, rid) for tag, rid in history)  # distinct bits: their OR
     return _run(_Prover(desc)._prove(alg, h, _normalize(x)))
 

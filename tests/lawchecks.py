@@ -6,10 +6,17 @@ description, so every check on one theory shares it; the checkers also
 share one tree evaluator per theory, since each tree value depends only
 on the description, the algorithm, the formula, and the history's
 entries among those its walk tested.
+
+`prove` answers beta-p by beta's walk, and psi and psi-p by pi's and
+pi-p's when there are no priorities, so its values meet the laws relating
+those algorithms by construction.  `hierarchy` and
+`empty_priority_equalities` check the tree's values as well, which walk
+every algorithm on its own.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from ppl import ALG_ORDER, Alg, Arrow, Atom, Conj, Disj, Neg, prove, satisfiable
@@ -36,6 +43,15 @@ class TheoryCheck:
             alg: {f: self.proved(alg, f) for f in probes} for alg in ALG_ORDER
         }
 
+    @cached_property
+    def tree_table(self):
+        """Whether each algorithm's tree on each probe has root value +1."""
+        evaluator = _TreeEvaluator(self.desc)
+        return {
+            alg: {f: evaluator.value(_root_subject(alg, (), f)) == +1 for f in self.probes}
+            for alg in ALG_ORDER
+        }
+
     def proved(self, alg, x) -> bool:
         return prove(self.desc, alg, x) == +1
 
@@ -46,22 +62,27 @@ class TheoryCheck:
 
     # -- the laws ------------------------------------------------------------
 
+    def _tables(self):
+        return (("prover", self.table), ("tree", self.tree_table))
+
     def hierarchy(self) -> list[str]:
         out = []
-        for weaker, stronger in _CHAIN:
-            for f in self.probes:
-                if self.table[weaker][f] and not self.table[stronger][f]:
-                    out.append(f"{weaker} proves {f!r} but {stronger} does not")
+        for source, table in self._tables():
+            for weaker, stronger in _CHAIN:
+                for f in self.probes:
+                    if table[weaker][f] and not table[stronger][f]:
+                        out.append(f"{source}: {weaker} proves {f!r} but {stronger} does not")
         return out
 
     def empty_priority_equalities(self) -> list[str]:
         if self.desc.priority:
             return []
         out = []
-        for a, b in ((Alg.PI, Alg.PSI), (Alg.PSI_P, Alg.PI_P)):
-            for f in self.probes:
-                if self.table[a][f] != self.table[b][f]:
-                    out.append(f"empty priority but {a} and {b} differ on {f!r}")
+        for source, table in self._tables():
+            for a, b in ((Alg.PI, Alg.PSI), (Alg.PSI_P, Alg.PI_P)):
+                for f in self.probes:
+                    if table[a][f] != table[b][f]:
+                        out.append(f"{source}: empty priority but {a} and {b} differ on {f!r}")
         return out
 
     def consistency(self) -> list[str]:
@@ -148,12 +169,10 @@ class TheoryCheck:
         return out
 
     def notational_equivalence(self) -> list[str]:
-        evaluator = _TreeEvaluator(self.desc)
         out = []
         for alg in ALG_ORDER:
             for f in self.probes:
-                root = evaluator.value(_root_subject(alg, (), f))
-                if (root == +1) != self.table[alg][f]:
+                if self.tree_table[alg][f] != self.table[alg][f]:
                     out.append(f"tree and prover disagree on {alg}, {f!r}")
         return out
 

@@ -447,6 +447,54 @@ class TestReuseAcrossHistories:
         assert sum(map(len, desc._proofs.values())) <= 400
 
 
+class TestCanonicalWalks:
+    """`prove` answers beta-p by beta's walk under the history with its tags
+    swapped, and psi and psi-p by pi's and pi-p's walks when there are no
+    priorities.  The tree walks every algorithm on its own: it is the
+    oracle."""
+
+    def test_redirected_queries_equal_the_tree_under_random_histories(self):
+        rng = random.Random(20261021)
+        unranked = 0
+        for i in range(240):
+            seed = rng.random()
+            make = make_ranked_theory if i % 2 else make_random_theory
+            desc, fresh = make(random.Random(seed)), make(random.Random(seed))
+            unranked += not desc.priority
+            for f in probe_formulas(desc):
+                history = random_history(rng, desc, Alg.BETA_P)
+                mirrored = [(co_algorithm(tag), rid) for tag, rid in history]
+                want = tree_value(desc, Alg.BETA_P, f, history)
+                assert prove(desc, Alg.BETA_P, f, history) == want, (seed, history, f)
+                assert prove(fresh, Alg.BETA, f, mirrored) == want, (seed, history, f)
+                for alg in (Alg.PSI, Alg.PSI_P):
+                    history = random_history(rng, desc, alg)
+                    assert (prove(desc, alg, f, history)
+                            == tree_value(desc, alg, f, history)), (seed, alg, history, f)
+        assert unranked >= 40  # the psi redirect is taken on these
+
+    def test_redirected_queries_add_no_memo_keys(self):
+        desc = desc_lottery4()
+        for walked, redirected in ((Alg.PI, Alg.PSI), (Alg.BETA, Alg.BETA_P)):
+            for f in probe_formulas(desc):
+                truth_value(desc, walked, f)
+                keys = set(desc._proofs)
+                truth_value(desc, redirected, f)
+                assert set(desc._proofs) == keys, (redirected, f)
+
+    def test_psi_walks_on_its_own_under_priorities(self):
+        doc = parse_kb((KB_DIR / "penguin.ppl").read_text(encoding="utf-8"))
+        desc = validate_description(doc.facts, doc.rules, doc.priority)
+        assert desc.priority
+        probes = [Atom(name) for name in ("fly", "bird", "penguin")]
+        for f in probes:
+            truth_value(desc, Alg.PI, f)
+        keys = set(desc._proofs)
+        for f in probes:
+            truth_value(desc, Alg.PSI, f)
+        assert any(alg is Alg.PSI for alg, _ in set(desc._proofs) - keys)
+
+
 class TestTruthValues:
     def test_lottery_values(self):
         desc = desc_lottery3()

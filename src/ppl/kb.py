@@ -13,11 +13,13 @@ rules are their literal sets expanded, and fact and support checks are one
 search for a countermodel (`classical.find_model`) of a formula's clauses,
 read off its shape, in which the axioms take part through unit propagation
 alone.  A consequent is consistent with the axioms when its negation is no
-fact, so consistency is a fact check.  Supporters are read off an index
-built with the description: the axioms' atoms split into connected
-components, and only rules whose consequents touch the components of a
-formula's atoms are tested for supporting it (each distinct consequent
-once), so a defeasible chain's queries cost linear, not quadratic, work.
+fact, so the two questions are one: both read one memo entry, keyed, like
+the clause forms, by the formula without its leading negations.
+Supporters are read off an index built with the description: the axioms'
+atoms split into connected components, and only rules whose consequents
+touch the components of a formula's atoms are tested for supporting it
+(each distinct consequent once), so a defeasible chain's queries cost
+linear, not quadratic, work.
 A scan propagates ~f once.  The countermodels its candidates leave are
 pooled on the description per set of components, each with a mask of the
 candidates it satisfies, so every later scan over those components rejects
@@ -218,15 +220,15 @@ class PlausibleDescription:
     `rules` holds the derived strict rules followed by the user rules;
     `priority` is the acyclic superior/inferior id-pair relation.  The
     query memos are derived state, made with the description and no part
-    of its fields: facts per formula, consistency per consequent,
-    supporters per formula (all and among `rsd()` in one entry), the clause
-    forms of a formula and of its negation per formula without leading
-    negations, the countermodel pool of the supporter scans per set of
-    components (see `_supported`), and proof values per algorithm and
-    formula, shared by every query under any algorithm and history (see
-    `engine._Prover`).  They always equal recomputation (a pool's models
-    only spare searches), take no part in equality, and concurrent reads
-    are safe.
+    of its fields: whether the axioms entail a formula and whether they
+    entail its negation, and the clause forms of a formula and of its
+    negation, each per formula without leading negations (see `_entails`);
+    supporters per formula (all and among `rsd()` in one entry); the
+    countermodel pool of the supporter scans per set of components (see
+    `_supported`); and proof values per algorithm and formula, shared by
+    every query under any algorithm and history (see `engine._Prover`).
+    They always equal recomputation (a pool's models only spare searches),
+    take no part in equality, and concurrent reads are safe.
     """
 
     rules: tuple[Rule, ...]
@@ -238,7 +240,7 @@ class PlausibleDescription:
 
     def __post_init__(self):
         derive = object.__setattr__  # the derived fields of a frozen instance
-        for memo in ("_facts", "_consistent", "_supporters", "_clause_forms",
+        for memo in ("_facts", "_refuted", "_supporters", "_clause_forms",
                      "_negations", "_proofs", "_pools"):
             derive(self, memo, {})
         derive(self, "_by_id", {r.rid: r for r in self.rules})
@@ -262,8 +264,6 @@ class PlausibleDescription:
             if c != axioms:
                 for k in {component.get(a, a) for a in atoms(c)}:
                     touching.setdefault(k, []).append(c)
-        if axioms is not None:
-            self._consistent[axioms] = True  # the axioms are satisfiable
         derive(self, "_rules_with", rules_with)
         derive(self, "_component", component)
         comp_atoms: dict[str, list[str]] = {}  # each component's atoms
@@ -289,10 +289,11 @@ class PlausibleDescription:
     def _supporting(self, r: Rule) -> bool:
         return r.arrow is not Arrow.WARNING and r.rid != self.rse_id
 
-    def _countermodel(self, premises: tuple[Formula, ...], f: Formula,
+    def _countermodel(self, premises: tuple[Formula, ...], f: Formula | None,
                       start: classical.State | None = None) -> set[Lit] | None:
-        """A model of the axioms and `premises` that falsifies f, as the true
-        literals of an open branch, or None when they entail f.
+        """A model of the axioms and `premises` that falsifies f (any model
+        of them when f is None), as the true literals of an open branch, or
+        None when they entail f (when they have no model).
 
         Found by `classical.find_model` on the clauses of the premises and
         of ~f, with the axioms, which are the prime implicates of a
@@ -301,7 +302,8 @@ class PlausibleDescription:
         branch that `classical.assume` reached from ~f's clauses.
         """
         parts = [self._clauses(g, False) for g in premises]
-        parts.append(self._clauses(f, True))
+        if f is not None:
+            parts.append(self._clauses(f, True))
         return classical.find_model(parts, self._implicates, start)
 
     def _clauses(self, f: Formula, negated: bool) -> classical.Part:
@@ -324,17 +326,30 @@ class PlausibleDescription:
         return found
 
     def is_fact(self, f: Formula) -> bool:
-        """Whether the axioms semantically entail f."""
-        hit = self._facts.get(f)
-        if hit is None:
-            hit = self._facts[f] = self._countermodel((), f) is None
-        return hit
+        """Whether the axioms semantically entail f: the memo entry that
+        also answers whether ~f is consistent (see `_entails`)."""
+        return self._entails(f, False)
 
     def _is_consistent(self, c: Formula) -> bool:
-        """Whether c is consistent with the axioms: ~c is no fact."""
-        hit = self._consistent.get(c)
+        """Whether c is consistent with the axioms: they do not entail ~c,
+        so this reads the memo entry of `is_fact(~c)` (see `_entails`)."""
+        return not self._entails(c, True)
+
+    def _entails(self, f: Formula, negated: bool) -> bool:
+        """Whether the axioms entail f, or ~f when `negated`.
+
+        Negations are stripped first, each flipping `negated`, as in
+        `_clauses`, so g and every negation of g share g's two entries,
+        one for g and one for ~g, and no `Neg` is built to ask.  `Ax ⊨ g`
+        is decided by a search for a model of the axioms and ~g, `Ax ⊨ ~g`
+        by one for a model of the axioms and g."""
+        while type(f) is Neg:
+            f, negated = f.inner, not negated
+        memo = self._refuted if negated else self._facts
+        hit = memo.get(f)
         if hit is None:
-            hit = self._consistent[c] = not self.is_fact(Neg(c))
+            found = self._countermodel((f,), None) if negated else self._countermodel((), f)
+            hit = memo[f] = found is None
         return hit
 
     def supporters(self, f: Formula,
@@ -481,10 +496,7 @@ class PlausibleDescription:
         """Supporters of f strictly superior to s."""
         if s.rid not in self._inferiors:  # no rule is superior to s
             return ()
-        return tuple(
-            t for t in self.supporters(f, rules)
-            if (t.rid, s.rid) in self.priority
-        )
+        return tuple(t for t in self.supporters(f, rules) if (t.rid, s.rid) in self.priority)
 
     def superior(self, r: Rule, s: Rule) -> bool:
         return (r.rid, s.rid) in self.priority

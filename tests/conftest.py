@@ -17,6 +17,9 @@ from ppl import (
     Neg,
     PlausibleDescription,
     Rule,
+    atoms,
+    entails,
+    satisfiable,
     validate_description,
 )
 
@@ -222,11 +225,51 @@ def make_ranked_theory(rng: random.Random) -> PlausibleDescription:
     return validate_description([], rules, priority)
 
 
+def _medium_formula(rng: random.Random, pool, depth: int) -> Formula:
+    """A random formula over the atoms of `pool`, nested up to `depth`
+    deep: literals, negations, and and/or sets of two or three members."""
+    if depth == 0 or rng.random() < 0.4:
+        a = rng.choice(pool)
+        return Neg(a) if rng.random() < 0.5 else a
+    if rng.random() < 0.15:
+        return Neg(_medium_formula(rng, pool, depth - 1))
+    members = [_medium_formula(rng, pool, depth - 1) for _ in range(rng.randint(2, 3))]
+    return Conj(members) if rng.random() < 0.5 else Disj(members)
+
+
+def make_medium_theory(rng: random.Random) -> PlausibleDescription:
+    """Four to seven atoms; facts over disjoint blocks of one to three of
+    them, so the axioms often fall into several components; six to sixteen
+    defeasible and warning rules whose antecedents and consequents are
+    compound formulas over all the atoms; and up to ten acyclic priority
+    pairs."""
+    pool = [Atom(f"x{i}") for i in range(rng.randint(4, 7))]
+    rest = rng.sample(pool, len(pool))
+    facts: list[Formula] = []
+    while rest and rng.random() < 0.8:
+        k = rng.randint(1, 3)
+        block, rest = rest[:k], rest[k:]
+        if k > 1 and rng.random() < 0.6:
+            facts.append(Disj([Neg(a) if rng.random() < 0.5 else a for a in block]))
+        else:
+            facts += [_medium_formula(rng, block, 2) for _ in range(rng.randint(1, 2))]
+    rules = []
+    for i in range(rng.randint(6, 16)):
+        ants = tuple(_medium_formula(rng, pool, 1)
+                     for _ in range(rng.choices((0, 1, 2), (3, 5, 2))[0]))
+        arrow = Arrow.WARNING if rng.random() < 0.2 else Arrow.DEFEASIBLE
+        rules.append(Rule(f"u{i}", ants, arrow, _medium_formula(rng, pool, 2)))
+    order = [r.rid for r in rules]
+    rng.shuffle(order)
+    priority = rng.sample(list(combinations(order, 2)), rng.randint(0, 10))
+    return validate_description(facts, rules, priority)
+
+
 def probe_formulas(desc: PlausibleDescription) -> list[Formula]:
     """Literals plus all 2-literal clauses and dual-clauses over the theory's atoms."""
     atom_names = sorted(
         {a for r in desc.rules for f in (r.consequent, *r.antecedents)
-         for a in _formula_atoms(f)}
+         for a in atoms(f)}
     ) or ["a"]
     lits = [Atom(a) for a in atom_names] + [Neg(Atom(a)) for a in atom_names]
     probes: list[Formula] = list(lits)
@@ -236,7 +279,20 @@ def probe_formulas(desc: PlausibleDescription) -> list[Formula]:
     return probes
 
 
-def _formula_atoms(f: Formula):
-    from ppl import atoms
+def assert_facts_and_support(desc: PlausibleDescription, fs) -> int:
+    """is_fact, consistency and supporters against entailment over all the
+    axioms.
 
-    return atoms(f)
+    The supporters are the full scan of the rules, in their order.
+    Returns the number of (rule, formula) pairs with support.
+    """
+    ax, supported = desc.axioms, 0
+    for r in desc.rules:
+        assert desc._is_consistent(r.consequent) == satisfiable(ax + (r.consequent,)), r
+    for f in fs:
+        assert desc.is_fact(f) == entails(ax, f), (ax, f)
+        expected = tuple(r for r in desc.rules if satisfiable(ax + (r.consequent,))
+                         and entails(ax + (r.consequent,), f))
+        assert desc.supporters(f) == expected, (desc.rules, f)
+        supported += len(expected)
+    return supported

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     KB_DIR,
+    assert_facts_and_support,
     desc_ambiguity,
     desc_lottery3,
     desc_plausible_default,
@@ -273,25 +274,6 @@ class TestBuildStrictRules:
                 assert entails(list(ax) + list(r.antecedents), r.consequent)
 
 
-def _assert_facts_and_support(desc, fs):
-    """is_fact, consistency and supporters against entailment over all the
-    axioms.
-
-    The supporters are the full scan of the rules, in their order.
-    Returns the number of (rule, formula) pairs with support.
-    """
-    ax, supported = desc.axioms, 0
-    for r in desc.rules:
-        assert desc._is_consistent(r.consequent) == satisfiable(ax + (r.consequent,)), r
-    for f in fs:
-        assert desc.is_fact(f) == entails(ax, f), (ax, f)
-        expected = tuple(r for r in desc.rules if satisfiable(ax + (r.consequent,))
-                         and entails(ax + (r.consequent,), f))
-        assert desc.supporters(f) == expected, (desc.rules, f)
-        supported += len(expected)
-    return supported
-
-
 class TestFactsFromPrimeImplicates:
     """Facts and support are entailment over the axioms inside the query's atoms."""
 
@@ -309,14 +291,14 @@ class TestFactsFromPrimeImplicates:
             fs = [g for f in desc.axioms for g in (f, Neg(f))]
             fs += [r.consequent for r in rules]
             fs += [_random_formula(rng, 2) for _ in range(8)]
-            _assert_facts_and_support(desc, fs)
+            assert_facts_and_support(desc, fs)
             probes += len(fs)
         assert conflicting > 200 and probes > 10000
         supported = checks = 0
         for _ in range(300):
             desc = make_random_theory(rng)
             fs = [g for f in probe_formulas(desc) for g in (f, Neg(f))]
-            supported += _assert_facts_and_support(desc, fs)
+            supported += assert_facts_and_support(desc, fs)
             checks += len(fs) * len(desc.rules)
         assert supported > 5000 and checks > 30000
 
@@ -328,6 +310,23 @@ class TestFactsFromPrimeImplicates:
             desc.is_fact(f)
             desc.supporters(f)
         assert list(desc._clause_forms) == list(desc._negations) == [g]
+
+    def test_fact_and_consistency_share_one_entry(self, monkeypatch):
+        # s1 is a fact exactly when ~s1 is inconsistent, and ~~s1 is s1: the
+        # three questions read one memo entry, keyed by s1, no Neg
+        doc = parse_kb((KB_DIR / "lottery3.ppl").read_text(encoding="utf-8"))
+        desc = validate_description(doc.facts, doc.rules, doc.priority)
+        calls = _count_calls(monkeypatch, "find_model")
+        assert not desc.is_fact(S1)
+        assert desc._is_consistent(Neg(S1))
+        assert not desc.is_fact(Neg(Neg(S1)))
+        assert calls["find_model"] == 1
+        assert not hasattr(desc, "_consistent")
+        for f in (Neg(S1), Disj([S1, S2]), Neg(Neg(Conj([S1, Neg(S2)])))):
+            desc.is_fact(f)
+            desc._is_consistent(f)
+        assert not any(type(f) is Neg for memo in (desc._facts, desc._refuted)
+                       for f in memo)
 
     def test_queries_build_no_clause_form(self, monkeypatch):
         # every formula here is a clause or a conjunction of clauses, so the
@@ -407,8 +406,8 @@ class TestSupporterIndex:
             assert ids(x, f) == [r.rid for r in x.rules if r.rid not in ("bad", "none")]
         assert ids(desc, FALSUM) == ids(with_b, FALSUM) == []
         fs = [b, d, Neg(b), a, Disj([b, d]), Conj([a, d]), FALSUM, VERUM]
-        _assert_facts_and_support(desc, fs)
-        _assert_facts_and_support(with_b, fs)
+        assert_facts_and_support(desc, fs)
+        assert_facts_and_support(with_b, fs)
 
     def test_components_are_connected_components(self):
         rng = random.Random(19)
@@ -484,14 +483,15 @@ class TestSupporterScan:
                                                Disj([a, Neg(b)])),
                                           Rule("u3", (), Arrow.DEFEASIBLE, a)])
         assert [r.rid for r in desc.supporters(a)] == ["u2", "u3"]
-        _assert_facts_and_support(desc, [a, Neg(a), b, Neg(b), Disj([a, b])])
+        assert_facts_and_support(desc, [a, Neg(a), b, Neg(b), Disj([a, b])])
 
     def test_lottery_scans_run_few_kernels(self, monkeypatch):
         # 8 tickets: 37,264 refutations when each candidate consequent was
         # refuted on its own, 3,440 kernel runs with a pool local to each
         # scan, 1,583 once a conjunction's supporters were read off its
-        # members', 1,574 with consistency decided by the fact check, and
-        # 1,511 with one pool per component set shared by every scan
+        # members', 1,574 with consistency decided by the fact check,
+        # 1,511 with one pool per component set shared by every scan, and
+        # 1,503 with a fact and its negation's consistency one memo entry
         tickets = [Atom(f"s{i}") for i in range(1, 9)]
         rules = [Rule(f"r{i}", (), Arrow.DEFEASIBLE, Neg(t)) for i, t in enumerate(tickets)]
         rules += [Rule(f"q{i}", (), Arrow.DEFEASIBLE, Disj(tickets[:i] + tickets[i + 1:]))
@@ -501,6 +501,23 @@ class TestSupporterScan:
         assert "".join(truth_value(desc, alg, Neg(tickets[0])).value
                        for alg in ALG_ORDER) == "utttttt"
         assert 0 < calls["find_model"] <= 1550
+
+    def test_wide_disjunction_extends_pooled_models(self, monkeypatch):
+        # fact or{a0..a9}, each a_i usually false and implied by a_(i+1):
+        # every scan walks the one component's candidates, and a pooled
+        # model decided over all its atoms rejects them by bit tests.  124
+        # kernel runs before facts and consistency shared one memo, 114
+        # since, and 265 when the pool keeps the models unextended
+        a = [Atom(f"a{i}") for i in range(10)]
+        rules = [Rule(f"d{i}", (), Arrow.DEFEASIBLE, Neg(a[i])) for i in range(10)]
+        rules += [Rule(f"e{i}", (a[(i + 1) % 10],), Arrow.DEFEASIBLE, a[i])
+                  for i in range(10)]
+        desc = validate_description([Disj(a)], rules)
+        calls = _count_calls(monkeypatch, "find_model")
+        for f in a:
+            assert "".join(truth_value(desc, alg, f).value
+                           for alg in ALG_ORDER) == "uffffff"
+        assert 0 < calls["find_model"] <= 150
 
     def test_later_scans_reuse_the_pooled_models(self, monkeypatch):
         # s1's scan pools countermodels over the lottery's one component;
@@ -572,7 +589,7 @@ class TestSharedPool:
             facts, rules, fs = _component_theory(rng)
             for _ in range(2):
                 desc = validate_description(facts, rules)
-                _assert_facts_and_support(desc, rng.sample(fs, len(fs)))
+                assert_facts_and_support(desc, rng.sample(fs, len(fs)))
                 pooled += sum(len(entries) for _, _, entries in desc._pools.values())
         assert pooled > 200
 
@@ -630,7 +647,7 @@ class TestConjunctionSupporters:
             assert desc.supporters(f, desc.rsd()) == tuple(r for r in full
                                                            if r in desc.rsd()), f
         split = sum(type(f) is Conj and not desc.is_fact(f) for f in fs)
-        return split, _assert_facts_and_support(desc, fs)
+        return split, assert_facts_and_support(desc, fs)
 
     def test_random_theories(self):
         rng = random.Random(71)

@@ -22,7 +22,9 @@ The prover's loop over a formula's supporters is this definition written
 out: a fresh supporter, its antecedents proved, then each foe
 team-defeated or else disabled.  The prover memoises each value on the
 description with the entries its computation read, so the memo grows with
-the formulas, not the histories, and every query reuses it (see `_Prover`).
+the formulas, not the histories, and every query reuses it: a query whose
+value the memo holds under its history returns without a walk (see
+`_Prover`).
 Every walk below is a generator run by one driver (`_run`) on an explicit
 stack, so that depth is limited by memory, not by Python's recursion limit.
 
@@ -154,10 +156,11 @@ def check_history(desc: PlausibleDescription, alg, history) -> tuple[Alg, Histor
 
 
 def foes(desc: PlausibleDescription, alg: Alg, f: Formula, r: Rule) -> tuple[Rule, ...]:
-    """The rules `alg` must defeat before concluding f via r."""
+    """The rules `alg` must defeat before concluding f via r: supporters of
+    ~f, looked up under f itself (see `PlausibleDescription._support`)."""
     if alg in _BLIND or r.rid == desc.rse_id:
         return ()
-    against = desc.supporters(Neg(f))
+    against = desc._support(f, True)
     if alg is Alg.PSI_P:
         return tuple(s for s in against if desc.superior(s, r))
     return tuple(s for s in against if not desc.superior(r, s))
@@ -196,6 +199,15 @@ def _run(walk):
     return value
 
 
+def _recall(memo: dict, alg: Alg, h: int, f: Formula):
+    """The first entry (D, h & D, value) of `memo[alg, f]` whose D-part
+    matches h, or None: the one lookup of a memoised proof value."""
+    for entry in memo.get((alg, f), ()):
+        if h & entry[0] == entry[1]:
+            return entry
+    return None
+
+
 class _Prover:
     """One proof walk over a description's shared memo of proof values.
 
@@ -219,12 +231,12 @@ class _Prover:
     cannot prove s's antecedents under h plus that entry.  Team defeaters
     and the disable step extend h, not h plus r's entry.
 
-    Before it starts a walk for a supporter r, the supporter loop looks r's
-    first antecedent up under the extended history, as that walk's first
-    step would.  On a hit of -1 the walk would end there, having read only
-    the hit's D, so the loop reads that D and moves to the next rule: the
-    memo and every value stay as they were, and on the lotteries most
-    supporters are refuted this way, without a generator.
+    A walk starts only for a value the memo lacks: `prove` looks its query
+    up before it makes a prover, and `_prove` and the loop over a
+    supporter's antecedents look each formula up (`_known`), reading a
+    hit's D, before they start its walk.  So a query whose value the memo
+    holds under its history returns without a walk, and on the lotteries
+    most supporters are refuted by a hit, without a generator.
 
     The memo is the description's `_proofs`, shared by every walk on it:
     a proof value is a function of the description alone, so an entry is
@@ -247,28 +259,25 @@ class _Prover:
         self.reads |= e
         return 0 if h & e else e
 
-    def _prove(self, alg: Alg, h: int, x):
-        for f in (x,) if isinstance(x, Formula) else x:
-            if (yield self._prove_formula(alg, h, f)) == -1:
+    def _prove(self, alg: Alg, h: int, formulas):
+        for f in formulas:
+            value = self._known(alg, h, f)
+            if value is None:
+                value = yield self._prove_formula(alg, h, f)
+            if value == -1:
                 return -1
         return +1
 
-    def _recall(self, alg: Alg, h: int, f: Formula):
-        """The memo's list for (alg, f), and the value it holds for h or None;
-        a hit's D is read."""
-        known = self.memo.get((alg, f))
-        if known is None:
-            known = self.memo.setdefault((alg, f), [])
-        for d, hd, value in known:
-            if h & d == hd:
-                self.reads |= d
-                return known, value
-        return known, None
+    def _known(self, alg: Alg, h: int, f: Formula) -> int | None:
+        """The memo's value of f under h, its D read, or None (see `_recall`)."""
+        hit = _recall(self.memo, alg, h, f)
+        if hit is None:
+            return None
+        self.reads |= hit[0]
+        return hit[2]
 
     def _prove_formula(self, alg: Alg, h: int, f: Formula):
-        known, value = self._recall(alg, h, f)
-        if value is not None:
-            return value
+        """Walk computing f's value under h, which the memo lacks."""
         outer, self.reads = self.reads, 0
         if self.desc.is_fact(f):
             value = +1
@@ -281,24 +290,28 @@ class _Prover:
                 e = self._fresh(h, alg, r.rid)
                 if not e:
                     continue
-                if r.antecedents and self._recall(alg, h | e, r.antecedents[0])[1] == -1:
-                    continue  # the walk's first step would end at this hit
-                if (yield self._prove(alg, h | e, r.antecedents)) == -1:
-                    continue
-                for s in foes(self.desc, alg, f, r):
-                    for t in self.desc.superior_supporters(f, s, self.rsd):
-                        te = self._fresh(h, alg, t.rid)
-                        if te and (yield self._prove(alg, h | te, t.antecedents)) == +1:
-                            break  # s is team-defeated
-                    else:
-                        ce = self._fresh(h, co, s.rid)
-                        if not ce or (yield self._prove(co, h | ce, s.antecedents)) == +1:
-                            break  # s is neither team-defeated nor disabled
+                g = h | e
+                for a in r.antecedents:
+                    known = self._known(alg, g, a)
+                    if known is None:
+                        known = yield self._prove_formula(alg, g, a)
+                    if known == -1:
+                        break
                 else:
-                    value = +1
-                    break
+                    for s in foes(self.desc, alg, f, r):
+                        for t in self.desc.superior_supporters(f, s, self.rsd):
+                            te = self._fresh(h, alg, t.rid)
+                            if te and (yield self._prove(alg, h | te, t.antecedents)) == +1:
+                                break  # s is team-defeated
+                        else:
+                            ce = self._fresh(h, co, s.rid)
+                            if not ce or (yield self._prove(co, h | ce, s.antecedents)) == +1:
+                                break  # s is neither team-defeated nor disabled
+                    else:
+                        value = +1
+                        break
         d = self.reads
-        known.append((d, h & d, value))
+        self.memo.setdefault((alg, f), []).append((d, h & d, value))
         self.reads = outer | d
         return value
 
@@ -309,7 +322,10 @@ def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
     Values are memoised on the description and shared by every call on it,
     under any algorithm: a value is reused on every branch, of this or a
     later query, whose history agrees on the entries that value's
-    computation tested (see _Prover).
+    computation tested (see _Prover).  A formula query whose value the
+    memo holds under its history returns that value without a walk.  The
+    history is still checked, unless it is an empty tuple or list and alg
+    an `Alg`, which leave nothing to check.
 
     A beta-p query, and without priorities a psi or psi-p query, runs the
     walk of the algorithm it equals, by two lemmas:
@@ -330,14 +346,21 @@ def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
     Only the query's own algorithm is redirected; the co-algorithm walks
     inside it keep their own.
     """
-    alg, history = check_history(desc, alg, history)
+    if not (type(alg) is Alg and type(history) in (tuple, list) and not history):
+        alg, history = check_history(desc, alg, history)
     if alg is Alg.BETA_P:
         alg = Alg.BETA
         history = [(co_algorithm(tag), rid) for tag, rid in history]
     elif not desc.priority and alg in _UNRANKED:
         alg = _UNRANKED[alg]
-    h = sum(_bit(desc, tag, rid) for tag, rid in history)  # distinct bits: their OR
-    return _run(_Prover(desc)._prove(alg, h, _normalize(x)))
+    # distinct bits: their sum is their OR
+    h = sum(_bit(desc, tag, rid) for tag, rid in history) if history else 0
+    if not isinstance(x, Formula):
+        return _run(_Prover(desc)._prove(alg, h, _normalize(x)))
+    hit = _recall(desc._proofs, alg, h, x)
+    if hit is not None:
+        return hit[2]
+    return _run(_Prover(desc)._prove_formula(alg, h, x))
 
 
 def provable(desc: PlausibleDescription, alg: Alg, x) -> bool:
@@ -346,8 +369,17 @@ def provable(desc: PlausibleDescription, alg: Alg, x) -> bool:
 
 
 def truth_value(desc: PlausibleDescription, alg: Alg, f: Formula) -> TruthValue:
-    pos = provable(desc, alg, f)
-    neg = provable(desc, alg, Neg(f))
+    """The plausible truth value of one formula f under alg.
+
+    A query that is no formula raises TypeError before any proof: a truth
+    value compares proofs of f and ~f, and a formula set has no negation.
+    """
+    if not isinstance(f, Formula):
+        _normalize(f)  # text, or anything that is no formula set, is named as such
+        raise TypeError(f"query {f!r} is a set of formulas, not a formula: "
+                        "a truth value needs one formula")
+    pos = prove(desc, alg, f) == +1
+    neg = prove(desc, alg, Neg(f)) == +1
     if pos and neg:
         return TruthValue.AMBIGUOUS
     if pos:

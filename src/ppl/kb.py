@@ -223,7 +223,8 @@ class PlausibleDescription:
     of its fields: whether the axioms entail a formula and whether they
     entail its negation, and the clause forms of a formula and of its
     negation, each per formula without leading negations (see `_entails`);
-    supporters per formula (all and among `rsd()` in one entry); the
+    the supporters of a formula and of its negation, each per formula
+    without leading negations (all and among `rsd()` in one entry); the
     countermodel pool of the supporter scans per set of components (see
     `_supported`); and proof values per algorithm and formula, shared by
     every query under any algorithm and history (see `engine._Prover`).
@@ -240,7 +241,7 @@ class PlausibleDescription:
 
     def __post_init__(self):
         derive = object.__setattr__  # the derived fields of a frozen instance
-        for memo in ("_facts", "_refuted", "_supporters", "_clause_forms",
+        for memo in ("_facts", "_refuted", "_supporters", "_opposers", "_clause_forms",
                      "_negations", "_proofs", "_pools"):
             derive(self, memo, {})
         derive(self, "_by_id", {r.rid: r for r in self.rules})
@@ -382,19 +383,32 @@ class PlausibleDescription:
         so each member scanned is no conjunction, and the strict rules'
         antecedents share their literals' scans.
         """
-        entry = self._supporters.get(f)
+        return self._support(f, False, rules)
+
+    def _support(self, f: Formula, negated: bool,
+                 rules: Sequence[Rule] | None = None) -> tuple[Rule, ...]:
+        """`supporters(~f, rules)` when `negated`, else `supporters(f, rules)`.
+
+        Negations are stripped first, each flipping `negated`, as in
+        `_entails`, so g and every negation of g share g's two entries, the
+        supporters of g and those of ~g, and no `Neg` is built to look one
+        up; a scan for ~g builds ~g once, when its entry is made."""
+        while type(f) is Neg:
+            f, negated = f.inner, not negated
+        memo = self._opposers if negated else self._supporters
+        entry = memo.get(f)
         if entry is None:
-            if self.is_fact(f):
+            if self._entails(f, negated):
                 found = self._rules_of(filter(self._is_consistent, self._rules_with))
-            elif type(f) is Conj:
+            elif not negated and type(f) is Conj:
                 found = self._supporting_all(f)
             else:
                 ks = {self._component.get(a, a) for a in atoms(f)}
-                found = self._rules_of(self._supported(f, ks))
+                found = self._rules_of(self._supported(Neg(f) if negated else f, ks))
             # the walks ask for the view among rsd(); it is the same tuple
             # when it drops nothing, as it mostly does
             view = tuple(filter(self._supporting, found))
-            entry = self._supporters[f] = found, found if len(view) == len(found) else view
+            entry = memo[f] = found, found if len(view) == len(found) else view
         found, view = entry
         if rules is self._rsd:
             return view

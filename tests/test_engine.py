@@ -46,6 +46,7 @@ from ppl import (
     truth_value,
     validate_description,
 )
+from ppl import engine
 from ppl.engine import _root_subject, _TreeEvaluator, check_history
 
 A, B = Atom("a"), Atom("b")
@@ -293,6 +294,14 @@ class TestQueryArguments:
         assert "not a formula" in str(exc.value)
         assert desc._proofs == {}
 
+    @pytest.mark.parametrize("x", [[A], (), [A, Neg(B)]], ids=["one", "empty", "two"])
+    def test_truth_value_of_a_formula_set_raises_type_error(self, x):
+        # a truth value compares the proofs of f and ~f; a set has no negation
+        desc = desc_plausible_default()
+        with pytest.raises(TypeError, match="is a set of formulas, not a formula"):
+            truth_value(desc, Alg.PI, x)
+        assert desc._proofs == {}
+
 
 def random_history(rng, desc, alg):
     """Up to three distinct entries of alg and its co-algorithm."""
@@ -493,6 +502,54 @@ class TestCanonicalWalks:
         for f in probes:
             truth_value(desc, Alg.PSI, f)
         assert any(alg is Alg.PSI for alg, _ in set(desc._proofs) - keys)
+
+
+class TestMemoHits:
+    """A query whose value the memo holds under its history is answered by
+    the lookup, without a walk; the lookup still honours D, and the history
+    is still checked."""
+
+    def test_known_values_start_no_walk(self, monkeypatch):
+        desc = desc_lottery4()
+        probes = probe_formulas(desc)
+        profiles = {alg: [truth_value(desc, alg, f) for f in probes]
+                    for alg in (Alg.PI, Alg.BETA)}
+        walks = []
+        run = engine._run
+        monkeypatch.setattr(engine, "_run", lambda walk: walks.append(walk) or run(walk))
+        # without priorities psi is answered by pi's walk, beta-p by beta's
+        assert [truth_value(desc, Alg.PSI, f) for f in probes] == profiles[Alg.PI]
+        assert [truth_value(desc, Alg.BETA_P, f) for f in probes] == profiles[Alg.BETA]
+        assert [truth_value(desc, "beta", f) for f in probes] == profiles[Alg.BETA]
+        assert walks == []
+        truth_value(desc, Alg.PI_P, probes[0])
+        assert walks  # the counter sees the walks that do start
+
+    def test_a_hit_honours_its_entries(self):
+        doc = parse_kb((KB_DIR / "plausible_default.ppl").read_text(encoding="utf-8"))
+        desc = validate_description(doc.facts, doc.rules, doc.priority)
+        assert prove(desc, Alg.PI, A) == +1
+        # the memo holds a's value under the empty history; a history with
+        # the entry its proof read is another question
+        assert prove(desc, Alg.PI, A, [("pi", "ra")]) == -1
+        assert prove(desc, Alg.PSI, A, [("psi", "ra")]) == -1
+        assert prove(desc, Alg.PSI, A) == +1
+
+    def test_known_values_still_check_the_history(self):
+        desc = desc_plausible_default()
+        assert prove(desc, Alg.PI, A) == +1
+        assert prove(desc, Alg.PI, A, [("pi", "ra")]) == -1
+        memo = {key: list(entries) for key, entries in desc._proofs.items()}
+        with pytest.raises(TypeError):
+            prove(desc, Alg.PI, A, None)
+        with pytest.raises(InvalidHistoryError, match="repeated entry"):
+            prove(desc, Alg.PI, A, [("pi", "ra"), ("pi", "ra")])
+        for alg, tag in ((Alg.PI, "beta"), (Alg.PSI, "pi"), (Alg.BETA_P, "pi")):
+            with pytest.raises(InvalidHistoryError, match="does not belong"):
+                prove(desc, alg, A, [(tag, "ra")])
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            prove(desc, "PI", A)
+        assert desc._proofs == memo
 
 
 class TestTruthValues:

@@ -831,6 +831,16 @@ class TestRuleIndexing:
         assert desc.supporters(Neg(S1)) == desc.supporters(Neg(Neg(Neg(S1))))
         assert desc.supporters(S1) == desc.supporters(Conj([S1, S1]))
 
+    def test_supporter_memos_hold_no_negation(self):
+        # a formula's supporters and its foes' (those of its negation) are
+        # kept under the formula without leading negations, so `foes` builds
+        # no Neg to ask; 200 of the 400 keys were Neg objects before
+        desc = desc_rule_chain(200)
+        assert truth_value(desc, Alg.BETA, Atom("a199")) is TruthValue.TRUE
+        assert len(desc._supporters) == len(desc._opposers) == 200
+        assert not any(type(f) is Neg for memo in (desc._supporters, desc._opposers)
+                       for f in memo)
+
     def test_entailment_makes_supporters_monotone(self):
         desc = desc_lottery3()
         # axioms + or{s2,s3} entail ~s1, so supporters carry over

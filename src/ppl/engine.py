@@ -95,9 +95,19 @@ _PRIMED = frozenset((Alg.BETA_P, Alg.PSI_P, Alg.PI_P))
 _UNRANKED = {Alg.PSI: Alg.PI, Alg.PSI_P: Alg.PI_P}
 
 
-def co_algorithm(alg: Alg) -> Alg:
-    """The co-algorithm: phi is self-dual, priming is an involution."""
-    return _CO[alg]
+def _as_alg(alg) -> Alg:
+    """The `Alg` named by `alg`, a member or its tag ("pi", "beta-p", ...);
+    an unknown one raises ValueError."""
+    try:
+        return Alg(alg)
+    except ValueError:
+        raise ValueError(f"unknown algorithm {alg!r}") from None
+
+
+def co_algorithm(alg: Alg | str) -> Alg:
+    """The co-algorithm of an `Alg` or its tag: phi is self-dual, priming is
+    an involution."""
+    return _CO[alg if type(alg) is Alg else _as_alg(alg)]
 
 
 class TruthValue(Enum):
@@ -124,10 +134,7 @@ def check_history(desc: PlausibleDescription, alg, history) -> tuple[Alg, Histor
     `alg` is an `Alg` or its tag ("pi", "beta-p", ...); an unknown one
     raises ValueError.
     """
-    try:
-        alg = Alg(alg)
-    except ValueError:
-        raise ValueError(f"unknown algorithm {alg!r}") from None
+    alg = _as_alg(alg)
     entries = []
     seen = set()
     allowed = {alg, co_algorithm(alg)}
@@ -155,9 +162,13 @@ def check_history(desc: PlausibleDescription, alg, history) -> tuple[Alg, Histor
     return alg, tuple(entries)
 
 
-def foes(desc: PlausibleDescription, alg: Alg, f: Formula, r: Rule) -> tuple[Rule, ...]:
-    """The rules `alg` must defeat before concluding f via r: supporters of
-    ~f, looked up under f itself (see `PlausibleDescription._support`)."""
+def foes(desc: PlausibleDescription, alg: Alg | str, f: Formula,
+         r: Rule) -> tuple[Rule, ...]:
+    """The rules `alg`, an `Alg` or its tag, must defeat before concluding f
+    via r: supporters of ~f, looked up under f itself (see
+    `PlausibleDescription._support`)."""
+    if type(alg) is not Alg:
+        alg = _as_alg(alg)
     if alg in _BLIND or r.rid == desc.rse_id:
         return ()
     against = desc._support(f, True)

@@ -20,12 +20,13 @@ atoms split into connected components, and only rules whose consequents
 touch the components of a formula's atoms are tested for supporting it
 (each distinct consequent once), so a defeasible chain's queries cost
 linear, not quadratic, work.
-A scan propagates ~f once.  The countermodels its candidates leave are
-pooled on the description per set of components, each with a mask of the
-candidates it satisfies, so every later scan over those components rejects
-candidates by bit tests, not by searches.  A conjunction is not scanned:
-its supporters are those of all its members, each member's taken among
-the rules found so far.
+A scan reads ~f's clauses once, propagates them once, and hands them to
+every search.  The countermodels its candidates leave are pooled on the
+description per set of components, each with a mask of the candidates it
+satisfies, so every later scan over those components rejects candidates
+by bit tests, not by searches.  A conjunction is not scanned: its
+supporters are those of all its members, each member's taken among the
+rules found so far.
 
 The distinguished strict rule with the empty antecedent (whose consequent
 conjoins all axioms) may not appear as the inferior side of any priority
@@ -290,23 +291,6 @@ class PlausibleDescription:
     def _supporting(self, r: Rule) -> bool:
         return r.arrow is not Arrow.WARNING and r.rid != self.rse_id
 
-    def _countermodel(self, premises: tuple[Formula, ...], f: Formula | None,
-                      start: classical.State | None = None) -> set[Lit] | None:
-        """A model of the axioms and `premises` that falsifies f (any model
-        of them when f is None), as the true literals of an open branch, or
-        None when they entail f (when they have no model).
-
-        Found by `classical.find_model` on the clauses of the premises and
-        of ~f, with the axioms, which are the prime implicates of a
-        satisfiable set, taking part through unit propagation alone, so a
-        check reaches only the axioms its literals touch.  `start` is a
-        branch that `classical.assume` reached from ~f's clauses.
-        """
-        parts = [self._clauses(g, False) for g in premises]
-        if f is not None:
-            parts.append(self._clauses(f, True))
-        return classical.find_model(parts, self._implicates, start)
-
     def _clauses(self, f: Formula, negated: bool) -> classical.Part:
         """The clause form of f, or of ~f, with its `clause_index`.
 
@@ -342,15 +326,15 @@ class PlausibleDescription:
         Negations are stripped first, each flipping `negated`, as in
         `_clauses`, so g and every negation of g share g's two entries,
         one for g and one for ~g, and no `Neg` is built to ask.  `Ax ⊨ g`
-        is decided by a search for a model of the axioms and ~g, `Ax ⊨ ~g`
-        by one for a model of the axioms and g."""
+        holds when `classical.find_model` finds no model of the axioms and
+        ~g, `Ax ⊨ ~g` when it finds none of the axioms and g."""
         while type(f) is Neg:
             f, negated = f.inner, not negated
         memo = self._refuted if negated else self._facts
         hit = memo.get(f)
         if hit is None:
-            found = self._countermodel((f,), None) if negated else self._countermodel((), f)
-            hit = memo[f] = found is None
+            part = self._clauses(f, not negated)
+            hit = memo[f] = classical.find_model([part], self._implicates) is None
         return hit
 
     def supporters(self, f: Formula,
@@ -392,7 +376,7 @@ class PlausibleDescription:
         Negations are stripped first, each flipping `negated`, as in
         `_entails`, so g and every negation of g share g's two entries, the
         supporters of g and those of ~g, and no `Neg` is built to look one
-        up; a scan for ~g builds ~g once, when its entry is made."""
+        up or to scan for one."""
         while type(f) is Neg:
             f, negated = f.inner, not negated
         memo = self._opposers if negated else self._supporters
@@ -404,7 +388,7 @@ class PlausibleDescription:
                 found = self._supporting_all(f)
             else:
                 ks = {self._component.get(a, a) for a in atoms(f)}
-                found = self._rules_of(self._supported(Neg(f) if negated else f, ks))
+                found = self._rules_of(self._supported(f, negated, ks))
             # the walks ask for the view among rsd(); it is the same tuple
             # when it drops nothing, as it mostly does
             view = tuple(filter(self._supporting, found))
@@ -443,34 +427,38 @@ class PlausibleDescription:
                         return ()
         return found
 
-    def _supported(self, f: Formula, ks: Collection[str]) -> Iterator[Formula]:
-        """The consequents touching the components `ks` that support f,
-        which is no fact (see `supporters`).
+    def _supported(self, f: Formula, negated: bool,
+                   ks: Collection[str]) -> Iterator[Formula]:
+        """The consequents touching the components `ks` that support f, or
+        its negation when `negated` (called f below), which is no fact (see
+        `supporters`).
 
         The scans of a description share their work, as incremental SAT
-        shares it across assumptions (Eén and Sörensson 2003, MiniSat).  ~f
-        is propagated through the axioms once, and each candidate c starts
-        from that branch.  A search that finds a model of Ax ∧ c ∧ ~f
-        leaves it to a pool kept on the description for the set of
-        components `ks`: the pool fixes the candidate tuple when it is made,
-        and each entry is a model with a mask holding one bit for each
-        candidate of that tuple that the model satisfies.  Before it is
-        pooled, `classical.extend` decides in the model every atom of the
-        components and of the candidates.  The atoms of every formula whose
-        components are `ks` lie in those components, so a pooled model
-        decides each later f of this pool and each candidate: it satisfies
-        ~f exactly when it meets every clause of ~f, and its mask bits are
-        exact.  A pooled model falsifies no axiom, so it extends to a model
-        of them all (see `classical.find_model`).  One that satisfies ~f
-        and c therefore extends to a countermodel of `Ax ∪ {c} ⊨ f`, so a
-        scan ORs the masks of the pooled models that satisfy ~f and runs the
-        kernel only on the candidates left unmarked.  Deciding a model and
-        taking its mask costs about one search, so a model is pooled only
-        while two or more candidates remain after the one tested; a scan of
-        one or two candidates makes no pool, and a scan of one propagates
-        nothing ahead.  An entry is appended whole, so concurrent scans
-        never pair a model with another's mask.
+        shares it across assumptions (Eén and Sörensson 2003, MiniSat).
+        ~f's clauses are read once, as one part for the pool's test, for
+        `classical.assume`, which propagates it through the axioms once, and
+        for each candidate c's search, which starts from that branch.  A
+        search that finds a model of Ax ∧ c ∧ ~f leaves it to a pool kept on
+        the description for the set of components `ks`: the pool fixes the
+        candidate tuple when it is made, and each entry is a model with a
+        mask holding one bit for each candidate of that tuple that the model
+        satisfies.  Before it is pooled, `classical.extend` decides in the
+        model every atom of the components and of the candidates.  The atoms
+        of every formula whose components are `ks` lie in those components,
+        so a pooled model decides each later f of this pool and each
+        candidate: it satisfies ~f exactly when it meets every clause of ~f,
+        and its mask bits are exact.  A pooled model falsifies no axiom, so
+        it extends to a model of them all (see `classical.find_model`).  One
+        that satisfies ~f and c therefore extends to a countermodel of
+        `Ax ∪ {c} ⊨ f`, so a scan ORs the masks of the pooled models that
+        satisfy ~f and runs the kernel only on the candidates left unmarked.
+        Deciding a model and taking its mask costs about one search, so a
+        model is pooled only while two or more candidates remain after the
+        one tested; a scan of one or two candidates makes no pool, and a
+        scan of one propagates nothing ahead.  An entry is appended whole,
+        so concurrent scans never pair a model with another's mask.
         """
+        negation = self._clauses(f, not negated)
         key = frozenset(ks)
         pool = self._pools.get(key)
         rejected = 0
@@ -478,17 +466,17 @@ class PlausibleDescription:
             candidates = tuple(dict.fromkeys(c for k in ks for c in self._touching.get(k, ())))
         else:
             candidates, _, entries = pool
-            negation = self._clauses(f, True)[0]
             for m, mask in entries:
-                if not any(map(m.isdisjoint, negation)):
+                if not any(map(m.isdisjoint, negation[0])):
                     rejected |= mask
         start = None
         if len(candidates) > 1:  # no conflict: f is no fact
-            start = classical.assume([self._clauses(f, True)], self._implicates)
+            start = classical.assume([negation], self._implicates)
         for i, c in enumerate(candidates):
             if rejected >> i & 1:
                 continue
-            m = self._countermodel((c,), f, start)
+            m = classical.find_model([self._clauses(c, False), negation],
+                                     self._implicates, start)
             if m is None:
                 if self._is_consistent(c):
                     yield c

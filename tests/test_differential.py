@@ -4,12 +4,16 @@ histories, on which each fast path meets its definition.
 
 Facts, consistency and supporters are compared with `entails` and
 `satisfiable` over all the axioms, `prove` with `tree_value`, and the
-root of every `evaluation_tree` of at most 3,000 nodes with `prove`.
+root of every `evaluation_tree` of at most 3,000 nodes with `prove`, its
+node count with the reference builder's.
 """
 
 import random
 
+import pytest
+
 from conftest import assert_facts_and_support, make_medium_theory
+from test_tree_build import distinct, reference_tree
 from ppl import (
     ALG_ORDER,
     Atom,
@@ -92,16 +96,23 @@ def test_prove_equals_tree_value():
 
 
 def test_tree_root_equals_prove():
+    # the builder's count against a direct one: the reference tree, built
+    # subject by subject, has n distinct nodes, so the budget must admit a
+    # DAG of exactly n and refuse n - 1
     built = 0
     for seed in SEEDS:
         desc, fs, rng = _theory(seed)
         for alg in ALG_ORDER:
             for f in rng.sample(fs, min(3, len(fs))):
                 history = _history(rng, desc, alg)
-                try:
-                    root = evaluation_tree(desc, alg, f, history, max_nodes=3000)
-                except TreeBudgetError:
+                ref = reference_tree(desc, alg, f, history, limit=3000)
+                if ref is None:
                     continue
+                n = ref[1]
+                root = evaluation_tree(desc, alg, f, history, max_nodes=n)
+                assert distinct(root) == n, (seed, alg, f, history)
+                with pytest.raises(TreeBudgetError):
+                    evaluation_tree(desc, alg, f, history, max_nodes=n - 1)
                 assert root.value == prove(desc, alg, f, history), (seed, alg, f, history)
                 built += 1
     assert built > 4000

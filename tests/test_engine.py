@@ -66,6 +66,12 @@ class TestCoAlgorithm:
         for alg in ALG_ORDER:
             assert co_algorithm(co_algorithm(alg)) is alg
 
+    def test_tags(self):
+        for alg in ALG_ORDER:
+            assert co_algorithm(alg.value) is co_algorithm(alg)
+        with pytest.raises(ValueError, match="unknown algorithm 'xyz'"):
+            co_algorithm("xyz")
+
 
 class TestUnopposedDefault:
     def test_all_main_algorithms_conclude_the_default(self):
@@ -101,6 +107,20 @@ class TestAmbiguity:
         assert foes(desc, Alg.PI_P, B, desc.rule("rb")) == ()
         # empty priority leaves the superiority-only algorithm with no foes
         assert foes(desc, Alg.PSI_P, B, desc.rule("rb")) == ()
+
+    def test_foes_by_tag(self):
+        # pi-p and phi regard no foes, but a tag is no member: it must name
+        # its algorithm, not fall through to the algorithms that do
+        doc = parse_kb((KB_DIR / "penguin.ppl").read_text(encoding="utf-8"))
+        desc = validate_description(doc.facts, doc.rules, doc.priority)
+        fly = Atom("fly")
+        for alg in ALG_ORDER:
+            for f in (fly, Neg(fly)):
+                for r in desc.rules:
+                    assert foes(desc, alg.value, f, r) == foes(desc, alg, f, r), (alg, f, r)
+        assert foes(desc, Alg.BETA, fly, desc.rule("rb")) != ()
+        with pytest.raises(ValueError, match="unknown algorithm 'xyz'"):
+            foes(desc, "xyz", fly, desc.rule("rb"))
 
     def test_primed_algorithms_prove_both_ways(self):
         desc = desc_ambiguity()

@@ -454,19 +454,18 @@ class TestSupporterIndex:
         desc = validate_description([], rules)
         asked = []
 
-        def recorded(self, premises, f, start=None,
-                     _countermodel=PlausibleDescription._countermodel):
-            asked.append((premises, f))
-            return _countermodel(self, premises, f, start)
+        def recorded(parts, *rest, _find_model=classical.find_model):
+            asked.append(tuple(frozenset(clauses) for clauses, _ in parts))
+            return _find_model(parts, *rest)
 
-        monkeypatch.setattr(PlausibleDescription, "_countermodel", recorded)
-        calls = _count_calls(monkeypatch, "find_model")
+        monkeypatch.setattr(classical, "find_model", recorded)
         for i in range(1, 4):
             for f in (a[i], b[i]):
                 for alg in ALG_ORDER:
                     truth_value(desc, alg, f)
-        # each question asked once, and each decided by one kernel run
-        assert asked and len(asked) == len(set(asked)) == calls["find_model"]
+        # each question decided by one kernel run: no search repeats the
+        # clauses of another
+        assert asked and len(asked) == len(set(asked))
 
 
 class TestSupporterScan:
@@ -506,7 +505,7 @@ class TestSupporterScan:
         # fact or{a0..a9}, each a_i usually false and implied by a_(i+1):
         # every scan walks the one component's candidates, and a pooled
         # model decided over all its atoms rejects them by bit tests.  124
-        # kernel runs before facts and consistency shared one memo, 114
+        # kernel runs before facts and consistency shared one memo, 104
         # since, and 265 when the pool keeps the models unextended
         a = [Atom(f"a{i}") for i in range(10)]
         rules = [Rule(f"d{i}", (), Arrow.DEFEASIBLE, Neg(a[i])) for i in range(10)]
@@ -519,6 +518,23 @@ class TestSupporterScan:
                            for alg in ALG_ORDER) == "uffffff"
         assert 0 < calls["find_model"] <= 150
 
+    def test_a_scan_reads_the_negation_once(self, monkeypatch):
+        # one part holds ~s1's clauses for the pool's test, the propagation
+        # ahead and every candidate's search
+        doc = parse_kb((KB_DIR / "lottery4.ppl").read_text(encoding="utf-8"))
+        desc = validate_description(doc.facts, doc.rules, doc.priority)
+        assert not desc.is_fact(S1)
+        read = []
+
+        def recorded(self, f, negated, _clauses=PlausibleDescription._clauses):
+            read.append((f, negated))
+            return _clauses(self, f, negated)
+
+        monkeypatch.setattr(PlausibleDescription, "_clauses", recorded)
+        calls = _count_calls(monkeypatch, "find_model")
+        desc.supporters(S1)
+        assert calls["find_model"] > 1 and read.count((S1, True)) == 1
+
     def test_later_scans_reuse_the_pooled_models(self, monkeypatch):
         # s1's scan pools countermodels over the lottery's one component;
         # s2's scan, over the same component, rejects every candidate that a
@@ -526,19 +542,19 @@ class TestSupporterScan:
         # less than the same scan on a fresh description
         tested = []
 
-        def recorded(self, premises, f, start=None,
-                     _countermodel=PlausibleDescription._countermodel):
-            if premises:
-                tested.append(premises[0])
-            return _countermodel(self, premises, f, start)
+        def recorded(parts, *rest, _find_model=classical.find_model):
+            if len(parts) == 2:  # a candidate's clauses, then ~f's
+                tested.append(frozenset(parts[0][0]))
+            return _find_model(parts, *rest)
 
-        monkeypatch.setattr(PlausibleDescription, "_countermodel", recorded)
+        monkeypatch.setattr(classical, "find_model", recorded)
         fresh, warm = desc_lottery3(), desc_lottery3()
         fresh.supporters(S2)
         cold = list(tested)
         warm.supporters(S1)
         (candidates, _, entries), = warm._pools.values()
-        rejected = {c for m, mask in entries if Lit("s2", True) in m  # m satisfies ~s2
+        rejected = {frozenset(warm._clauses(c, False)[0])
+                    for m, mask in entries if Lit("s2", True) in m  # m satisfies ~s2
                     for j, c in enumerate(candidates) if mask >> j & 1}
         del tested[:]
         assert warm.supporters(S2) == fresh.supporters(S2)
@@ -611,7 +627,7 @@ class TestSharedPool:
                 ks = list({desc._component.get(a, a) for a in atoms(f)})
                 for _ in range(3):
                     rng.shuffle(ks)
-                    assert set(desc._supported(f, ks)) == want, (facts, rules, f, ks)
+                    assert set(desc._supported(f, False, ks)) == want, (facts, rules, f, ks)
                 walked += len(ks) > 1
         assert walked > 200
 

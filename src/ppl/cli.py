@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from itertools import chain
@@ -46,7 +47,15 @@ _CHUNK = 1 << 16
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        if sys.stdout is sys.__stdout__:
+            sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader took what it wanted: nothing to report
+        if sys.stdout is sys.__stdout__:
+            # the interpreter flushes stdout at exit, which would raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except _CliError as e:
         print(str(e), file=sys.stderr)
         return 2

@@ -220,17 +220,22 @@ class PlausibleDescription:
 
     `rules` holds the derived strict rules followed by the user rules;
     `priority` is the acyclic superior/inferior id-pair relation.  The
-    query memos are derived state, made with the description and no part
-    of its fields: whether the axioms entail a formula and whether they
-    entail its negation, and the clause forms of a formula and of its
-    negation, each per formula without leading negations (see `_entails`);
-    the supporters of a formula and of its negation, each per formula
-    without leading negations (all and among `rsd()` in one entry); the
-    countermodel pool of the supporter scans per set of components (see
-    `_supported`); and proof values per algorithm and formula, shared by
-    every query under any algorithm and history (see `engine._Prover`).
-    They always equal recomputation (a pool's models only spare searches),
-    take no part in equality, and concurrent reads are safe.
+    description derives, outside its fields, one index per key: each rule
+    id's position in `rules` (read by `rule` and `engine._bit`), each
+    distinct consequent's rule positions, each axiom atom's component, and
+    each component's touching consequents (all but the axiom rule's, see
+    `supporters`); `rsd()`, the inferior ids, and the axioms' `clause_index`
+    and unit literals; and the query memos: whether the axioms entail a
+    formula and whether they entail its negation, and the clause forms of a
+    formula and of its negation, each per formula without leading negations
+    (see `_entails`); the supporters of a formula and of its negation, each
+    per formula without leading negations (all and among `rsd()` in one
+    entry); the countermodel pool of the supporter scans per set of
+    components (see `_supported`); and proof values per algorithm and
+    formula, shared by every query under any algorithm and history (see
+    `engine._Prover`).  The memos always equal recomputation (a pool's
+    models only spare searches); none of these takes part in equality, and
+    concurrent reads are safe.
     """
 
     rules: tuple[Rule, ...]
@@ -245,17 +250,12 @@ class PlausibleDescription:
         for memo in ("_facts", "_refuted", "_supporters", "_opposers", "_clause_forms",
                      "_negations", "_proofs", "_pools"):
             derive(self, memo, {})
-        derive(self, "_by_id", {r.rid: r for r in self.rules})
-        # Each rule's position in `rules`: `engine._bit` numbers history entries by it.
         derive(self, "_position", {r.rid: i for i, r in enumerate(self.rules)})
         derive(self, "_rsd", tuple(filter(self._supporting, self.rules)))
         derive(self, "_inferiors", frozenset(inf for _, inf in self.priority))
         derive(self, "_implicates", classical.clause_index(self.axiom_clauses))
         derive(self, "_units", frozenset(l for c in self.axiom_clauses if len(c) == 1
                                          for l in c))
-        # The supporter index: each distinct consequent with the positions
-        # of its rules, each axiom atom's component, and the consequents
-        # touching each component (all but the axiom rule's, see supporters).
         rules_with: dict[Formula, list[int]] = {}
         for i, r in enumerate(self.rules):
             rules_with.setdefault(r.consequent, []).append(i)
@@ -268,21 +268,17 @@ class PlausibleDescription:
                     touching.setdefault(k, []).append(c)
         derive(self, "_rules_with", rules_with)
         derive(self, "_component", component)
-        comp_atoms: dict[str, list[str]] = {}  # each component's atoms
-        for a, k in component.items():
-            comp_atoms.setdefault(k, []).append(a)
-        derive(self, "_comp_atoms", comp_atoms)
         derive(self, "_touching", touching)
 
     def rule(self, rid: str) -> Rule:
         try:
-            return self._by_id[rid]
+            return self.rules[self._position[rid]]
         except KeyError:
             raise UnknownRuleIdError(rid) from None
 
     @property
     def rse(self) -> Rule | None:
-        return self._by_id[self.rse_id] if self.rse_id else None
+        return self.rule(self.rse_id) if self.rse_id else None
 
     def rsd(self) -> tuple[Rule, ...]:
         """The supporting rules: strict and defeasible, minus the axiom rule."""
@@ -482,8 +478,8 @@ class PlausibleDescription:
                     yield c
             elif i + 2 < len(candidates):
                 if pool is None:
-                    scope = frozenset().union(*(self._comp_atoms.get(k, (k,)) for k in ks),
-                                              *map(atoms, candidates))
+                    scope = frozenset(a for a, k in self._component.items() if k in key)
+                    scope = scope.union(key, *map(atoms, candidates))
                     pool = self._pools.setdefault(key, (candidates, scope, []))
                 order, scope, entries = pool
                 classical.extend(m, scope, self._implicates, self._units)

@@ -237,13 +237,14 @@ def _medium_formula(rng: random.Random, pool, depth: int) -> Formula:
     return Conj(members) if rng.random() < 0.5 else Disj(members)
 
 
-def make_medium_theory(rng: random.Random) -> PlausibleDescription:
-    """Four to seven atoms; facts over disjoint blocks of one to three of
-    them, so the axioms often fall into several components; six to sixteen
-    defeasible and warning rules whose antecedents and consequents are
-    compound formulas over all the atoms; and up to ten acyclic priority
-    pairs."""
-    pool = [Atom(f"x{i}") for i in range(rng.randint(4, 7))]
+def make_medium_theory(rng: random.Random, n_atoms=(4, 7), n_rules=(6, 16),
+                       max_pairs=10) -> PlausibleDescription:
+    """Four to seven atoms (the `n_atoms` range); facts over disjoint blocks
+    of one to three of them, so the axioms often fall into several
+    components; six to sixteen (the `n_rules` range) defeasible and warning
+    rules whose antecedents and consequents are compound formulas over all
+    the atoms; and up to ten (`max_pairs`) acyclic priority pairs."""
+    pool = [Atom(f"x{i}") for i in range(rng.randint(*n_atoms))]
     rest = rng.sample(pool, len(pool))
     facts: list[Formula] = []
     while rest and rng.random() < 0.8:
@@ -254,14 +255,14 @@ def make_medium_theory(rng: random.Random) -> PlausibleDescription:
         else:
             facts += [_medium_formula(rng, block, 2) for _ in range(rng.randint(1, 2))]
     rules = []
-    for i in range(rng.randint(6, 16)):
+    for i in range(rng.randint(*n_rules)):
         ants = tuple(_medium_formula(rng, pool, 1)
                      for _ in range(rng.choices((0, 1, 2), (3, 5, 2))[0]))
         arrow = Arrow.WARNING if rng.random() < 0.2 else Arrow.DEFEASIBLE
         rules.append(Rule(f"u{i}", ants, arrow, _medium_formula(rng, pool, 2)))
     order = [r.rid for r in rules]
     rng.shuffle(order)
-    priority = rng.sample(list(combinations(order, 2)), rng.randint(0, 10))
+    priority = rng.sample(list(combinations(order, 2)), rng.randint(0, max_pairs))
     return validate_description(facts, rules, priority)
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI contract: exit codes, JSON schema, output stability."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -252,6 +253,40 @@ class TestFailureContract:
                          "--alg", "beta", "--format", "dot"])
         assert code == 2
         assert "ppl: error[RuntimeError]: broken engine" in capsys.readouterr().err
+
+    def test_closed_pipe_exits_two_quietly(self):
+        # the reader takes a few bytes of a 0.9 MB tree and closes the pipe
+        with subprocess.Popen(
+                [sys.executable, "-m", "ppl.cli", "tree", str(KB_DIR / "lottery3.ppl"),
+                 "--alg", "pi", "--format", "json", "~s1"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+            assert child.stdout.read(10) == b'{\n  "child'
+            child.stdout.close()
+            err = child.stderr.read()
+        assert (child.returncode, err) == (2, b"")
+
+    def test_pipe_closed_before_buffered_output(self):
+        # block-buffered, the few lines of `check` would first meet the
+        # closed pipe in the interpreter's exit-time flush
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with subprocess.Popen(
+                [sys.executable, "-m", "ppl.cli", "check", str(KB_DIR / "ambiguity.ppl")],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            child.stdout.close()
+            err = child.stderr.read()
+        assert (child.returncode, err) == (2, b"")
+
+    def test_closed_stdout_in_process(self, monkeypatch, capsys):
+        class Closed:
+            def write(self, s):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert cli.main(["check", str(KB_DIR / "lottery3.ppl")]) == 2
+        assert capsys.readouterr().err == ""
 
     def test_calls_share_one_parser(self, capsys):
         # built once per process; a usage error leaves it fit for the next call

@@ -1,11 +1,15 @@
 """A differential corpus at medium size: seeded theories of four to seven
 atoms, several fact components, compound rules, priorities and start
-histories, on which each fast path meets its definition.
+histories, on which each fast path meets its definition, and a slice of
+larger ones, of four to eight atoms, 10 to 40 rules and up to 20 priority
+pairs.
 
 Facts, consistency and supporters are compared with `entails` and
 `satisfiable` over all the axioms, `prove` with `tree_value`, and the
 root of every `evaluation_tree` of at most 3,000 nodes with `prove`, its
-node count with the reference builder's.
+node count with the reference builder's.  In the larger slice, where
+beta's walks can run for seconds, `prove` meets `tree_value` on literal
+probes whose tree has at most 3,000 nodes.
 """
 
 import random
@@ -27,19 +31,23 @@ from ppl import (
     satisfiable,
     tree_value,
 )
+from ppl.formulas import is_literal
 
 SEEDS = range(240)
+LARGE_SEEDS = range(40)
 
 
-def _theory(seed):
+def _theory(seed, large=False):
     """The seed's theory, its probe formulas, and the generator, which goes
-    on to draw the queries' start histories.
+    on to draw the queries' start histories.  `large` draws from the slice
+    of 4-8 atoms, 10-40 rules and up to 20 priority pairs.
 
     The probes are each literal of the rules' atoms, the user rules'
     consequents and antecedents with their negations, and four
     conjunctions of two of those."""
     rng = random.Random(seed)
-    desc = make_medium_theory(rng)
+    desc = (make_medium_theory(rng, (4, 8), (10, 40), 20) if large
+            else make_medium_theory(rng))
     users = [r for r in desc.rules if not r.rid.startswith("#")]
     names = sorted({a for r in users for f in (r.consequent, *r.antecedents)
                     for a in atoms(f)})
@@ -60,12 +68,13 @@ def _history(rng, desc, alg):
     return entries
 
 
-def test_facts_consistency_and_supporters():
+def _facts_consistency_and_supporters(seeds, large=False):
+    """(theories with several axiom components, supported pairs)."""
     # consistency is asked before or after the fact check of the formula
     # and of its negation, so either question may find the shared entry
     components = supported = 0
-    for seed in SEEDS:
-        desc, fs, rng = _theory(seed)
+    for seed in seeds:
+        desc, fs, rng = _theory(seed, large)
         fs = rng.sample(fs, min(12, len(fs)))
         consistent = {f: satisfiable(desc.axioms + (f,)) for f in fs}
         for f in rng.sample(fs, len(fs) // 2):
@@ -74,6 +83,11 @@ def test_facts_consistency_and_supporters():
         for f in fs:
             assert desc._is_consistent(f) == consistent[f], (seed, f)
         components += len(set(desc._component.values())) > 1
+    return components, supported
+
+
+def test_facts_consistency_and_supporters():
+    components, supported = _facts_consistency_and_supporters(SEEDS)
     assert components > 100 and supported > 5000
 
 
@@ -95,13 +109,14 @@ def test_prove_equals_tree_value():
     assert proved > 15000 and histories > 40000
 
 
-def test_tree_root_equals_prove():
+def _tree_root_equals_prove(seeds, large=False):
+    """The number of trees built."""
     # the builder's count against a direct one: the reference tree, built
     # subject by subject, has n distinct nodes, so the budget must admit a
     # DAG of exactly n and refuse n - 1
     built = 0
-    for seed in SEEDS:
-        desc, fs, rng = _theory(seed)
+    for seed in seeds:
+        desc, fs, rng = _theory(seed, large)
         for alg in ALG_ORDER:
             for f in rng.sample(fs, min(3, len(fs))):
                 history = _history(rng, desc, alg)
@@ -115,4 +130,41 @@ def test_tree_root_equals_prove():
                     evaluation_tree(desc, alg, f, history, max_nodes=n - 1)
                 assert root.value == prove(desc, alg, f, history), (seed, alg, f, history)
                 built += 1
-    assert built > 4000
+    return built
+
+
+def test_tree_root_equals_prove():
+    assert _tree_root_equals_prove(SEEDS) > 4000
+
+
+def test_large_facts_consistency_and_supporters():
+    components, supported = _facts_consistency_and_supporters(LARGE_SEEDS, large=True)
+    assert components > 15 and supported > 1500
+
+
+def test_large_prove_equals_tree_value():
+    # eight literal probes under each algorithm, on one memo; beta's walks
+    # on some of these theories run for seconds (seed 15's ~x3), so only
+    # probes whose evaluation tree fits 3,000 nodes are compared
+    proved = histories = refused = 0
+    for seed in LARGE_SEEDS:
+        desc, fs, rng = _theory(seed, large=True)
+        literals = [f for f in fs if is_literal(f)]
+        for alg in ALG_ORDER:
+            for f in rng.sample(literals, min(8, len(literals))):
+                history = _history(rng, desc, alg)
+                try:
+                    root = evaluation_tree(desc, alg, f, history, max_nodes=3000)
+                except TreeBudgetError:
+                    refused += 1
+                    continue
+                value = prove(desc, alg, f, history)
+                assert value == tree_value(desc, alg, f, history) == root.value, (
+                    seed, alg, f, history)
+                proved += value == +1
+                histories += bool(history)
+    assert proved > 500 and histories > 1000 and refused < 500
+
+
+def test_large_tree_root_equals_prove():
+    assert _tree_root_equals_prove(LARGE_SEEDS, large=True) > 600

@@ -712,6 +712,11 @@ class TestValidation:
         assert len(desc.axioms) == 4
         assert desc.rse_id is not None
         assert desc.rule(desc.rse_id).antecedents == ()
+        assert desc.rse is desc.rule("#rse")
+        assert [desc.rule(r.rid) for r in desc.rules] == list(desc.rules)
+        with pytest.raises(UnknownRuleIdError) as exc:
+            desc.rule("nope")
+        assert exc.value.rid == "nope"
 
     def test_axioms_empty_iff_no_strict_rules(self):
         d1 = desc_plausible_default()

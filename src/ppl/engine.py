@@ -14,6 +14,11 @@ count as foes is the only thing that distinguishes the algorithms:
 So beta-p is beta with primed and unprimed history entries swapped, and
 without priorities psi is pi and psi-p is pi-p: `prove` answers each of
 these queries by the walk of the algorithm it equals (see `prove`).
+From the empty history, provability grows along the paper's hierarchy
+phi ⊆ pi ⊆ psi ⊆ beta = beta-p ⊆ psi-p ⊆ pi-p, so a formula query there
+that the memo lacks first looks up one algorithm, the next weaker one whose
+walk `prove` runs: a +1 it holds is the answer, without a walk, and
+nothing is stored.
 
 A history records every (algorithm, rule) choice made on the current
 branch; a choice may never repeat, which bounds the depth of every branch
@@ -93,6 +98,14 @@ _PRIMED = frozenset((Alg.BETA_P, Alg.PSI_P, Alg.PI_P))
 # The algorithm whose walk answers each of these when there are no
 # priorities (see prove).
 _UNRANKED = {Alg.PSI: Alg.PI, Alg.PSI_P: Alg.PI_P}
+
+# The next weaker algorithm whose walk `prove` runs, for each one whose walk
+# it runs, without priorities and with them (see prove).
+_WEAKER = (
+    {Alg.PI: Alg.PHI, Alg.BETA: Alg.PI, Alg.PI_P: Alg.BETA},
+    {Alg.PI: Alg.PHI, Alg.PSI: Alg.PI, Alg.BETA: Alg.PSI, Alg.PSI_P: Alg.BETA,
+     Alg.PI_P: Alg.PSI_P},
+)
 
 
 def _as_alg(alg) -> Alg:
@@ -243,11 +256,12 @@ class _Prover:
     and the disable step extend h, not h plus r's entry.
 
     A walk starts only for a value the memo lacks: `prove` looks its query
-    up before it makes a prover, and `_prove` and the loop over a
-    supporter's antecedents look each formula up (`_known`), reading a
-    hit's D, before they start its walk.  So a query whose value the memo
-    holds under its history returns without a walk, and on the lotteries
-    most supporters are refuted by a hit, without a generator.
+    up (and, at the empty history, the next weaker walk's +1) before it
+    makes a prover, and `_prove` and the loop over a supporter's
+    antecedents look each formula up (`_known`), reading a hit's D, before
+    they start its walk.  So a query whose value the memo holds under its
+    history returns without a walk, and on the lotteries most supporters
+    are refuted by a hit, without a generator.
 
     The memo is the description's `_proofs`, shared by every walk on it:
     a proof value is a function of the description alone, so an entry is
@@ -356,6 +370,16 @@ def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
 
     Only the query's own algorithm is redirected; the co-algorithm walks
     inside it keep their own.
+
+    A formula query at the empty history that the memo lacks under its own
+    algorithm then looks up one other: the next weaker algorithm whose walk
+    `prove` runs (`_WEAKER`; without priorities psi has folded into pi and
+    psi-p into pi-p).  If that algorithm's memo holds +1 at the empty
+    history, the query is +1 by the hierarchy theorem, and it returns
+    without a walk.  Nothing is stored: the theorem gives the +1 at the
+    empty history only, and no walk has read the entries (D) a memo entry
+    would need.  Under a history with any entry, or when that lookup finds
+    no +1, the query walks as before.
     """
     if not (type(alg) is Alg and type(history) in (tuple, list) and not history):
         alg, history = check_history(desc, alg, history)
@@ -371,6 +395,12 @@ def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
     hit = _recall(desc._proofs, alg, h, x)
     if hit is not None:
         return hit[2]
+    if not h:
+        weaker = _WEAKER[bool(desc.priority)].get(alg)
+        if weaker is not None:
+            hit = _recall(desc._proofs, weaker, 0, x)
+            if hit is not None and hit[2] == +1:
+                return +1
     return _run(_Prover(desc)._prove_formula(alg, h, x))
 
 

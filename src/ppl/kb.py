@@ -12,7 +12,12 @@ The axioms are the prime implicates of the filtered clause set: strict
 rules are their literal sets expanded, and fact and support checks are one
 search for a countermodel (`classical.find_model`) of a formula's clauses,
 read off its shape, in which the axioms take part through unit propagation
-alone.  A consequent is consistent with the axioms when its negation is no
+alone.  A literal question needs no search: the axioms entail a clause
+that is no tautology exactly when one of them lies inside it, so a literal
+l is a fact iff {l} is an axiom, and a consistent literal c supports a
+literal l that is no fact iff c == l or {~c, l} is an axiom (see
+`_entails` and `_supported`).
+A consequent is consistent with the axioms when its negation is no
 fact, so the two questions are one: both read one memo entry, keyed, like
 the clause forms, by the formula without its leading negations.
 Supporters are read off an index built with the description: the axioms'
@@ -214,6 +219,14 @@ def _components(atom_sets: Iterable[frozenset[str]]) -> dict[str, str]:
     return {a: find(a) for a in parent}
 
 
+def _literal(f: Formula) -> Lit | None:
+    """The literal f is once its leading negations are stripped, or None."""
+    negated = False
+    while type(f) is Neg:
+        f, negated = f.inner, not negated
+    return Lit(f.name, negated) if type(f) is Atom else None
+
+
 @dataclass(frozen=True)
 class PlausibleDescription:
     """An immutable, validated knowledge base ready for querying.
@@ -323,14 +336,23 @@ class PlausibleDescription:
         `_clauses`, so g and every negation of g share g's two entries,
         one for g and one for ~g, and no `Neg` is built to ask.  `Ax ⊨ g`
         holds when `classical.find_model` finds no model of the axioms and
-        ~g, `Ax ⊨ ~g` when it finds none of the axioms and g."""
+        ~g, `Ax ⊨ ~g` when it finds none of the axioms and g.
+
+        A literal l needs no search: `Ax ⊨ l` iff {l} is an axiom.  Proof:
+        the axioms are the prime implicates of a satisfiable set, so Ax
+        entails a clause that is no tautology exactly when some axiom lies
+        inside it, and the only nonempty clause inside {l} is {l}."""
         while type(f) is Neg:
             f, negated = f.inner, not negated
         memo = self._refuted if negated else self._facts
         hit = memo.get(f)
         if hit is None:
-            part = self._clauses(f, not negated)
-            hit = memo[f] = classical.find_model([part], self._implicates) is None
+            if type(f) is Atom:
+                hit = Lit(f.name, negated) in self._units
+            else:
+                part = self._clauses(f, not negated)
+                hit = classical.find_model([part], self._implicates) is None
+            memo[f] = hit
         return hit
 
     def supporters(self, f: Formula,
@@ -453,8 +475,18 @@ class PlausibleDescription:
         one tested; a scan of one or two candidates makes no pool, and a
         scan of one propagates nothing ahead.  An entry is appended whole,
         so concurrent scans never pair a model with another's mask.
+
+        When f is a literal l, a literal candidate c needs no search: it
+        supports l iff c is consistent and either c == l or {~c, l} is an
+        axiom.  Lemma: for c != l, `Ax ∪ {c} ⊨ l` iff `Ax ⊨ ~c ∨ l` iff
+        some axiom lies inside the clause {~c, l}, which is no tautology
+        (see `_entails`).  That axiom is not {~c}, since c is consistent,
+        nor {l}, since l is no fact, so it is {~c, l} itself; for c == l
+        the entailment is trivial.  The pool's bits are still tested first,
+        and every other candidate is searched as above.
         """
         negation = self._clauses(f, not negated)
+        goal = Lit(f.name, negated) if type(f) is Atom else None
         key = frozenset(ks)
         pool = self._pools.get(key)
         rejected = 0
@@ -471,6 +503,13 @@ class PlausibleDescription:
         for i, c in enumerate(candidates):
             if rejected >> i & 1:
                 continue
+            if goal is not None:
+                lit = _literal(c)
+                if lit is not None:
+                    if ((lit == goal or frozenset((lit.complement(), goal)) in self.axiom_clauses)
+                            and self._is_consistent(c)):
+                        yield c
+                    continue
             m = classical.find_model([self._clauses(c, False), negation],
                                      self._implicates, start)
             if m is None:

@@ -2,7 +2,7 @@
 
 Each checker returns a list of violation strings (empty means the law
 holds).  Proofs go through the public `prove`, whose memo lives on the
-description, so every check on one theory shares it; the checkers also
+description, so the checks on one theory share it; the checkers also
 share one tree evaluator per theory, since each tree value depends only
 on the description, the algorithm, the formula, and the history's
 entries among those its walk tested.
@@ -11,11 +11,16 @@ entries among those its walk tested.
 pi-p's when there are no priorities, so its values meet the laws relating
 those algorithms by construction.  `hierarchy` and
 `empty_priority_equalities` check the tree's values as well, which walk
-every algorithm on its own.
+every algorithm on its own.  From the empty history `prove` also answers
++1 for a formula that the next weaker walk has proved, without a walk of
+its own, so the prover's table is built with each algorithm on a fresh
+copy of the description, whose memo holds no other walk's values: there
+the hierarchy is checked on the prover's own walks.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 from itertools import combinations
 
@@ -39,9 +44,7 @@ class TheoryCheck:
     def __init__(self, desc, probes):
         self.desc = desc
         self.probes = probes
-        self.table = {
-            alg: {f: self.proved(alg, f) for f in probes} for alg in ALG_ORDER
-        }
+        self.table = {alg: self._walked(alg) for alg in ALG_ORDER}
 
     @cached_property
     def tree_table(self):
@@ -51,6 +54,12 @@ class TheoryCheck:
             alg: {f: evaluator.value(_root_subject(alg, (), f)) == +1 for f in self.probes}
             for alg in ALG_ORDER
         }
+
+    def _walked(self, alg) -> dict:
+        """Whether alg proves each probe, on a fresh copy of the description
+        (see the module docstring)."""
+        desc = replace(self.desc)
+        return {f: prove(desc, alg, f) == +1 for f in self.probes}
 
     def proved(self, alg, x) -> bool:
         return prove(self.desc, alg, x) == +1

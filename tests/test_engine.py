@@ -572,6 +572,68 @@ class TestMemoHits:
         assert desc._proofs == memo
 
 
+class TestHierarchyShortcut:
+    """From the empty history, provability grows along phi, pi, psi, beta =
+    beta-p, psi-p, pi-p: a formula query whose next weaker walk has proved
+    the formula is +1 by that walk's memo entry, without a walk, and it
+    stores nothing.  A history with any entry is walked."""
+
+    # each walk `prove` runs after the next weaker one, the redirected
+    # queries beside the walks they run
+    UNRANKED = ((Alg.PHI, Alg.PI), (Alg.PI, Alg.BETA), (Alg.PI, Alg.BETA_P),
+                (Alg.BETA, Alg.PI_P), (Alg.BETA, Alg.PSI_P))
+    RANKED = ((Alg.PHI, Alg.PI), (Alg.PI, Alg.PSI), (Alg.PSI, Alg.BETA),
+              (Alg.PSI, Alg.BETA_P), (Alg.BETA, Alg.PSI_P), (Alg.PSI_P, Alg.PI_P))
+
+    @staticmethod
+    def walks(monkeypatch):
+        started = []
+        run = engine._run
+        monkeypatch.setattr(engine, "_run", lambda walk: started.append(walk) or run(walk))
+        return started
+
+    def test_a_pi_proof_answers_beta_without_a_walk(self, monkeypatch):
+        desc = desc_lottery3()
+        f = Neg(S1)
+        assert truth_value(desc, Alg.PI, f) is TruthValue.TRUE
+        memo = {key: list(entries) for key, entries in desc._proofs.items()}
+        walks = self.walks(monkeypatch)
+        for alg in (Alg.BETA, Alg.BETA_P, Alg.PSI):
+            assert prove(desc, alg, f) == +1
+        assert walks == [] and desc._proofs == memo
+
+    def test_each_walk_answers_the_next_stronger(self, monkeypatch):
+        def penguin():
+            doc = parse_kb((KB_DIR / "penguin.ppl").read_text(encoding="utf-8"))
+            return validate_description(doc.facts, doc.rules, doc.priority)
+
+        walks = self.walks(monkeypatch)
+        for make, pairs in ((desc_lottery3, self.UNRANKED), (penguin, self.RANKED)):
+            answered = dict.fromkeys(pairs, 0)
+            for f in probe_formulas(make()):
+                for weaker, stronger in pairs:
+                    desc = make()  # a fresh memo, so the weaker query walks
+                    if prove(desc, weaker, f) == -1:
+                        continue
+                    memo = {key: list(entries) for key, entries in desc._proofs.items()}
+                    del walks[:]
+                    assert prove(desc, stronger, f) == +1, (weaker, stronger, f)
+                    assert walks == [] and desc._proofs == memo, (weaker, stronger, f)
+                    answered[weaker, stronger] += 1
+            assert all(answered.values()), answered
+
+    def test_a_history_is_walked(self):
+        doc = parse_kb((KB_DIR / "plausible_default.ppl").read_text(encoding="utf-8"))
+        desc = validate_description(doc.facts, doc.rules, doc.priority)
+        assert prove(desc, Alg.PI, A) == +1
+        assert prove(desc, Alg.BETA, A) == +1  # by pi's entry, storing nothing
+        assert not any(alg is Alg.BETA for alg, _ in desc._proofs)
+        # beta may not use ra twice: the +1 holds at the empty history only
+        assert prove(desc, Alg.BETA, A, [("beta", "ra")]) == -1
+        assert prove(desc, Alg.BETA_P, A, [("beta-p", "ra")]) == -1
+        assert prove(desc, Alg.PI_P, A, [("pi-p", "ra")]) == -1
+
+
 class TestTruthValues:
     def test_lottery_values(self):
         desc = desc_lottery3()

@@ -49,7 +49,7 @@ from ppl import (
     truth_value,
     validate_description,
 )
-from ppl import classical
+from ppl import classical, kb
 from ppl.classical import core_clauses
 from ppl.formulas import FormulaClass, classify
 from ppl.kb import _components, axiom_formulas
@@ -312,15 +312,20 @@ class TestFactsFromPrimeImplicates:
         assert list(desc._clause_forms) == list(desc._negations) == [g]
 
     def test_fact_and_consistency_share_one_entry(self, monkeypatch):
-        # s1 is a fact exactly when ~s1 is inconsistent, and ~~s1 is s1: the
-        # three questions read one memo entry, keyed by s1, no Neg
+        # g is a fact exactly when ~g is inconsistent, and ~~g is g: the
+        # three questions read one memo entry, keyed by g, no Neg.  One
+        # kernel run decides them for or{s1,s2}; for the literal s1 the
+        # unit axioms decide them, with none
         doc = parse_kb((KB_DIR / "lottery3.ppl").read_text(encoding="utf-8"))
         desc = validate_description(doc.facts, doc.rules, doc.priority)
         calls = _count_calls(monkeypatch, "find_model")
-        assert not desc.is_fact(S1)
-        assert desc._is_consistent(Neg(S1))
-        assert not desc.is_fact(Neg(Neg(S1)))
-        assert calls["find_model"] == 1
+        for g, runs in ((S1, 0), (Disj([S1, S2]), 1)):
+            calls["find_model"] = 0
+            assert not desc.is_fact(g)
+            assert desc._is_consistent(Neg(g))
+            assert not desc.is_fact(Neg(Neg(g)))
+            assert calls["find_model"] == runs, g
+        assert list(desc._facts) == [S1, Disj([S1, S2])] and not desc._refuted
         assert not hasattr(desc, "_consistent")
         for f in (Neg(S1), Disj([S1, S2]), Neg(Neg(Conj([S1, Neg(S2)])))):
             desc.is_fact(f)
@@ -431,27 +436,48 @@ class TestSupporterIndex:
         n = 200
         desc = desc_rule_chain(n)
         calls = _count_calls(monkeypatch, "find_model")
+        tested = []
+        literal = kb._literal
+        monkeypatch.setattr(kb, "_literal", lambda c: tested.append(c) or literal(c))
         assert truth_value(desc, Alg.BETA, Atom(f"a{n - 1}")) is TruthValue.TRUE
         # per link: two fact checks, of a_i and ~a_i, the second also
-        # deciding a_i's consistency, and two support checks; each scan has
-        # one candidate, so it pools nothing
-        assert calls["find_model"] == 4 * n
+        # deciding a_i's consistency, and two support checks, each scan
+        # testing its one candidate; all are literal questions, decided
+        # without a search (800 kernel runs when each was searched)
+        assert calls["find_model"] == 0 and len(tested) == 2 * n
+        assert len(desc._facts) == len(desc._refuted) == n
+        assert len(desc._supporters) == len(desc._opposers) == n
+        # a disjunction on top is searched: one run each to decide that it
+        # and its negation are no facts, and one for each of the two
+        # consequents touching its atoms, in its scan and its negation's;
+        # not one for each consequent of the chain
+        top = Disj([Atom(f"a{n - 1}"), Atom(f"a{n - 2}")])
+        assert truth_value(desc, Alg.BETA, top) is TruthValue.TRUE
+        assert calls["find_model"] == 6
 
     def test_shared_consequents_are_decided_once(self, monkeypatch):
         # 3-stage ambiguity ladder: rb and tb conclude b_i, ranb and w ~b_i
-        # (equal consequents, built separately as a parser builds them)
-        b, a = [Atom("b0")], [None]
-        rules = [Rule("r0", (), Arrow.DEFEASIBLE, b[0])]
-        for i in range(1, 4):
-            a.append(Atom(f"a{i}"))
-            b.append(Atom(f"b{i}"))
-            rules += [Rule(f"ra{i}", (b[i - 1],), Arrow.DEFEASIBLE, a[i]),
-                      Rule(f"rna{i}", (b[i - 1],), Arrow.DEFEASIBLE, Neg(a[i])),
-                      Rule(f"rb{i}", (b[i - 1],), Arrow.DEFEASIBLE, b[i]),
-                      Rule(f"tb{i}", (b[i - 1],), Arrow.DEFEASIBLE, Atom(f"b{i}")),
-                      Rule(f"ranb{i}", (a[i],), Arrow.DEFEASIBLE, Neg(b[i])),
-                      Rule(f"w{i}", (a[i],), Arrow.WARNING, Neg(Atom(f"b{i}")))]
-        desc = validate_description([], rules)
+        # (equal consequents, built separately as a parser builds them).
+        # Conjoined, they conclude and{b_i,c_i} and and{~b_i,c_i}, which are
+        # no literals, so their support is searched
+        def ladder(conjoined):
+            b, a = [Atom("b0")], [None]
+            rules = [Rule("r0", (), Arrow.DEFEASIBLE, b[0])]
+            for i in range(1, 4):
+                a.append(Atom(f"a{i}"))
+                b.append(Atom(f"b{i}"))
+
+                def shared(l, i=i):
+                    return Conj([l, Atom(f"c{i}")]) if conjoined else l
+
+                rules += [Rule(f"ra{i}", (b[i - 1],), Arrow.DEFEASIBLE, a[i]),
+                          Rule(f"rna{i}", (b[i - 1],), Arrow.DEFEASIBLE, Neg(a[i])),
+                          Rule(f"rb{i}", (b[i - 1],), Arrow.DEFEASIBLE, shared(b[i])),
+                          Rule(f"tb{i}", (b[i - 1],), Arrow.DEFEASIBLE, shared(Atom(f"b{i}"))),
+                          Rule(f"ranb{i}", (a[i],), Arrow.DEFEASIBLE, shared(Neg(b[i]))),
+                          Rule(f"w{i}", (a[i],), Arrow.WARNING, shared(Neg(Atom(f"b{i}"))))]
+            return validate_description([], rules), a, b
+
         asked = []
 
         def recorded(parts, *rest, _find_model=classical.find_model):
@@ -459,13 +485,65 @@ class TestSupporterIndex:
             return _find_model(parts, *rest)
 
         monkeypatch.setattr(classical, "find_model", recorded)
-        for i in range(1, 4):
-            for f in (a[i], b[i]):
-                for alg in ALG_ORDER:
-                    truth_value(desc, alg, f)
-        # each question decided by one kernel run: no search repeats the
-        # clauses of another
-        assert asked and len(asked) == len(set(asked))
+        for conjoined in (False, True):
+            del asked[:]
+            desc, a, b = ladder(conjoined)
+            for i in range(1, 4):
+                for f in (a[i], b[i], desc.rule(f"rb{i}").consequent):
+                    for alg in ALG_ORDER:
+                        truth_value(desc, alg, f)
+            if conjoined:
+                # each question decided by one kernel run: no search
+                # repeats the clauses of another
+                assert asked and len(asked) == len(set(asked))
+            else:
+                assert asked == []  # literal questions only
+
+
+class TestLiteralQuestions:
+    """A literal question reads the axioms, the prime implicates: a literal
+    is a fact when it is a unit axiom, and a consistent literal c supports
+    a literal l that is no fact when c is l or {~c, l} is an axiom.  The
+    valuation oracle checks the answers on 8 links, 9 atoms; 25 atoms are
+    past its enumeration limit."""
+
+    @staticmethod
+    def chain(links, *facts):
+        # p_i -> p_(i+1) and {} => p0
+        p = [Atom(f"p{i}") for i in range(links + 1)]
+        implications = [Disj([Neg(p[i]), p[i + 1]]) for i in range(links)]
+        return p, validate_description(implications + list(facts),
+                                       [Rule("r", (), Arrow.DEFEASIBLE, p[0])])
+
+    def test_support_through_a_binary_implicate(self, monkeypatch):
+        asked = []
+
+        def recorded(parts, *rest, _find_model=classical.find_model):
+            asked.append(parts)
+            return _find_model(parts, *rest)
+
+        monkeypatch.setattr(classical, "find_model", recorded)
+        for links in (24, 8):
+            p, desc = self.chain(links)
+            assert frozenset((Lit("p0", True), Lit("p5", False))) in desc.axiom_clauses
+            del asked[:]
+            assert desc.rule("r") in desc.supporters(p[5])
+            # the literal candidates, r's p0, #s(p_(n-1))'s p_n and #s(~p1)'s
+            # ~p0, are decided without a search; only conjunctions are
+            searched = [parts[0][0] for parts in asked if len(parts) == 2]
+            assert searched and all(len(clauses) > 1 for clauses in searched)
+        assert_facts_and_support(desc, [p[5], Neg(p[5]), p[0], Neg(p[8])])
+
+    def test_a_unit_axiom_is_a_fact_without_a_search(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "find_model")
+        for links in (24, 8):
+            p, desc = self.chain(links, Atom("p0"))  # every p_i a unit axiom
+            assert Lit(f"p{links}", False) in desc._units
+            calls["find_model"] = 0
+            assert desc.is_fact(p[links]) and desc.is_fact(Neg(Neg(p[7])))
+            assert not desc.is_fact(Neg(p[3])) and not desc._is_consistent(Neg(p[3]))
+            assert calls["find_model"] == 0
+        assert_facts_and_support(desc, [p[8], Neg(p[8]), Atom("q"), Neg(Atom("q"))])
 
 
 class TestSupporterScan:

@@ -15,10 +15,10 @@ So beta-p is beta with primed and unprimed history entries swapped, and
 without priorities psi is pi and psi-p is pi-p: `prove` answers each of
 these queries by the walk of the algorithm it equals (see `prove`).
 From the empty history, provability grows along the paper's hierarchy
-phi ⊆ pi ⊆ psi ⊆ beta = beta-p ⊆ psi-p ⊆ pi-p, so a formula query there
-that the memo lacks first looks up one algorithm, the next weaker one whose
-walk `prove` runs: a +1 it holds is the answer, without a walk, and
-nothing is stored.
+phi ⊆ pi ⊆ psi ⊆ beta = beta-p ⊆ psi-p ⊆ pi-p (`ALG_ORDER`), so each
+formula keeps one rank, the lowest place in that order of an algorithm
+that has proved it at the empty history, and a query there under any
+algorithm at or above that rank is +1 without a walk.
 
 A history records every (algorithm, rule) choice made on the current
 branch; a choice may never repeat, which bounds the depth of every branch
@@ -99,13 +99,8 @@ _PRIMED = frozenset((Alg.BETA_P, Alg.PSI_P, Alg.PI_P))
 # priorities (see prove).
 _UNRANKED = {Alg.PSI: Alg.PI, Alg.PSI_P: Alg.PI_P}
 
-# The next weaker algorithm whose walk `prove` runs, for each one whose walk
-# it runs, without priorities and with them (see prove).
-_WEAKER = (
-    {Alg.PI: Alg.PHI, Alg.BETA: Alg.PI, Alg.PI_P: Alg.BETA},
-    {Alg.PI: Alg.PHI, Alg.PSI: Alg.PI, Alg.BETA: Alg.PSI, Alg.PSI_P: Alg.BETA,
-     Alg.PI_P: Alg.PSI_P},
-)
+# Each algorithm's place in the hierarchy (see prove).
+_RANK = {alg: i for i, alg in enumerate(ALG_ORDER)}
 
 
 def _as_alg(alg) -> Alg:
@@ -256,12 +251,12 @@ class _Prover:
     and the disable step extend h, not h plus r's entry.
 
     A walk starts only for a value the memo lacks: `prove` looks its query
-    up (and, at the empty history, the next weaker walk's +1) before it
-    makes a prover, and `_prove` and the loop over a supporter's
-    antecedents look each formula up (`_known`), reading a hit's D, before
-    they start its walk.  So a query whose value the memo holds under its
-    history returns without a walk, and on the lotteries most supporters
-    are refuted by a hit, without a generator.
+    up (and, at the empty history, the formula's rank) before it makes a
+    prover, and `_prove` and the loop over a supporter's antecedents look
+    each formula up (`_known`), reading a hit's D, before they start its
+    walk.  So a query whose value the memo holds under its history returns
+    without a walk, and on the lotteries most supporters are refuted by a
+    hit, without a generator.
 
     The memo is the description's `_proofs`, shared by every walk on it:
     a proof value is a function of the description alone, so an entry is
@@ -270,12 +265,18 @@ class _Prover:
     Only `reads` belongs to the walk.  Entries are appended whole, and a
     value is stored only once its computation ends, so concurrent walks and
     a walk cut short by an exception leave only exact entries behind.
+
+    A +1 stored with `h & D == 0` holds at the empty history, so it also
+    lowers f's rank, the description's `_ranked[f]`, to alg's place in
+    `ALG_ORDER` (see `prove`): every store counts, a sub-walk's as well as
+    the query's own.
     """
 
     def __init__(self, desc: PlausibleDescription):
         self.desc = desc
         self.rsd = desc.rsd()
         self.memo = desc._proofs
+        self.ranked = desc._ranked
         self.reads = 0
 
     def _fresh(self, h: int, alg: Alg, rid: str) -> int:
@@ -337,6 +338,8 @@ class _Prover:
                         break
         d = self.reads
         self.memo.setdefault((alg, f), []).append((d, h & d, value))
+        if value == +1 and not h & d and self.ranked.get(f, len(ALG_ORDER)) > _RANK[alg]:
+            self.ranked[f] = _RANK[alg]
         self.reads = outer | d
         return value
 
@@ -372,14 +375,14 @@ def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
     inside it keep their own.
 
     A formula query at the empty history that the memo lacks under its own
-    algorithm then looks up one other: the next weaker algorithm whose walk
-    `prove` runs (`_WEAKER`; without priorities psi has folded into pi and
-    psi-p into pi-p).  If that algorithm's memo holds +1 at the empty
-    history, the query is +1 by the hierarchy theorem, and it returns
-    without a walk.  Nothing is stored: the theorem gives the +1 at the
-    empty history only, and no walk has read the entries (D) a memo entry
-    would need.  Under a history with any entry, or when that lookup finds
-    no +1, the query walks as before.
+    algorithm then reads the formula's rank (see `_Prover`): the lowest
+    place in `ALG_ORDER` of an algorithm with a stored +1 for it at the
+    empty history.  If the rank is at or below the place of the algorithm
+    whose walk the query runs, the query is +1 by the hierarchy theorem,
+    and it returns without a walk.  Nothing enters the memo: the theorem
+    gives the +1 at the empty history only, and no walk has read the
+    entries (D) a memo entry would need.  Under a history with any entry,
+    or at a higher rank, the query walks as before.
     """
     if not (type(alg) is Alg and type(history) in (tuple, list) and not history):
         alg, history = check_history(desc, alg, history)
@@ -395,12 +398,8 @@ def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
     hit = _recall(desc._proofs, alg, h, x)
     if hit is not None:
         return hit[2]
-    if not h:
-        weaker = _WEAKER[bool(desc.priority)].get(alg)
-        if weaker is not None:
-            hit = _recall(desc._proofs, weaker, 0, x)
-            if hit is not None and hit[2] == +1:
-                return +1
+    if not h and desc._ranked.get(x, len(ALG_ORDER)) <= _RANK[alg]:
+        return +1
     return _run(_Prover(desc)._prove_formula(alg, h, x))
 
 

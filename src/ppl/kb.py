@@ -244,11 +244,16 @@ class PlausibleDescription:
     (see `_entails`); the supporters of a formula and of its negation, each
     per formula without leading negations (all and among `rsd()` in one
     entry); the countermodel pool of the supporter scans per set of
-    components (see `_supported`); and proof values per algorithm and
-    formula, shared by every query under any algorithm and history (see
-    `engine._Prover`).  The memos always equal recomputation (a pool's
-    models only spare searches); none of these takes part in equality, and
-    concurrent reads are safe.
+    components (see `_supported`); proof values per algorithm and formula,
+    shared by every query under any algorithm and history (see
+    `engine._Prover`); and each formula's rank, the lowest `ALG_ORDER`
+    place of an algorithm that has stored a +1 for it at the empty history
+    (see `engine.prove`), which answers a query without a walk and enters
+    nothing in the proof values.  The memos always equal recomputation (a
+    pool's models only spare searches, and a rank only answers what a walk
+    would); none of these takes part in equality, and concurrent reads are
+    safe: a lost race on a rank can only keep a higher one, which is still
+    sound.
     """
 
     rules: tuple[Rule, ...]
@@ -261,7 +266,7 @@ class PlausibleDescription:
     def __post_init__(self):
         derive = object.__setattr__  # the derived fields of a frozen instance
         for memo in ("_facts", "_refuted", "_supporters", "_opposers", "_clause_forms",
-                     "_negations", "_proofs", "_pools"):
+                     "_negations", "_proofs", "_ranked", "_pools"):
             derive(self, memo, {})
         derive(self, "_position", {r.rid: i for i, r in enumerate(self.rules)})
         derive(self, "_rsd", tuple(filter(self._supporting, self.rules)))
@@ -470,11 +475,9 @@ class PlausibleDescription:
         that satisfies ~f and c therefore extends to a countermodel of
         `Ax ∪ {c} ⊨ f`, so a scan ORs the masks of the pooled models that
         satisfy ~f and runs the kernel only on the candidates left unmarked.
-        Deciding a model and taking its mask costs about one search, so a
-        model is pooled only while two or more candidates remain after the
-        one tested; a scan of one or two candidates makes no pool, and a
-        scan of one propagates nothing ahead.  An entry is appended whole,
-        so concurrent scans never pair a model with another's mask.
+        A scan of one candidate propagates nothing ahead.  An entry is
+        appended whole, so concurrent scans never pair a model with
+        another's mask.
 
         When f is a literal l, a literal candidate c needs no search: it
         supports l iff c is consistent and either c == l or {~c, l} is an
@@ -515,7 +518,7 @@ class PlausibleDescription:
             if m is None:
                 if self._is_consistent(c):
                     yield c
-            elif i + 2 < len(candidates):
+            else:
                 if pool is None:
                     scope = frozenset(a for a, k in self._component.items() if k in key)
                     scope = scope.union(key, *map(atoms, candidates))

@@ -12,10 +12,14 @@ pi-p's when there are no priorities, so its values meet the laws relating
 those algorithms by construction.  `hierarchy` and
 `empty_priority_equalities` check the tree's values as well, which walk
 every algorithm on its own.  From the empty history `prove` also answers
-+1 for a formula that the next weaker walk has proved, without a walk of
-its own, so the prover's table is built with each algorithm on a fresh
-copy of the description, whose memo holds no other walk's values: there
-the hierarchy is checked on the prover's own walks.
++1, without a walk of its own, for a formula whose rank is at or below the
+algorithm's place in the hierarchy: the rank is the lowest place of an
+algorithm that has stored a +1 for it there, in any walk or sub-walk, and
+the answer enters nothing in the proof memo.  So the prover's table is
+built with each algorithm on a fresh copy of the description, whose memo
+holds no other query's values, and with the ranks cleared before each
+probe, since the co-algorithm walks inside a primed walk rank what they
+prove: there the hierarchy is checked on the prover's own walks.
 """
 
 from __future__ import annotations
@@ -59,7 +63,11 @@ class TheoryCheck:
         """Whether alg proves each probe, on a fresh copy of the description
         (see the module docstring)."""
         desc = replace(self.desc)
-        return {f: prove(desc, alg, f) == +1 for f in self.probes}
+        walked = {}
+        for f in self.probes:
+            desc._ranked.clear()
+            walked[f] = prove(desc, alg, f) == +1
+        return walked
 
     def proved(self, alg, x) -> bool:
         return prove(self.desc, alg, x) == +1

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import threading
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from conftest import (
     desc_retracted_default,
     desc_rule_chain,
     lottery_facts,
+    make_medium_theory,
     make_random_theory,
     make_ranked_theory,
     make_wide_theory,
@@ -573,17 +575,15 @@ class TestMemoHits:
 
 
 class TestHierarchyShortcut:
-    """From the empty history, provability grows along phi, pi, psi, beta =
-    beta-p, psi-p, pi-p: a formula query whose next weaker walk has proved
-    the formula is +1 by that walk's memo entry, without a walk, and it
-    stores nothing.  A history with any entry is walked."""
+    """From the empty history, provability grows along `ALG_ORDER`: phi, pi,
+    psi, beta = beta-p, psi-p, pi-p.  Each formula keeps the lowest rank of
+    an algorithm that has stored a +1 for it at the empty history, in any
+    walk or sub-walk, and a formula query at or above that rank is +1
+    without a walk; it stores nothing in the proof memo.  A history with
+    any entry is walked."""
 
-    # each walk `prove` runs after the next weaker one, the redirected
-    # queries beside the walks they run
-    UNRANKED = ((Alg.PHI, Alg.PI), (Alg.PI, Alg.BETA), (Alg.PI, Alg.BETA_P),
-                (Alg.BETA, Alg.PI_P), (Alg.BETA, Alg.PSI_P))
-    RANKED = ((Alg.PHI, Alg.PI), (Alg.PI, Alg.PSI), (Alg.PSI, Alg.BETA),
-              (Alg.PSI, Alg.BETA_P), (Alg.BETA, Alg.PSI_P), (Alg.PSI_P, Alg.PI_P))
+    # every (weaker, stronger) pair of the hierarchy
+    PAIRS = tuple(combinations(ALG_ORDER, 2))
 
     @staticmethod
     def walks(monkeypatch):
@@ -592,46 +592,73 @@ class TestHierarchyShortcut:
         monkeypatch.setattr(engine, "_run", lambda walk: started.append(walk) or run(walk))
         return started
 
-    def test_a_pi_proof_answers_beta_without_a_walk(self, monkeypatch):
-        desc = desc_lottery3()
-        f = Neg(S1)
-        assert truth_value(desc, Alg.PI, f) is TruthValue.TRUE
-        memo = {key: list(entries) for key, entries in desc._proofs.items()}
-        walks = self.walks(monkeypatch)
-        for alg in (Alg.BETA, Alg.BETA_P, Alg.PSI):
-            assert prove(desc, alg, f) == +1
-        assert walks == [] and desc._proofs == memo
+    @staticmethod
+    def penguin():
+        doc = parse_kb((KB_DIR / "penguin.ppl").read_text(encoding="utf-8"))
+        return validate_description(doc.facts, doc.rules, doc.priority)
 
-    def test_each_walk_answers_the_next_stronger(self, monkeypatch):
-        def penguin():
-            doc = parse_kb((KB_DIR / "penguin.ppl").read_text(encoding="utf-8"))
-            return validate_description(doc.facts, doc.rules, doc.priority)
+    @staticmethod
+    def memo(desc):
+        return {key: list(entries) for key, entries in desc._proofs.items()}
 
+    def test_a_pi_proof_answers_every_stronger_algorithm_without_a_walk(self, monkeypatch):
         walks = self.walks(monkeypatch)
-        for make, pairs in ((desc_lottery3, self.UNRANKED), (penguin, self.RANKED)):
-            answered = dict.fromkeys(pairs, 0)
+        # lottery3 without priorities, where psi-p runs pi-p's walk; penguin with them
+        for desc, f in ((desc_lottery3(), Neg(S1)), (self.penguin(), Atom("bird"))):
+            assert truth_value(desc, Alg.PI, f) is TruthValue.TRUE
+            memo = self.memo(desc)
+            del walks[:]
+            for alg in ALG_ORDER[2:]:
+                assert prove(desc, alg, f) == +1, (alg, f)
+            assert walks == [] and desc._proofs == memo, f
+
+    def test_each_walk_answers_every_stronger_algorithm(self, monkeypatch):
+        walks = self.walks(monkeypatch)
+        for make in (desc_lottery3, self.penguin):
+            answered = dict.fromkeys(self.PAIRS, 0)
             for f in probe_formulas(make()):
-                for weaker, stronger in pairs:
+                for weaker in ALG_ORDER:
                     desc = make()  # a fresh memo, so the weaker query walks
                     if prove(desc, weaker, f) == -1:
                         continue
-                    memo = {key: list(entries) for key, entries in desc._proofs.items()}
+                    memo = self.memo(desc)
                     del walks[:]
-                    assert prove(desc, stronger, f) == +1, (weaker, stronger, f)
-                    assert walks == [] and desc._proofs == memo, (weaker, stronger, f)
-                    answered[weaker, stronger] += 1
-            assert all(answered.values()), answered
+                    # the answers store nothing, so one memo serves them all
+                    for stronger in ALG_ORDER[ALG_ORDER.index(weaker) + 1:]:
+                        assert prove(desc, stronger, f) == +1, (weaker, stronger, f)
+                        assert walks == [] and desc._proofs == memo, (weaker, stronger, f)
+                        answered[weaker, stronger] += 1
+            assert all(answered.values()), (make.__name__, answered)
+
+    def test_a_sub_walk_ranks_the_links_below_the_top(self, monkeypatch):
+        desc = desc_rule_chain(30)
+        assert prove(desc, Alg.PI, Atom("a29")) == +1
+        memo = self.memo(desc)
+        walks = self.walks(monkeypatch)
+        for k in (0, 14, 28):
+            assert prove(desc, Alg.PI_P, Atom(f"a{k}")) == +1, k
+        assert walks == [] and desc._proofs == memo
 
     def test_a_history_is_walked(self):
         doc = parse_kb((KB_DIR / "plausible_default.ppl").read_text(encoding="utf-8"))
         desc = validate_description(doc.facts, doc.rules, doc.priority)
         assert prove(desc, Alg.PI, A) == +1
-        assert prove(desc, Alg.BETA, A) == +1  # by pi's entry, storing nothing
+        assert prove(desc, Alg.BETA, A) == +1  # by pi's rank, storing nothing
         assert not any(alg is Alg.BETA for alg, _ in desc._proofs)
         # beta may not use ra twice: the +1 holds at the empty history only
         assert prove(desc, Alg.BETA, A, [("beta", "ra")]) == -1
         assert prove(desc, Alg.BETA_P, A, [("beta-p", "ra")]) == -1
         assert prove(desc, Alg.PI_P, A, [("pi-p", "ra")]) == -1
+
+    def test_a_proof_that_read_its_history_ranks_nothing(self):
+        # pi proves x0 only while the co-algorithm may not use u2: that +1
+        # read the history's entry, so it is no +1 at the empty history
+        desc = make_medium_theory(random.Random(11))
+        x0 = Atom("x0")
+        assert prove(desc, Alg.PI, x0, [("pi-p", "u2")]) == +1
+        assert prove(desc, Alg.PI, x0) == -1
+        assert prove(desc, Alg.PSI, x0) == -1
+        assert prove(desc, Alg.BETA, x0) == +1
 
 
 class TestTruthValues:

@@ -16,8 +16,8 @@ loop, valuation laws check it.  Semantic entailment and satisfiability
 are decided by exhaustive valuation, so resolution is cross-checked.
 
 Facts and support are decided at query time by `find_model`, DPLL with
-unit propagation that returns a model or None (`refutes` is its "no
-model"), on clauses that `clause_form` reads off a formula's shape, with
+unit propagation that returns a model or None (no model: the clauses are
+refuted), on clauses that `clause_form` reads off a formula's shape, with
 the axioms, prime implicates, joining through propagation alone (see
 `kb.PlausibleDescription`).  A search can start where `assume` left a
 shared part, and `extend` decides more atoms in a model it returned.  Only
@@ -121,13 +121,6 @@ def clause_index(clauses: Iterable[Clause]) -> Index:
         for l in c:
             index.setdefault(l, []).append(c)
     return {l: tuple(cs) for l, cs in index.items()}
-
-
-def refutes(clauses: Iterable[Clause], implicates: Index = NO_INDEX) -> bool:
-    """Whether a clause set is unsatisfiable: `find_model` finds no model."""
-    clauses = list(clauses)
-    part = (clauses, clause_index(c for c in clauses if len(c) > 1))
-    return find_model([part], implicates) is None
 
 
 def assume(parts: Iterable[Part], implicates: Index = NO_INDEX) -> State | None:
@@ -399,12 +392,3 @@ def satisfiable(formulas: Iterable[Formula],
     return any(
         all(evaluate(g, v) for g in formulas) for v in valuations(avars, max_atoms)
     )
-
-
-def clauses_satisfiable(clauses: Iterable[Clause]) -> bool:
-    """Valuation-based satisfiability of a clause set (unit test oracle)."""
-    clauses = list(clauses)
-    for v in valuations(l.atom for c in clauses for l in c):
-        if all(any((l.atom in v) != l.neg for l in c) for c in clauses):
-            return True
-    return False

@@ -16,15 +16,18 @@ alone.  A literal question needs no search: the axioms entail a clause
 that is no tautology exactly when one of them lies inside it, so a literal
 l is a fact iff {l} is an axiom, and a consistent literal c supports a
 literal l that is no fact iff c == l or {~c, l} is an axiom (see
-`_entails` and `_supported`).
+`_entails` and `supporters`).
 A consequent is consistent with the axioms when its negation is no
 fact, so the two questions are one: both read one memo entry, keyed, like
 the clause forms, by the formula without its leading negations.
-Supporters are read off an index built with the description: the axioms'
-atoms split into connected components, and only rules whose consequents
-touch the components of a formula's atoms are tested for supporting it
-(each distinct consequent once), so a defeasible chain's queries cost
-linear, not quadratic, work.
+Supporters are read off indexes built with the description.  Each
+literal has its literal supporters listed, read off the two-literal
+axioms.  The axioms' atoms split into connected components, and only rules
+whose consequents touch the components of a formula's atoms are tested for
+supporting it (each distinct consequent once); a literal's scan tests only
+the non-literal ones, and runs only when its component has one.  So a
+defeasible chain's queries cost linear, not quadratic, work, and a chain
+of literal rules runs no scan at all.
 A scan reads ~f's clauses once, propagates them once, and hands them to
 every search.  The countermodels its candidates leave are pooled on the
 description per set of components, each with a mask of the candidates it
@@ -43,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Collection, Iterable, Iterator, Sequence
 
 from . import classical
@@ -83,7 +86,9 @@ class Rule:
     consequent: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "antecedents", canonical_set(self.antecedents))
+        ants = self.antecedents
+        if type(ants) is not tuple or len(ants) > 1:  # else already canonical
+            object.__setattr__(self, "antecedents", canonical_set(ants))
 
     @property
     def signature(self):
@@ -219,14 +224,6 @@ def _components(atom_sets: Iterable[frozenset[str]]) -> dict[str, str]:
     return {a: find(a) for a in parent}
 
 
-def _literal(f: Formula) -> Lit | None:
-    """The literal f is once its leading negations are stripped, or None."""
-    negated = False
-    while type(f) is Neg:
-        f, negated = f.inner, not negated
-    return Lit(f.name, negated) if type(f) is Atom else None
-
-
 @dataclass(frozen=True)
 class PlausibleDescription:
     """An immutable, validated knowledge base ready for querying.
@@ -235,8 +232,9 @@ class PlausibleDescription:
     `priority` is the acyclic superior/inferior id-pair relation.  The
     description derives, outside its fields, one index per key: each rule
     id's position in `rules` (read by `rule` and `engine._bit`), each
-    distinct consequent's rule positions, each axiom atom's component, and
-    each component's touching consequents (all but the axiom rule's, see
+    distinct consequent's rule positions, each axiom atom's component, each
+    component's touching consequents (all but the axiom rule's) and its
+    non-literal ones, and each literal's literal supporters (see
     `supporters`); `rsd()`, the inferior ids, and the axioms' `clause_index`
     and unit literals; and the query memos: whether the axioms entail a
     formula and whether they entail its negation, and the clause forms of a
@@ -279,14 +277,35 @@ class PlausibleDescription:
             rules_with.setdefault(r.consequent, []).append(i)
         component = _components(frozenset(l.atom for l in c) for c in self.axiom_clauses)
         touching: dict[str, list[Formula]] = {}
+        compound: dict[str, set[Formula]] = {}  # each component's non-literal consequents
+        # each literal's literal supporters when consistent, by sign and atom
+        linked: tuple[dict[str, list[Formula]], ...] = ({}, {})
         axioms = self.rse.consequent if self.rse_id else None
         for c in rules_with:
-            if c != axioms:
-                for k in {component.get(a, a) for a in atoms(c)}:
-                    touching.setdefault(k, []).append(c)
+            if c == axioms:
+                continue
+            g, neg = c, False  # c's atom and sign, if c is a literal
+            while type(g) is Neg:
+                g, neg = g.inner, not neg
+            if type(g) is Atom:
+                ks = (component.get(g.name, g.name),)
+                linked[neg].setdefault(g.name, []).append(c)
+                flip = Lit(g.name, not neg)
+                for pair in self._implicates.get(flip, ()):
+                    if len(pair) == 2:  # {~c, l}: c supports l
+                        (l,) = pair.difference((flip,))
+                        linked[l.neg].setdefault(l.atom, []).append(c)
+            else:
+                ks = {component.get(a, a) for a in atoms(c)}
+                for k in ks:
+                    compound.setdefault(k, set()).add(c)
+            for k in ks:
+                touching.setdefault(k, []).append(c)
         derive(self, "_rules_with", rules_with)
         derive(self, "_component", component)
         derive(self, "_touching", touching)
+        derive(self, "_compound", compound)
+        derive(self, "_linked", linked)
 
     def rule(self, rid: str) -> Rule:
         try:
@@ -381,6 +400,18 @@ class PlausibleDescription:
         consequent is decided once, however many rules share it
         (see `_supported`).
 
+        A literal l that is no fact needs no search for its literal
+        candidates: a consistent literal c supports l iff c is l (once
+        leading negations are stripped) or {~c, l} is an axiom.  Lemma: for
+        c != l, `Ax ∪ {c} ⊨ l` iff `Ax ⊨ ~c ∨ l` iff some axiom lies inside
+        the clause {~c, l}, which is no tautology (see `_entails`).  That
+        axiom is not {~c}, since c is consistent, nor {l}, since l is no
+        fact, so it is {~c, l} itself; for c == l the entailment is trivial.
+        So the description lists, when it is built, each literal's literal
+        supporters, and l's supporters are the consistent ones among them,
+        with those a scan finds among the non-literal consequents of l's
+        component; a component without any is not scanned.
+
         A conjunction that is no fact is not scanned: its supporters are
         the rules supporting every member, in rule order.  Lemma:
         `Ax ∪ {c} ⊨ and{g1..gk}` iff `Ax ∪ {c} ⊨ gi` for each i, and the
@@ -409,6 +440,12 @@ class PlausibleDescription:
                 found = self._rules_of(filter(self._is_consistent, self._rules_with))
             elif not negated and type(f) is Conj:
                 found = self._supporting_all(f)
+            elif type(f) is Atom:
+                found = filter(self._is_consistent, self._linked[negated].get(f.name, ()))
+                k = self._component.get(f.name, f.name)
+                if k in self._compound:
+                    found = chain(found, self._supported(f, negated, (k,), self._compound[k]))
+                found = self._rules_of(found)
             else:
                 ks = {self._component.get(a, a) for a in atoms(f)}
                 found = self._rules_of(self._supported(f, negated, ks))
@@ -450,8 +487,8 @@ class PlausibleDescription:
                         return ()
         return found
 
-    def _supported(self, f: Formula, negated: bool,
-                   ks: Collection[str]) -> Iterator[Formula]:
+    def _supported(self, f: Formula, negated: bool, ks: Collection[str],
+                   among: Collection[Formula] | None = None) -> Iterator[Formula]:
         """The consequents touching the components `ks` that support f, or
         its negation when `negated` (called f below), which is no fact (see
         `supporters`).
@@ -479,17 +516,12 @@ class PlausibleDescription:
         appended whole, so concurrent scans never pair a model with
         another's mask.
 
-        When f is a literal l, a literal candidate c needs no search: it
-        supports l iff c is consistent and either c == l or {~c, l} is an
-        axiom.  Lemma: for c != l, `Ax ∪ {c} ⊨ l` iff `Ax ⊨ ~c ∨ l` iff
-        some axiom lies inside the clause {~c, l}, which is no tautology
-        (see `_entails`).  That axiom is not {~c}, since c is consistent,
-        nor {l}, since l is no fact, so it is {~c, l} itself; for c == l
-        the entailment is trivial.  The pool's bits are still tested first,
-        and every other candidate is searched as above.
+        Given `among`, the scan searches only the candidates in it: a
+        literal's scan passes its component's non-literal consequents, as
+        its literal ones are read off the index (see `supporters`).  The
+        pool's candidate tuple and masks still cover every candidate.
         """
         negation = self._clauses(f, not negated)
-        goal = Lit(f.name, negated) if type(f) is Atom else None
         key = frozenset(ks)
         pool = self._pools.get(key)
         rejected = 0
@@ -501,18 +533,11 @@ class PlausibleDescription:
                 if not any(map(m.isdisjoint, negation[0])):
                     rejected |= mask
         start = None
-        if len(candidates) > 1:  # no conflict: f is no fact
+        if len(candidates if among is None else among) > 1:  # no conflict: f is no fact
             start = classical.assume([negation], self._implicates)
         for i, c in enumerate(candidates):
-            if rejected >> i & 1:
+            if rejected >> i & 1 or among is not None and c not in among:
                 continue
-            if goal is not None:
-                lit = _literal(c)
-                if lit is not None:
-                    if ((lit == goal or frozenset((lit.complement(), goal)) in self.axiom_clauses)
-                            and self._is_consistent(c)):
-                        yield c
-                    continue
             m = classical.find_model([self._clauses(c, False), negation],
                                      self._implicates, start)
             if m is None:

@@ -20,6 +20,7 @@ from conftest import (
     probe_formulas,
 )
 from lawchecks import TheoryCheck
+from test_classical import clauses_satisfiable
 from ppl import (
     ALG_ORDER,
     Alg,
@@ -40,7 +41,6 @@ from ppl import (
 from ppl.classical import (
     EMPTY_CLAUSE,
     clauses_of,
-    clauses_satisfiable,
     err,
     resolution_closure,
     sat_filter,

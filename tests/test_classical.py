@@ -28,20 +28,28 @@ from ppl import (
 from ppl import classical
 from ppl.classical import (
     EMPTY_CLAUSE,
+    NO_INDEX,
     assume,
     clause_form,
     clause_index,
-    clauses_satisfiable,
     core_clauses,
     extend,
     find_model,
     is_tautology,
-    refutes,
     saturate,
 )
-from ppl.formulas import FALSUM, VERUM, atoms, evaluate, parse_formula
+from ppl.formulas import FALSUM, VERUM, atoms, evaluate, parse_formula, valuations
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
+
+
+def clauses_satisfiable(clauses) -> bool:
+    """Valuation-based satisfiability of a clause set: the oracle."""
+    clauses = list(clauses)
+    for v in valuations(l.atom for c in clauses for l in c):
+        if all(any((l.atom in v) != l.neg for l in c) for c in clauses):
+            return True
+    return False
 
 
 def clause(*parts: str) -> frozenset[Lit]:
@@ -452,6 +460,11 @@ def _part(clauses):
     """A kernel part: the clauses, and the index of those not units."""
     clauses = list(clauses)
     return clauses, clause_index(c for c in clauses if len(c) > 1)
+
+
+def refutes(clauses, implicates=NO_INDEX) -> bool:
+    """Whether a clause set is unsatisfiable: `find_model` finds no model."""
+    return find_model([_part(clauses)], implicates) is None
 
 
 class TestRefutation:

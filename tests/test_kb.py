@@ -15,6 +15,8 @@ from conftest import (
     desc_rule_chain,
     lottery_facts,
     make_random_theory,
+    make_ranked_theory,
+    make_wide_theory,
     probe_formulas,
     wide_implications_kb,
 )
@@ -49,9 +51,9 @@ from ppl import (
     truth_value,
     validate_description,
 )
-from ppl import classical, kb
+from ppl import classical
 from ppl.classical import core_clauses
-from ppl.formulas import FormulaClass, classify
+from ppl.formulas import FormulaClass, classify, is_literal
 from ppl.kb import _components, axiom_formulas
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -92,7 +94,7 @@ class TestBuildAxioms:
             for f in ax:
                 assert classify(f) is FormulaClass.CONTINGENT
                 # simplified: a literal, or a clause of two or more literals
-                from ppl.formulas import is_clause, is_literal
+                from ppl.formulas import is_clause
 
                 assert is_literal(f) or (is_clause(f) and len(f.members) >= 2)
 
@@ -132,6 +134,18 @@ def _count_calls(monkeypatch, *names):
             return _original(*args)
         monkeypatch.setattr(classical, name, counted)
     return calls
+
+
+def _record_scans(monkeypatch):
+    """The formulas that `PlausibleDescription._supported` scans."""
+    scanned = []
+
+    def recorded(self, f, *rest, _supported=PlausibleDescription._supported):
+        scanned.append(f)
+        return _supported(self, f, *rest)
+
+    monkeypatch.setattr(PlausibleDescription, "_supported", recorded)
+    return scanned
 
 
 class TestOneSaturation:
@@ -436,15 +450,14 @@ class TestSupporterIndex:
         n = 200
         desc = desc_rule_chain(n)
         calls = _count_calls(monkeypatch, "find_model")
-        tested = []
-        literal = kb._literal
-        monkeypatch.setattr(kb, "_literal", lambda c: tested.append(c) or literal(c))
+        scanned = _record_scans(monkeypatch)
         assert truth_value(desc, Alg.BETA, Atom(f"a{n - 1}")) is TruthValue.TRUE
         # per link: two fact checks, of a_i and ~a_i, the second also
-        # deciding a_i's consistency, and two support checks, each scan
-        # testing its one candidate; all are literal questions, decided
-        # without a search (800 kernel runs when each was searched)
-        assert calls["find_model"] == 0 and len(tested) == 2 * n
+        # deciding a_i's consistency, and two support checks, each reading
+        # a_i's or ~a_i's literal supporters off the index; no component
+        # holds a non-literal consequent, so none is scanned (800 kernel
+        # runs when each question was searched)
+        assert calls["find_model"] == 0 and scanned == []
         assert len(desc._facts) == len(desc._refuted) == n
         assert len(desc._supporters) == len(desc._opposers) == n
         # a disjunction on top is searched: one run each to decide that it
@@ -453,7 +466,7 @@ class TestSupporterIndex:
         # not one for each consequent of the chain
         top = Disj([Atom(f"a{n - 1}"), Atom(f"a{n - 2}")])
         assert truth_value(desc, Alg.BETA, top) is TruthValue.TRUE
-        assert calls["find_model"] == 6
+        assert calls["find_model"] == 6 and scanned == [top, top]
 
     def test_shared_consequents_are_decided_once(self, monkeypatch):
         # 3-stage ambiguity ladder: rb and tb conclude b_i, ranb and w ~b_i
@@ -544,6 +557,109 @@ class TestLiteralQuestions:
             assert not desc.is_fact(Neg(p[3])) and not desc._is_consistent(Neg(p[3]))
             assert calls["find_model"] == 0
         assert_facts_and_support(desc, [p[8], Neg(p[8]), Atom("q"), Neg(Atom("q"))])
+
+
+class TestLiteralIndex:
+    """A literal's literal supporters are read off an index built with the
+    description: the literal consequents equal to it, once leading
+    negations are stripped, and those c for which {~c, l} is an axiom, each
+    kept if consistent.  Only a component holding a non-literal consequent
+    is scanned, and then only for those.  Every answer is checked against
+    entailment over all the axioms."""
+
+    @staticmethod
+    def literals(desc):
+        return [l for a in sorted({a for r in desc.rules for a in atoms(r.consequent)})
+                for l in (Atom(a), Neg(Atom(a)), Neg(Neg(Atom(a))))]
+
+    def test_wide_and_ranked_theories(self, monkeypatch):
+        # every consequent is a literal, so no literal is scanned; about a
+        # third of the wide theories have a two-literal axiom, whose strict
+        # rules and links take part
+        scanned = _record_scans(monkeypatch)
+        linked = 0
+        for seed in range(60):
+            for make in (make_wide_theory, make_ranked_theory):
+                desc = make(random.Random(seed))
+                assert_facts_and_support(desc, self.literals(desc))
+                linked += any(len(c) == 2 for c in desc.axiom_clauses)
+        assert scanned == [] and linked > 10
+
+    def test_double_negations(self):
+        a, b = Atom("a"), Atom("b")
+        rules = [Rule("r1", (), Arrow.DEFEASIBLE, Neg(Neg(a))),
+                 Rule("r2", (), Arrow.DEFEASIBLE, a),
+                 Rule("r3", (), Arrow.DEFEASIBLE, Neg(Neg(Neg(a)))),
+                 Rule("r4", (), Arrow.DEFEASIBLE, Neg(Neg(b)))]
+        desc = validate_description([Disj([Neg(a), b])], rules)  # a -> b
+        assert [r.rid for r in desc.supporters(a)] == ["r1", "r2"]
+        assert [r.rid for r in desc.supporters(Neg(Neg(a)))] == ["r1", "r2"]
+        assert [r.rid for r in desc.supporters(Neg(a))] == ["#s(~b)", "r3"]
+        assert [r.rid for r in desc.supporters(b)] == ["#s(a)", "r1", "r2", "r4"]
+        assert_facts_and_support(desc, self.literals(desc))
+
+    def test_a_unit_fact_makes_a_literal_inconsistent(self):
+        a, b = Atom("a"), Atom("b")
+        rules = [Rule("ra", (), Arrow.DEFEASIBLE, a),
+                 Rule("rna", (), Arrow.DEFEASIBLE, Neg(Neg(a))),
+                 Rule("rb", (), Arrow.DEFEASIBLE, b)]
+        # ~a is a fact, so a is no fact but supported by no rule; the
+        # implication b -> a is subsumed by the unit axiom {~a}
+        desc = validate_description([Neg(a), Disj([Neg(b), a])], rules)
+        assert desc.axiom_clauses == {frozenset((Lit("a", True),)),
+                                      frozenset((Lit("b", True),))}
+        assert not desc.is_fact(a) and desc.supporters(a) == ()
+        assert desc.supporters(b) == ()
+        assert_facts_and_support(desc, self.literals(desc))
+
+    def test_an_axiom_links_two_literal_consequents(self, monkeypatch):
+        a, b = Atom("a"), Atom("b")
+        rules = [Rule("ra", (), Arrow.DEFEASIBLE, a),
+                 Rule("rna", (), Arrow.DEFEASIBLE, Neg(a)),
+                 Rule("rb", (), Arrow.DEFEASIBLE, b),
+                 Rule("rnb", (), Arrow.DEFEASIBLE, Neg(b))]
+        desc = validate_description([Disj([Neg(a), b])], rules)  # a -> b
+        calls = _count_calls(monkeypatch, "find_model")
+        scanned = _record_scans(monkeypatch)
+        # a supports b through the axiom {~a, b}, and ~b supports ~a
+        assert [r.rid for r in desc.supporters(b)] == ["#s(a)", "ra", "rb"]
+        assert [r.rid for r in desc.supporters(Neg(a))] == ["#s(~b)", "rna", "rnb"]
+        assert [r.rid for r in desc.supporters(a)] == ["ra"]
+        assert [r.rid for r in desc.supporters(Neg(b))] == ["rnb"]
+        assert calls["find_model"] == 0 and scanned == []
+        assert_facts_and_support(desc, self.literals(desc))
+
+    def test_literal_and_compound_supporters_in_one_component(self, monkeypatch):
+        a, b, c = Atom("a"), Atom("b"), Atom("c")
+        rules = [Rule("ra", (), Arrow.DEFEASIBLE, a),
+                 Rule("rac", (), Arrow.DEFEASIBLE, Conj([a, c])),
+                 Rule("rab", (), Arrow.DEFEASIBLE, Disj([a, b])),
+                 Rule("rnac", (), Arrow.DEFEASIBLE, Disj([Neg(a), c])),
+                 Rule("rc", (), Arrow.DEFEASIBLE, c)]
+        desc = validate_description([Disj([Neg(a), b])], rules)  # a -> b
+        searched = []
+
+        def recorded(parts, *rest, _find_model=classical.find_model):
+            if len(parts) == 2:  # a candidate's clauses, then ~f's
+                searched.append(frozenset(parts[0][0]))
+            return _find_model(parts, *rest)
+
+        monkeypatch.setattr(classical, "find_model", recorded)
+        scanned = _record_scans(monkeypatch)
+        # ra through the axiom {~a, b}, rac and rab by a search; b's scan
+        # searches only the non-literal consequents of its component
+        assert [r.rid for r in desc.supporters(b)] == ["#s(a)", "ra", "rac", "rab"]
+        assert scanned == [b] and searched
+        assert all(len(cs) > 1 or len(min(cs)) > 1 for cs in searched), searched
+        # c's component is c alone, outside the axioms: c's scan searches
+        # and{a,c} and or{~a,c}, which touch it, and not c
+        del searched[:]
+        assert [r.rid for r in desc.supporters(c)] == ["rac", "rc"]
+        a_, na, c_ = Lit("a", False), Lit("a", True), Lit("c", False)
+        assert scanned == [b, c]
+        assert sorted(searched, key=len) == [frozenset({frozenset({na, c_})}),
+                                             frozenset({frozenset({a_}), frozenset({c_})})]
+        assert_facts_and_support(desc, self.literals(desc) + [Disj([b, c]), Conj([a, c])])
 
 
 class TestSupporterScan:
@@ -697,7 +813,9 @@ class TestSharedPool:
             desc = validate_description(facts, rules)
             ax = desc.axioms
             for f in rng.sample(fs, len(fs)):
-                if desc.is_fact(f) or type(f) is Conj:
+                # a literal's scan walks its one component, and only its
+                # non-literal candidates (see TestLiteralIndex)
+                if desc.is_fact(f) or type(f) is Conj or is_literal(f):
                     continue
                 want = {r.consequent for r in desc.rules
                         if satisfiable(ax + (r.consequent,))

@@ -39,10 +39,6 @@ from .kbtext import KbSyntaxError, parse_kb
 
 _ALG_TAGS = [a.value for a in ALG_ORDER]
 
-# Characters written to stdout at a time: a tree's text can be far larger
-# than its DAG, so it is never joined whole.
-_CHUNK = 1 << 16
-
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
@@ -200,16 +196,11 @@ def _cmd_tree(args) -> int:
     return 0
 
 
-def _write(pieces) -> None:
-    """Write text pieces to stdout, joined in chunks of about _CHUNK characters."""
-    chunk, size = [], 0
-    for piece in pieces:
-        chunk.append(piece)
-        size += len(piece)
-        if size >= _CHUNK:
-            sys.stdout.write("".join(chunk))
-            chunk, size = [], 0
-    sys.stdout.write("".join(chunk))
+def _write(chunks) -> None:
+    """Write a tree writer's chunks to stdout as they come: a tree's text can
+    be far larger than its DAG, so it is never joined whole."""
+    for chunk in chunks:
+        sys.stdout.write(chunk)
 
 
 if __name__ == "__main__":

@@ -37,9 +37,10 @@ The same recursion, written out with all alternatives instead of
 short-circuiting, yields the evaluation tree: min nodes for antecedent
 obligations, max nodes for rule choices, minus nodes for the co-algorithm
 flip.  The root value of the tree always equals the recursive verdict.
-The tree is built as a DAG, one node per distinct subject; its exports
-expand it as they write, on an explicit stack, rendering each node once,
-so a streamed export holds the DAG, not the expanded output.
+The tree is built as a DAG of named tuples, one node per distinct subject;
+its exports expand it as they write, on an explicit stack, rendering each
+node and each history once, so a streamed export holds the DAG and one
+chunk, not the expanded output.
 A tree is counted before it is built, each subtree's size memoised with
 the entries it read (see `_TreeBuilder.count`); the tree's root value is
 computed the same way, without the tree (see `_TreeEvaluator`).
@@ -47,10 +48,10 @@ computed the same way, without the tree (see `_TreeEvaluator`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import count
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .formulas import Formula, Neg, canonical_set, format_formula
 from .kb import PlausibleDescription, Rule
@@ -447,8 +448,7 @@ def _normalize(x):
 
 # --- evaluation trees -------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Subject:
+class Subject(NamedTuple):
     """Label of an evaluation-tree node.
 
     kind is one of "set", "formula", "rule", "foe", "minus"; `formulas`
@@ -465,25 +465,29 @@ class Subject:
     foe: str | None = None
 
     def text(self) -> str:
-        hist = ",".join(tag.value + " " + rid for tag, rid in self.history)
-        if self.kind in ("set", "minus"):
-            body = "{" + ",".join(format_formula(f) for f in self.formulas) + "}"
-            inner = f"({self.alg.value},({hist}),{body})"
-            return "-" + inner if self.kind == "minus" else inner
-        parts = [self.alg.value, f"({hist})", format_formula(self.formula)]
-        if self.rule is not None:
-            parts.append(self.rule)
-        if self.foe is not None:
-            parts.append(self.foe)
-        return "(" + ",".join(parts) + ")"
+        before, after = _around_history(self)
+        return before + ",".join(tag.value + " " + rid for tag, rid in self.history) + after
 
 
-@dataclass(frozen=True, slots=True)
-class EvalNode:
+def _around_history(subject: Subject) -> tuple[str, str]:
+    """The text of `subject.text()` before and after its history's entries."""
+    if subject.kind in ("set", "minus"):
+        body = ",".join(format_formula(f) for f in subject.formulas)
+        sign = "-" if subject.kind == "minus" else ""
+        return f"{sign}({subject.alg.value},(", f"),{{{body}}})"
+    parts = [format_formula(subject.formula)]
+    if subject.rule is not None:
+        parts.append(subject.rule)
+    if subject.foe is not None:
+        parts.append(subject.foe)
+    return "(" + subject.alg.value + ",(", ")," + ",".join(parts) + ")"
+
+
+class EvalNode(NamedTuple):
     subject: Subject
     op: str  # "min", "max", or "minus"
     value: int
-    children: tuple["EvalNode", ...]
+    children: tuple[EvalNode, ...]
 
 
 class TreeBudgetError(Exception):
@@ -531,11 +535,9 @@ class _TreeEvaluator:
         kind = subject.kind
         alg, h = subject.alg, subject.history
         if kind == "set":
-            return "min", tuple(
-                Subject("formula", alg, h, formula=f) for f in subject.formulas
-            )
+            return "min", tuple(Subject("formula", alg, h, None, f) for f in subject.formulas)
         if kind == "minus":
-            return "minus", (Subject("set", alg, h, formulas=subject.formulas),)
+            return "minus", (Subject("set", alg, h, subject.formulas),)
         if kind == "formula":
             f = subject.formula
             if self.desc.is_fact(f):
@@ -546,34 +548,30 @@ class _TreeEvaluator:
                 return "max", ()
             hset = frozenset(h)
             return "max", tuple(
-                Subject("rule", alg, h, formula=f, rule=r.rid)
+                Subject("rule", alg, h, None, f, r.rid)
                 for r in self.desc.supporters(f, self.rsd)
                 if self._absent(hset, (alg, r.rid))
             )
         if kind == "rule":
             f = subject.formula
             r = self.desc.rule(subject.rule)
-            children = [
-                Subject("set", alg, h + ((alg, r.rid),), formulas=r.antecedents)
-            ]
-            children += [
-                Subject("foe", alg, h, formula=f, rule=r.rid, foe=s.rid)
-                for s in foes(self.desc, alg, f, r)
-            ]
+            children = [Subject("set", alg, h + ((alg, r.rid),), r.antecedents)]
+            children += [Subject("foe", alg, h, None, f, r.rid, s.rid)
+                         for s in foes(self.desc, alg, f, r)]
             return "min", tuple(children)
         # foe: team-defeat branches, then the co-algorithm disable branch
         f = subject.formula
         s = self.desc.rule(subject.foe)
         hset = frozenset(h)
         children = [
-            Subject("set", alg, h + ((alg, t.rid),), formulas=t.antecedents)
+            Subject("set", alg, h + ((alg, t.rid),), t.antecedents)
             for t in self.desc.superior_supporters(f, s, self.rsd)
             if self._absent(hset, (alg, t.rid))
         ]
         co = co_algorithm(alg)
         if self._absent(hset, (co, s.rid)):
             children.append(
-                Subject("minus", co, h + ((co, s.rid),), formulas=s.antecedents)
+                Subject("minus", co, h + ((co, s.rid),), s.antecedents)
             )
         return "max", tuple(children)
 
@@ -582,8 +580,7 @@ class _TreeEvaluator:
 
     def _value(self, subject: Subject):
         hset = frozenset(subject.history)
-        key = (subject.kind, subject.alg, subject.formulas, subject.formula,
-               subject.rule, subject.foe)
+        key = subject[:2] + subject[3:]  # the subject without its history
         stored = self.memo.get(key)
         if stored is None:
             stored = self.memo[key] = {}
@@ -622,7 +619,7 @@ class _TreeBuilder:
     formula, rule and foe nodes below h's set node.  `_level` reads a level
     off the plans: the entry bits it tests, its size, and the entries it
     adds, each naming the set or minus node one level down.  Both steps
-    are walks run by `_run`.
+    are walks run by `_run`; `build` makes each node's records positionally.
     """
 
     def __init__(self, desc: PlausibleDescription, max_nodes: int):
@@ -770,7 +767,7 @@ class _TreeBuilder:
         if isinstance(x, Formula):
             return (yield self._nodes(alg, history, h, (x,)))[0]
         children = yield self._nodes(alg, history, h, x)
-        return EvalNode(Subject("set", alg, history, formulas=x), "min",
+        return EvalNode(Subject("set", alg, history, x), "min",
                         _aggregate("min", children), children)
 
     def _nodes(self, alg: Alg, history: History, h: int, formulas):
@@ -780,10 +777,10 @@ class _TreeBuilder:
         for e, (a, r, minus) in self._level(alg, h, formulas)[2].items():
             deeper = history + ((a, r.rid),)
             children = yield self._nodes(a, deeper, h | e, r.antecedents)
-            node = EvalNode(Subject("set", a, deeper, formulas=r.antecedents), "min",
+            node = EvalNode(Subject("set", a, deeper, r.antecedents), "min",
                             _aggregate("min", children), children)
             if minus:
-                node = EvalNode(Subject("minus", a, deeper, formulas=r.antecedents),
+                node = EvalNode(Subject("minus", a, deeper, r.antecedents),
                                 "minus", -node.value, (node,))
             below[e] = node
         out = []
@@ -800,14 +797,14 @@ class _TreeBuilder:
                         routes.append(below[ce])
                     routes = tuple(routes)
                     obligations.append(EvalNode(
-                        Subject("foe", alg, history, formula=f, rule=r.rid, foe=s.rid),
+                        Subject("foe", alg, history, None, f, r.rid, s.rid),
                         "max", _aggregate("max", routes), routes))
                 obligations = tuple(obligations)
                 children.append(EvalNode(
-                    Subject("rule", alg, history, formula=f, rule=r.rid),
+                    Subject("rule", alg, history, None, f, r.rid),
                     "min", _aggregate("min", obligations), obligations))
             children = tuple(children)
-            out.append(EvalNode(Subject("formula", alg, history, formula=f),
+            out.append(EvalNode(Subject("formula", alg, history, None, f),
                                 op, _aggregate(op, children), children))
         return tuple(out)
 
@@ -828,7 +825,7 @@ def evaluation_tree(desc: PlausibleDescription, alg: Alg, x, history=(),
     Identical subjects share one node, so the result is a DAG presented
     as a tree.  The exporters write the expanded tree from the DAG:
     `tree_json_pieces` and `tree_dot_pieces` render each node once, and a
-    caller that writes their pieces as they come needs memory for the DAG,
+    caller that writes their chunks as they come needs memory for the DAG,
     not for the expanded output.  The root value equals prove() on the
     same arguments.
 
@@ -862,8 +859,8 @@ def tree_value(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
 
 def _root_subject(alg: Alg, h: History, x) -> Subject:
     if isinstance(x, Formula):
-        return Subject("formula", alg, h, formula=x)
-    return Subject("set", alg, h, formulas=x)
+        return Subject("formula", alg, h, None, x)
+    return Subject("set", alg, h, x)
 
 
 def tree_json(node: EvalNode) -> dict:
@@ -903,81 +900,117 @@ def _subject_json(subject: Subject) -> dict:
     return out
 
 
-# One history entry [tag, rule id] as it sits in a subject's "history" list.
-_JSON_ENTRY = '\n    [\n      %s,\n      %s\n    ]'
+# Characters a writer gathers before it yields them: a tree's text can be
+# far larger than its DAG, so it is never joined whole.
+_CHUNK = 1 << 16
+
+
+def _history_texts(entry):
+    """(texts, fill): id(history) -> (history, its entries rendered by
+    `entry`, comma-joined), and `fill(history, above)`, which renders a
+    history as the pair above it on the writer's stack plus one entry.
+    A level's nodes share one history object; holding it keeps its id."""
+    texts: dict[int, tuple[History, str]] = {}
+
+    def fill(history: History, above: tuple[History, str]) -> tuple[History, str]:
+        up, text = above
+        if history and history[:-1] == up:
+            text += ("," if up else "") + entry(*history[-1])
+        elif history != up:
+            text = ",".join(entry(tag, rid) for tag, rid in history)
+        pair = texts[id(history)] = history, text
+        return pair
+
+    return texts, fill
+
+
+def _node_texts(render):
+    """(texts, fill): id(node) -> render(node), the node's text before and
+    after its history's entries, and the function filling it.  Nodes equal
+    but for their history's entries and their children share one pair."""
+    texts: dict[int, tuple[str, str]] = {}
+    shared: dict[tuple, tuple[str, str]] = {}
+
+    def fill(node: EvalNode) -> tuple[str, str]:
+        subject, op, value, children = node
+        key = subject[:2] + subject[3:] + (op, value, not subject[2], not children)
+        pair = shared.get(key)
+        if pair is None:
+            pair = shared[key] = render(node)
+        texts[id(node)] = pair
+        return pair
+
+    return texts, fill
+
+
 _quote = encode_basestring_ascii  # what json.dumps applies to a str
 
 
+def _json_entry(tag: Alg, rid: str) -> str:
+    # [tag, rule id] in a subject's "history", indented from the node's brace
+    return f"\n      [\n        {_quote(tag.value)},\n        {_quote(rid)}\n      ]"
+
+
+def _json_text(node: EvalNode) -> tuple[str, str]:
+    """The node's text after its children, around its history's entries."""
+    (kind, alg, history, formulas, formula, rule, foe), op, value, children = node
+    # a leaf's head stops after "children": [], so its text starts a line
+    before = "\n  ],\n  " if children else "\n  "
+    before += f'"op": {_quote(op)},\n  "subject": {{\n    "alg": {_quote(alg.value)},\n    '
+    if foe is not None:
+        before += f'"foe": {_quote(foe)},\n    '
+    if formula is not None:
+        before += f'"formula": {_quote(format_formula(formula))},\n    '
+    if formulas:
+        members = ",\n      ".join(_quote(format_formula(f)) for f in formulas)
+        before += f'"formulas": [\n      {members}\n    ],\n    '
+    elif formulas is not None:
+        before += '"formulas": [],\n    '
+    after = ("\n    ]" if history else "]") + f',\n    "kind": {_quote(kind)}'
+    if rule is not None:
+        after += f',\n    "rule": {_quote(rule)}'
+    return before + '"history": [', after + f'\n  }},\n  "value": {value}\n}}'
+
+
 def tree_json_pieces(root: EvalNode):
-    """`json.dumps(tree_json(root), indent=2, sort_keys=True)`, in pieces.
+    """`json.dumps(tree_json(root), indent=2, sort_keys=True)`, in chunks of
+    about `_CHUNK` characters.
 
     The expanded tree is written from the DAG on an explicit stack, so depth
-    costs memory, not frames, and no nesting limit applies.  Each DAG node's
-    op, subject and value are rendered once, from fixed templates in key
-    order, and re-indented per occurrence.  A subject's history is most of
-    its text, and the nodes of a level share one history, each the history
-    above it plus one entry: each distinct history is rendered once, as the
-    rendering of the history above it plus its last entry.  A caller that
-    writes the pieces out as they come holds the DAG and its rendered nodes
-    and histories, not the expanded document.
+    costs memory, not frames.  Each node's text is rendered once from fixed
+    templates, apart from its history, most of it, which is rendered once
+    per distinct history; one `str.replace` indents it per occurrence.  A
+    caller that writes the chunks out as they come holds the DAG, those
+    texts and one chunk, not the expanded document.
     """
-    tails: dict[int, str] = {}
-    # id(history) -> (history, its entries as the "history" list renders
-    # them); holding the history keeps its id from being reused.
-    histories: dict[int, tuple[History, str]] = {}
-
-    def entries(history: History, above: tuple[History, str]) -> tuple[History, str]:
-        hit = histories.get(id(history))
-        if hit is None:
-            up, text = above
-            if history and history[:-1] == up:
-                tag, rid = history[-1]
-                text += ("," if up else "") + _JSON_ENTRY % (_quote(tag.value), _quote(rid))
-            elif history != up:
-                text = ",".join(_JSON_ENTRY % (_quote(tag.value), _quote(rid))
-                                for tag, rid in history)
-            hit = histories[id(history)] = history, text
-        return hit
-
-    def head(node: EvalNode, pad: str) -> str:
-        return "{\n" + pad + ('"children": [\n' if node.children else '"children": [],\n')
-
-    def tail(node: EvalNode, pad: str, history: str) -> str:
-        # pad indents the node's keys; the node itself sits two spaces left
-        text = tails.get(id(node))
-        if text is None:
-            s = node.subject
-            keys = ['"alg": ' + _quote(s.alg.value)]
-            if s.foe is not None:
-                keys.append('"foe": ' + _quote(s.foe))
-            if s.formula is not None:
-                keys.append('"formula": ' + _quote(format_formula(s.formula)))
-            if s.formulas is not None:
-                members = ",\n    ".join(_quote(format_formula(f)) for f in s.formulas)
-                keys.append('"formulas": ' + ("[\n    " + members + "\n  ]" if members else "[]"))
-            keys.append('"history": ' + ("[" + history + "\n  ]" if history else "[]"))
-            keys.append('"kind": ' + _quote(s.kind))
-            if s.rule is not None:
-                keys.append('"rule": ' + _quote(s.rule))
-            text = tails[id(node)] = (f'"op": {_quote(node.op)},\n"subject": {{\n  '
-                                      + ",\n  ".join(keys) + f"\n}},\n\"value\": {node.value}")
-        close = "\n" + pad + "],\n" if node.children else ""
-        text = text.replace("\n", "\n" + pad)
-        return f"{close}{pad}{text}\n{pad[2:]}}}"  # one copy of the long text
-
-    yield head(root, "  ")
-    stack = [(root, "  ", entries(root.subject.history, ((), "")), enumerate(root.children))]
+    texts, render = _node_texts(_json_text)
+    histories, entries = _history_texts(_json_entry)
+    out = ['{\n  "children": [\n' if root.children else '{\n  "children": [],']
+    size = len(out[0])
+    # indent is a newline and the spaces before the node's brace
+    stack = [(root, "\n", entries(root.subject.history, ((), "")), enumerate(root.children))]
     while stack:
-        node, pad, history, children = stack[-1]
+        node, indent, history, children = stack[-1]
         i, child = next(children, (0, None))
         if child is None:
             stack.pop()
-            yield tail(node, pad, history[1])
+            before, after = texts.get(id(node)) or render(node)
+            piece = (before + history[1] + after).replace("\n", indent)
         else:
-            item = pad + "  "
-            yield (",\n" if i else "") + item + head(child, item + "  ")
-            stack.append((child, item + "  ", entries(child.subject.history, history),
-                          enumerate(child.children)))
+            subject, _, _, grandchildren = child
+            indent += "    "
+            piece = (",\n" if i else "") + indent[1:] + "{" + indent + (
+                '  "children": [\n' if grandchildren else '  "children": [],')
+            history = (histories.get(id(subject.history))
+                       or entries(subject.history, history))
+            stack.append((child, indent, history, enumerate(grandchildren)))
+        out.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            yield "".join(out)
+            out, size = [], 0
+    if out:
+        yield "".join(out)
 
 
 _DOT_SHAPE = {"min": "box", "max": "ellipse", "minus": "diamond"}
@@ -986,45 +1019,64 @@ _DOT_SHAPE = {"min": "box", "max": "ellipse", "minus": "diamond"}
 def tree_dot(node: EvalNode) -> str:
     """Tree in DOT format; min/max/minus nodes get distinct shapes.
 
-    The lines of `tree_dot_pieces`, joined into one string as large as the
+    The chunks of `tree_dot_pieces`, joined into one string as large as the
     expanded tree's text.
     """
     return "".join(tree_dot_pieces(node))
 
 
+def _dot_entry(tag: Alg, rid: str) -> str:
+    return (tag.value + " " + rid).replace('"', r"\"")
+
+
+def _dot_text(node: EvalNode) -> tuple[str, str]:
+    """The node's line after its name, around its history's entries."""
+    before, after = _around_history(node.subject)
+    return (f' [shape={_DOT_SHAPE[node.op]}, label="' + before.replace('"', r"\""),
+            f"{after} = {node.value:+d}".replace('"', r"\"") + '"];\n')
+
+
 def tree_dot_pieces(root: EvalNode):
-    """The DOT text of the expanded tree, one line a piece.
+    """The DOT text of the expanded tree, in chunks of about `_CHUNK`
+    characters.
 
     Nodes are named in preorder; a node's line comes first, then, child by
     child, the child's subtree and the edge to it.  The walk runs on an
-    explicit stack over the DAG and renders each DAG node's shape and label
-    once, so a caller that writes the lines out as they come holds only the
-    DAG and its labels.
+    explicit stack over the DAG and renders each node's line once apart
+    from its history, and each distinct history once, as `tree_json_pieces`
+    does.
     """
-    rest: dict[int, str] = {}
+    texts, render = _node_texts(_dot_text)
+    histories, labels = _history_texts(_dot_entry)
     names = count()
 
-    def line(node: EvalNode) -> tuple[str, str]:
+    def line(node: EvalNode, history: str) -> tuple[str, str]:
         name = f"n{next(names)}"
-        text = rest.get(id(node))
-        if text is None:
-            label = f"{node.subject.text()} = {node.value:+d}".replace('"', r"\"")
-            text = rest[id(node)] = f' [shape={_DOT_SHAPE[node.op]}, label="{label}"];\n'
-        return name, "  " + name + text
+        before, after = texts.get(id(node)) or render(node)
+        return name, f"  {name}{before}{history}{after}"
 
-    yield "digraph evaluation {\n"
-    name, text = line(root)
-    yield text
-    stack = [(name, iter(root.children))]
+    history = labels(root.subject.history, ((), ""))
+    name, piece = line(root, history[1])
+    out = ["digraph evaluation {\n", piece]
+    size = len(out[0]) + len(piece)
+    stack = [(name, history, iter(root.children))]
     while stack:
-        name, children = stack[-1]
+        name, history, children = stack[-1]
         child = next(children, None)
         if child is None:
             stack.pop()
-            if stack:
-                yield f"  {stack[-1][0]} -> {name};\n"
+            if not stack:
+                break
+            piece = f"  {stack[-1][0]} -> {name};\n"
         else:
-            child_name, text = line(child)
-            yield text
-            stack.append((child_name, iter(child.children)))
-    yield "}\n"
+            history = (histories.get(id(child.subject.history))
+                       or labels(child.subject.history, history))
+            child_name, piece = line(child, history[1])
+            stack.append((child_name, history, iter(child.children)))
+        out.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            yield "".join(out)
+            out, size = [], 0
+    out.append("}\n")
+    yield "".join(out)

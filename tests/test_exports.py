@@ -24,7 +24,7 @@ from ppl import (
     tree_json,
     validate_description,
 )
-from ppl import cli
+from ppl import cli, engine
 from ppl.engine import tree_dot_pieces, tree_json_pieces
 
 _SHAPE = {"min": "box", "max": "ellipse", "minus": "diamond"}
@@ -192,20 +192,61 @@ class TestWritersMatchTheReferences:
         assert text == reference_json(root)
 
     def test_shared_subtrees_render_once_per_occurrence(self):
-        # the ladder's DAG shares subtrees; each occurrence gets its own
-        # indentation in JSON and its own node name in DOT
+        # the ladder's DAG shares subtrees, and team defeat reaches some at
+        # two depths; each occurrence gets its own indentation in JSON (so a
+        # writer caching indented text per node, not per (node, indent),
+        # fails here) and its own node name in DOT
         root = evaluation_tree(ladder(2, True), Alg.BETA, Atom("b2"))
-        distinct = {id(root)}
-        stack = [root]
+        depths: dict[int, set[int]] = {}
+        stack = [(root, 0)]
         while stack:
-            for c in stack.pop().children:
-                if id(c) not in distinct:
-                    distinct.add(id(c))
-                    stack.append(c)
+            node, depth = stack.pop()
+            seen = depths.setdefault(id(node), set())
+            if depth not in seen:
+                seen.add(depth)
+                stack.extend((c, depth + 1) for c in node.children)
         n = expanded_size(root)
-        assert n > len(distinct)
+        assert n > len(depths)
+        assert any(len(d) > 1 for d in depths.values())
+        assert_writers_match(root)
         assert "".join(tree_json_pieces(root)).count('"op":') == n
         assert tree_dot(root).count("shape=") == n
+
+    def test_no_chunk_holds_the_whole_document(self, monkeypatch):
+        # a chunk ends with the piece that reaches _CHUNK characters, and no
+        # piece is longer than one node's text at its depth
+        root = evaluation_tree(ladder(2, True), Alg.BETA, Atom("b2"))
+        texts = {"json": reference_json(root), "dot": reference_dot(root)}
+        longest = {"json": longest_json_node(root),
+                   "dot": max(map(len, texts["dot"].splitlines(True)))}
+        writers = {"json": tree_json_pieces, "dot": tree_dot_pieces}
+        checked = set()
+        for size in (engine._CHUNK, 1000):
+            monkeypatch.setattr(engine, "_CHUNK", size)
+            for fmt, writer in writers.items():
+                if len(texts[fmt]) > 4 * size:
+                    chunks = list(writer(root))
+                    assert "".join(chunks) == texts[fmt]
+                    assert max(map(len, chunks)) <= size + longest[fmt], (fmt, size)
+                    checked.add((fmt, size))
+        assert checked >= {("json", engine._CHUNK), ("json", 1000), ("dot", 1000)}
+
+
+def longest_json_node(root) -> int:
+    """The longest text one node adds to `reference_json(root)`: its own
+    keys, indented for the deepest place it occurs."""
+    deepest: dict[int, tuple] = {}
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if deepest.get(id(node), (None, -1))[1] < depth:
+            deepest[id(node)] = node, depth
+            stack.extend((c, depth + 1) for c in node.children)
+    longest = 0
+    for node, depth in deepest.values():
+        own = json.dumps(tree_json(node._replace(children=())), indent=2, sort_keys=True)
+        longest = max(longest, len(own) + own.count("\n") * 4 * depth)
+    return longest
 
 
 class TestCliStreams:
@@ -229,9 +270,9 @@ class TestCliStreams:
         kb.write_text(ladder_text(2, True), encoding="utf-8")
         root = evaluation_tree(ladder(2, True), Alg.BETA, Atom("b2"))
         want = {"json": reference_json(root) + "\n", "dot": reference_dot(root)}
-        assert len(want["json"]) > 4 * cli._CHUNK
-        for chunk in (cli._CHUNK, 1000):
-            monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert len(want["json"]) > 4 * engine._CHUNK
+        for chunk in (engine._CHUNK, 1000):
+            monkeypatch.setattr(engine, "_CHUNK", chunk)
             for fmt in ("json", "dot"):
                 assert cli.main(["tree", str(kb), "--alg", "beta", "--format", fmt, "b2"]) == 0
                 assert capsys.readouterr().out == want[fmt]

@@ -331,6 +331,21 @@ class TestExactBudget:
         assert calls == 5_376
 
 
+class TestRecords:
+    def test_fields_cannot_be_assigned(self):
+        root = evaluation_tree(desc_ambiguity(), Alg.BETA, Atom("b"))
+        for record, name in ((root, "value"), (root, "children"), (root.subject, "kind"),
+                             (root.subject, "history")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    def test_equal_by_value(self):
+        first, second = (evaluation_tree(desc_ambiguity(), Alg.BETA, Atom("b")) for _ in "ab")
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first.subject == second.subject and hash(first.subject) == hash(second.subject)
+
+
 class TestNodesBuilt:
     @pytest.fixture
     def built(self, monkeypatch):

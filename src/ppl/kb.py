@@ -32,9 +32,17 @@ A scan reads ~f's clauses once, propagates them once, and hands them to
 every search.  The countermodels its candidates leave are pooled on the
 description per set of components, each with a mask of the candidates it
 satisfies, so every later scan over those components rejects candidates
-by bit tests, not by searches.  A conjunction is not scanned: its
+by bit tests, not by searches.
+A formula is read by its shape once its leading negations are stripped:
+`and{…}` and `~or{…}` are conjunction-shaped, `or{…}` and `~and{…}`
+disjunction-shaped, each member taking the polarity of the whole (see
+`_leaves`).  A conjunction-shaped formula is not searched or scanned as a
+whole: it is a fact iff each member, with its polarity, is one, and its
 supporters are those of all its members, each member's taken among the
-rules found so far.
+rules found so far.  A disjunction-shaped formula that is no fact is
+scanned, but every candidate that supports one of its literal members is
+accepted off the index, with no search, since `Ax ∪ {c} ⊨ gi` implies
+`Ax ∪ {c} ⊨ or{g1..gk}`.
 
 The distinguished strict rule with the empty antecedent (whose consequent
 conjoins all axioms) may not appear as the inferior side of any priority
@@ -206,6 +214,36 @@ def build_strict_rules(ax_formulas: Iterable[Formula]) -> tuple[Rule, ...]:
     return tuple(sorted(out, key=lambda r: r.antecedents))
 
 
+def _leaves(f: Formula, negated: bool) -> Iterator[tuple[Formula, bool]]:
+    """The leaves of f, or of ~f when `negated`, f being an `and` or an `or`,
+    each without its leading negations and with its polarity.
+
+    Once its leading negations are stripped, a formula is conjunction-
+    shaped when it is `and{…}` or `~or{…}`, and disjunction-shaped when it
+    is `or{…}` or `~and{…}`: `~or{g1..gk}` is `and{~g1..~gk}` and
+    `~and{g1..gk}` is `or{~g1..~gk}`.  A member g of f, or of ~f, has the
+    polarity `negated`, flipped by each negation stripped off g.  A member
+    of f's own shape is flattened, not yielded, on an explicit stack, so
+    each leaf is a literal or of the other shape, and f (or ~f) is
+    equivalent to the `and`, or the `or`, of its leaves with their
+    polarities.  Each (member, polarity) pair is read once."""
+    conjunctive = (type(f) is Conj) is not negated
+    stack, seen = [(f, negated)], {(f, negated)}
+    while stack:
+        h, negated = stack.pop()
+        for g in h.members:
+            p = negated
+            while type(g) is Neg:
+                g, p = g.inner, not p
+            if (g, p) in seen:
+                continue
+            seen.add((g, p))
+            if type(g) is not Atom and ((type(g) is Conj) is not p) is conjunctive:
+                stack.append((g, p))
+            else:
+                yield g, p
+
+
 def _components(atom_sets: Iterable[frozenset[str]]) -> dict[str, str]:
     """Each atom of the sets mapped to one representative of its connected
     component in the hypergraph whose edges are the sets (union-find)."""
@@ -365,7 +403,13 @@ class PlausibleDescription:
         A literal l needs no search: `Ax ⊨ l` iff {l} is an axiom.  Proof:
         the axioms are the prime implicates of a satisfiable set, so Ax
         entails a clause that is no tautology exactly when some axiom lies
-        inside it, and the only nonempty clause inside {l} is {l}."""
+        inside it, and the only nonempty clause inside {l} is {l}.
+
+        A conjunction-shaped f, `and{…}` or `~or{…}` (see `_leaves`), needs
+        no search of its own: Ax entails it iff Ax entails each of its
+        leaves with its polarity, since `~or{g1..gk}` is `and{~g1..~gk}`.
+        Each leaf is a literal or disjunction-shaped, so that question is
+        one index read or one search, and none recurses further."""
         while type(f) is Neg:
             f, negated = f.inner, not negated
         memo = self._refuted if negated else self._facts
@@ -373,6 +417,8 @@ class PlausibleDescription:
         if hit is None:
             if type(f) is Atom:
                 hit = Lit(f.name, negated) in self._units
+            elif (type(f) is Conj) is not negated:
+                hit = all(self._entails(g, p) for g, p in _leaves(f, negated))
             else:
                 part = self._clauses(f, not negated)
                 hit = classical.find_model([part], self._implicates) is None
@@ -412,14 +458,28 @@ class PlausibleDescription:
         with those a scan finds among the non-literal consequents of l's
         component; a component without any is not scanned.
 
-        A conjunction that is no fact is not scanned: its supporters are
-        the rules supporting every member, in rule order.  Lemma:
-        `Ax ∪ {c} ⊨ and{g1..gk}` iff `Ax ∪ {c} ⊨ gi` for each i, and the
-        consistency of c does not depend on f.  A fact member is supported
-        by every rule with a consistent consequent, so the intersection
-        drops it.  Nested conjunctions are flattened on an explicit stack,
-        so each member scanned is no conjunction, and the strict rules'
-        antecedents share their literals' scans.
+        A conjunction-shaped f, `and{g1..gk}` or `~or{g1..gk}` once its
+        leading negations are stripped, that is no fact is not scanned: its
+        supporters are the rules supporting every member, each member with
+        its polarity (gi in the first, ~gi in the second), in rule order.
+        Lemma: `Ax ∪ {c} ⊨ and{g1..gk}` iff `Ax ∪ {c} ⊨ gi` for each i,
+        `~or{g1..gk}` is equivalent to `and{~g1..~gk}`, and the consistency
+        of c does not depend on f.  A fact member is supported by every rule
+        with a consistent consequent, so the intersection drops it.  Nested
+        members of the same shape are flattened on an explicit stack (see
+        `_leaves`), so each member asked is a literal or disjunction-shaped,
+        and the strict rules' antecedents share their literals' scans.
+
+        A disjunction-shaped f, `or{g1..gk}` or `~and{g1..gk}`, that is no
+        fact is scanned, but a candidate that supports one of its literal
+        members (again with its polarity) is accepted without a search.
+        Lemma: `Ax ∪ {c} ⊨ gi` implies `Ax ∪ {c} ⊨ or{g1..gk}`.  Such a
+        member is no fact, since f is none, so its supporters are found as
+        the paragraph above says, and all touch K(f).  The other
+        candidates, those of a conjunction-shaped member among them, are
+        searched: a conjunction-shaped member's own supporters are not
+        asked, so a scan runs at most a literal's scan inside it, and
+        nesting costs no Python frames.
         """
         return self._support(f, False, rules)
 
@@ -438,14 +498,14 @@ class PlausibleDescription:
         if entry is None:
             if self._entails(f, negated):
                 found = self._rules_of(filter(self._is_consistent, self._rules_with))
-            elif not negated and type(f) is Conj:
-                found = self._supporting_all(f)
             elif type(f) is Atom:
                 found = filter(self._is_consistent, self._linked[negated].get(f.name, ()))
                 k = self._component.get(f.name, f.name)
                 if k in self._compound:
                     found = chain(found, self._supported(f, negated, (k,), self._compound[k]))
                 found = self._rules_of(found)
+            elif (type(f) is Conj) is not negated:
+                found = self._supporting_all(f, negated)
             else:
                 ks = {self._component.get(a, a) for a in atoms(f)}
                 found = self._rules_of(self._supported(f, negated, ks))
@@ -466,25 +526,18 @@ class PlausibleDescription:
         at = sorted(i for c in consequents for i in self._rules_with[c])
         return tuple(self.rules[i] for i in at)
 
-    def _supporting_all(self, f: Conj) -> tuple[Rule, ...]:
-        """The rules supporting every member of the conjunction f, which is
-        no fact, in rule order (see `supporters`).  Each member g narrows
-        the rules found so far to their supporters of g, found[g].  Nested
-        members are flattened on a stack; fact members support every
+    def _supporting_all(self, f: Formula, negated: bool) -> tuple[Rule, ...]:
+        """The rules supporting every leaf of the conjunction-shaped f, or
+        ~f when `negated`, which is no fact, in rule order (see
+        `supporters`).  Each leaf g narrows the rules found so far to their
+        supporters of g, with g's polarity; fact leaves support every
         consistent rule and are skipped."""
         found = None
-        stack, seen = [f], {f}
-        while stack:
-            for g in stack.pop().members:
-                if g in seen:
-                    continue
-                seen.add(g)
-                if type(g) is Conj:
-                    stack.append(g)
-                elif not self.is_fact(g):
-                    found = self.supporters(g, found)
-                    if not found:
-                        return ()
+        for g, p in _leaves(f, negated):
+            if not self._entails(g, p):
+                found = self._support(g, p, found)
+                if not found:
+                    return ()
         return found
 
     def _supported(self, f: Formula, negated: bool, ks: Collection[str],
@@ -520,24 +573,45 @@ class PlausibleDescription:
         literal's scan passes its component's non-literal consequents, as
         its literal ones are read off the index (see `supporters`).  The
         pool's candidate tuple and masks still cover every candidate.
+
+        For a disjunction-shaped f, the candidates that support one of its
+        literal leaves are accepted first, read off the index, and only the
+        others are tested against the pool and searched (see `supporters`).
+        An accepted candidate has no countermodel, so accepting it pools
+        nothing that searching it would have pooled.
         """
-        negation = self._clauses(f, not negated)
+        while type(f) is Neg:
+            f, negated = f.inner, not negated
+        accepted = set()
+        if type(f) is not Atom and (type(f) is Conj) is negated:  # disjunction-shaped
+            for g, p in _leaves(f, negated):
+                if type(g) is Atom:
+                    accepted.update(r.consequent for r in self._support(g, p))
+            yield from accepted
         key = frozenset(ks)
         pool = self._pools.get(key)
-        rejected = 0
         if pool is None:
             candidates = tuple(dict.fromkeys(c for k in ks for c in self._touching.get(k, ())))
         else:
             candidates, _, entries = pool
+        left = [i for i, c in enumerate(candidates)
+                if c not in accepted and (among is None or c in among)]
+        if not left:
+            return
+        negation = self._clauses(f, not negated)
+        rejected = 0
+        if pool is not None:
             for m, mask in entries:
                 if not any(map(m.isdisjoint, negation[0])):
                     rejected |= mask
+            left = [i for i in left if not rejected >> i & 1]
         start = None
-        if len(candidates if among is None else among) > 1:  # no conflict: f is no fact
+        if len(left) > 1:  # no conflict: f is no fact
             start = classical.assume([negation], self._implicates)
-        for i, c in enumerate(candidates):
-            if rejected >> i & 1 or among is not None and c not in among:
+        for i in left:
+            if rejected >> i & 1:
                 continue
+            c = candidates[i]
             m = classical.find_model([self._clauses(c, False), negation],
                                      self._implicates, start)
             if m is None:

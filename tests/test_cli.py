@@ -119,19 +119,30 @@ class TestCheck:
     @pytest.mark.parametrize("command", [["query"], ["tree", "--format", "dot"]])
     def test_atom_limit_at_query_time(self, tmp_path, command):
         # validation stays within 2 atoms per fact, and the checks behind
-        # `a` read clauses off the formulas, whatever atoms they span
+        # `a` read clauses off the formulas, whatever atoms they span; so do
+        # those behind or{a,and{b,c}}: its negation is conjunction-shaped,
+        # so the foes of its supporter r are read off ~a and ~and{b,c}, and
+        # its own clause form is never built.  Each answer is the one a
+        # high limit gives
         kb = tmp_path / "three.ppl"
         kb.write_text("fact: or{a,b}\nfact: or{b,c}\nrule r: {} => a\n",
                       encoding="utf-8")
+        for formula in ("a", "or{a,and{b,c}}"):
+            res = run_cli(*command, str(kb), formula, "--alg", "pi", "--max-atoms", "2")
+            assert (res.returncode, res.stderr) == (0, "")
+            high = run_cli(*command, str(kb), formula, "--alg", "pi", "--max-atoms", "100")
+            assert res.stdout == high.stdout
+        # a rule concluding or{a,and{b,c}} is a candidate of a's scan: it is
+        # not a conjunction of clauses, so its clause form is enumerated,
+        # over 3 atoms, when the scan searches it
+        kb.write_text(kb.read_text(encoding="utf-8") + "rule w: {b} => or{a,and{b,c}}\n",
+                      encoding="utf-8")
         res = run_cli(*command, str(kb), "a", "--alg", "pi", "--max-atoms", "2")
-        assert (res.returncode, res.stderr) == (0, "")
-        # or{a,and{b,c}} is not a conjunction of clauses, so its clause form
-        # is enumerated, over 3 atoms, once the foes of its supporter r are
-        # sought (its negation, a conjunction of clauses, is not enumerated)
-        res = run_cli(*command, str(kb), "or{a,and{b,c}}", "--alg", "pi", "--max-atoms", "2")
         assert res.returncode == 2
         assert res.stderr == ("ppl: error[atom-limit]: "
                               "3 atoms exceed the enumeration limit of 2\n")
+        high = run_cli(*command, str(kb), "a", "--alg", "pi", "--max-atoms", "3")
+        assert (high.returncode, high.stderr) == (0, "")
 
     @pytest.mark.parametrize("formula", ["r3", "~q5"])
     def test_atom_limit_ignores_the_axioms(self, tmp_path, formula):
@@ -303,7 +314,10 @@ class TestFailureContract:
     @pytest.mark.parametrize("formula", [
         "~" * 1200 + "~s1",
         "and{" * 400 + "~s1" + "}" * 400,
-    ], ids=["negations", "conjunctions"])
+        # ~or{s1,~and{~s1,g}} is ~s1 and g: 800 nested sets, each level
+        # conjunction-shaped, equivalent to ~s1
+        "~or{s1,~and{~s1," * 400 + "~~~s1" + "}}" * 400,
+    ], ids=["negations", "conjunctions", "negated-disjunctions"])
     def test_deep_formula_at_the_default_recursion_limit(self, formula):
         # parsed, evaluated and printed without recursing per nesting level
         res = run_cli("query", str(KB_DIR / "lottery3.ppl"), "--alg", "pi", formula)

@@ -22,6 +22,7 @@ from ppl import (
     ALG_ORDER,
     Atom,
     Conj,
+    Disj,
     Neg,
     TreeBudgetError,
     atoms,
@@ -135,6 +136,39 @@ def _tree_root_equals_prove(seeds, large=False):
 
 def test_tree_root_equals_prove():
     assert _tree_root_equals_prove(SEEDS) > 4000
+
+
+def _shapes(rng, fs):
+    """One formula of each shape the description splits, over fs: negated
+    disjunctions and conjunctions, a mixed-polarity nesting of each shape,
+    and a disjunction with a conjunction-shaped member."""
+    f, g, h, k = (rng.choice(fs) for _ in range(4))
+    return [Neg(Disj([f, g])),
+            Neg(Conj([f, g])),
+            Neg(Disj([f, Neg(Conj([g, Neg(Disj([h, k]))]))])),
+            Neg(Conj([f, Neg(Disj([g, Neg(Conj([h, k]))]))])),
+            Disj([f, Conj([g, Neg(Disj([h, k]))])])]
+
+
+def test_split_shapes_against_entailment():
+    # facts, consistency and supporters (rule order included) of each
+    # shape and its negation meet entailment over all the axioms, and two
+    # of them meet the tree under every algorithm; the shapes draw from a
+    # generator of their own, so the other tests' draws are unchanged
+    supported = proved = 0
+    for seed in SEEDS[::2]:
+        desc, fs, _ = _theory(seed)
+        rng = random.Random(f"shapes/{seed}")
+        shapes = [g for f in _shapes(rng, fs) for g in (f, Neg(f))]
+        for f in rng.sample(shapes, len(shapes)):
+            assert desc._is_consistent(f) == satisfiable(desc.axioms + (f,)), (seed, f)
+        supported += assert_facts_and_support(desc, shapes)
+        for alg in ALG_ORDER:
+            for f in rng.sample(shapes, 2):
+                value = prove(desc, alg, f)
+                assert value == tree_value(desc, alg, f), (seed, alg, f)
+                proved += value == +1
+    assert supported > 3000 and proved > 400
 
 
 def test_large_facts_consistency_and_supporters():

@@ -26,6 +26,7 @@ from conftest import (
 )
 from ppl import (
     ALG_ORDER,
+    DEFAULT_MAX_ATOMS,
     Alg,
     Arrow,
     Atom,
@@ -436,17 +437,23 @@ class TestReuseAcrossHistories:
         assert prove(desc, Alg.PI, f) == tree_value(build(), Alg.PI, f) == +1
 
     def test_atom_limit_mid_proof_leaves_the_memo_exact(self):
-        # d's supporter r needs x (stored first) and then a 3-atom formula
-        # whose negation's clause form must be enumerated: over max_atoms=2
+        # d's supporter r needs x (stored first) and then ~a, whose scan
+        # meets the consequent of w as a candidate: or{a,and{b,c}}, whose
+        # clause form must be enumerated, over max_atoms=2.  With
+        # ~or{a,and{b,c}} as r's second antecedent and no w, every question
+        # is read off literals and conjunctions of clauses: nothing is
+        # enumerated, and each answer is the one a high limit gives
         a, b, c, d, x = (Atom(n) for n in "abcdx")
-        wide = Neg(Disj([a, Conj([b, c])]))
+        wide = Disj([a, Conj([b, c])])
+        formulas = (d, Neg(d), x, Neg(x), [x, Neg(d)], a, Neg(a), wide, Neg(wide))
 
-        def build():
+        def build(second, extra, max_atoms=2):
             return validate_description([], [
                 Rule("p", (), Arrow.DEFEASIBLE, x),
-                Rule("r", (x, wide), Arrow.DEFEASIBLE, d),
+                Rule("r", (x, second), Arrow.DEFEASIBLE, d),
                 Rule("q", (), Arrow.DEFEASIBLE, Neg(d)),
-            ], max_atoms=2)
+                *extra,
+            ], max_atoms=max_atoms)
 
         def outcome(query, desc, alg, f):
             try:
@@ -454,14 +461,24 @@ class TestReuseAcrossHistories:
             except AtomLimitError:
                 return "atom limit"
 
-        shared, fresh = build(), build()
+        failing = (Neg(a), [Rule("w", (), Arrow.DEFEASIBLE, wide)])
+        answering = (Neg(wide), [])
+        shared, fresh, high = (build(*failing), build(*failing),
+                               build(*failing, max_atoms=DEFAULT_MAX_ATOMS))
         for alg in ALG_ORDER[1:]:
             assert outcome(prove, shared, alg, d) == "atom limit"
         assert shared._proofs  # the walks stored x's values before they failed
         for alg in ALG_ORDER:
-            for f in (d, Neg(d), x, Neg(x), [x, Neg(d)], a, Neg(a), wide):
-                assert (outcome(prove, shared, alg, f)
-                        == outcome(tree_value, fresh, alg, f)), (alg, f)
+            for f in formulas:
+                got = outcome(prove, shared, alg, f)
+                assert got == outcome(tree_value, fresh, alg, f), (alg, f)
+                assert got in ("atom limit", prove(high, alg, f)), (alg, f)
+        answered, fresh, high = (build(*answering), build(*answering),
+                                 build(*answering, max_atoms=DEFAULT_MAX_ATOMS))
+        for alg in ALG_ORDER:
+            for f in formulas:
+                assert (prove(answered, alg, f) == tree_value(fresh, alg, f)
+                        == prove(high, alg, f)), (alg, f)
 
     def test_lottery_memo_stays_small(self):
         # the 6-ticket lottery: the value of ~s_i reads few history entries,
@@ -808,6 +825,26 @@ class TestStackSafety:
             for f in (plain, mixed):
                 assert "".join(truth_value(desc, alg, f).value
                                for alg in ALG_ORDER) == "uffffff"
+
+    def test_deep_mixed_polarity_under_a_shallow_limit(self):
+        # ~or{a_i, ~and{b_i, …}} nested 10,000 deep around s1 is
+        # conjunction-shaped at every level: its leaves ~a_i, b_i and s1
+        # come off one explicit stack, for its facts and supporters and for
+        # its negation's, whose scan accepts the supporters of ~s1 off the
+        # same flattening.  No rule concludes an a_i or a b_i, so it has no
+        # supporter, and its negation has those of ~s1
+        f = S1
+        for i in range(10000):
+            f = Neg(Disj([Atom(f"a{i}"), Neg(Conj([Atom(f"b{i}"), f]))]))
+        desc = desc_lottery3()
+        with shallow_recursion_limit():
+            assert not desc.is_fact(f) and not desc.is_fact(Neg(f))
+            assert desc.supporters(f) == ()
+            assert desc.supporters(Neg(f)) == desc.supporters(Neg(S1))
+            assert "".join(truth_value(desc, alg, f).value
+                           for alg in ALG_ORDER) == "uffffff"
+            assert "".join(truth_value(desc, alg, Neg(f)).value
+                           for alg in ALG_ORDER) == "utttttt"
 
     def test_long_chain_at_the_default_limit(self):
         # each link reads only its own consequent's supporters: linear work

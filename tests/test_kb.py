@@ -317,13 +317,21 @@ class TestFactsFromPrimeImplicates:
         assert supported > 5000 and checks > 30000
 
     def test_negations_share_the_clause_form_entries(self):
+        # and{a,~b} is conjunction-shaped: its own questions are read off
+        # its leaves, so only ~g's search and scan build a clause form, g's,
+        # and ~g's is never built.  or{a,~b} as a rule consequent is
+        # searched both ways: is it a fact, with ~d's clauses, and does it
+        # support a, as a scan candidate, with its own
         a, b = Atom("a"), Atom("b")
-        desc = validate_description([Disj([a, b])], [])
-        g = Conj([a, Neg(b)])
-        for f in (g, Neg(g), Neg(Neg(g))):
-            desc.is_fact(f)
-            desc.supporters(f)
-        assert list(desc._clause_forms) == list(desc._negations) == [g]
+        g, d = Conj([a, Neg(b)]), Disj([a, Neg(b)])
+        for h, rules, forms, negations in (
+                (g, [], [g], []),
+                (d, [Rule("r", (), Arrow.DEFEASIBLE, d)], [d], [d])):
+            desc = validate_description([Disj([a, b])], rules)
+            for f in (h, Neg(h), Neg(Neg(h))):
+                desc.is_fact(f)
+                desc.supporters(f)
+            assert list(desc._clause_forms) == forms and list(desc._negations) == negations
 
     def test_fact_and_consistency_share_one_entry(self, monkeypatch):
         # g is a fact exactly when ~g is inconsistent, and ~~g is g: the
@@ -460,13 +468,13 @@ class TestSupporterIndex:
         assert calls["find_model"] == 0 and scanned == []
         assert len(desc._facts) == len(desc._refuted) == n
         assert len(desc._supporters) == len(desc._opposers) == n
-        # a disjunction on top is searched: one run each to decide that it
-        # and its negation are no facts, and one for each of the two
-        # consequents touching its atoms, in its scan and its negation's;
-        # not one for each consequent of the chain
+        # a disjunction on top: one run decides that it is no fact; its
+        # negation, and{~a199,~a198}, is read off its leaves' unit axioms
+        # and literal supporters; its one scan accepts both consequents
+        # touching its atoms, its leaves' supporters, with no search
         top = Disj([Atom(f"a{n - 1}"), Atom(f"a{n - 2}")])
         assert truth_value(desc, Alg.BETA, top) is TruthValue.TRUE
-        assert calls["find_model"] == 6 and scanned == [top, top]
+        assert calls["find_model"] == 1 and scanned == [top]
 
     def test_shared_consequents_are_decided_once(self, monkeypatch):
         # 3-stage ambiguity ladder: rb and tb conclude b_i, ranb and w ~b_i

@@ -23,6 +23,10 @@ algorithm at or above that rank is +1 without a walk.
 A history records every (algorithm, rule) choice made on the current
 branch; a choice may never repeat, which bounds the depth of every branch
 by twice the number of rules and makes every query terminate with +1 or -1.
+Every memoised walk (the prover, the tree count, the tree's root value)
+reads a history as one int bitset, a bit per entry (see `_bit`), and
+stores each value with the bitset D of the entries its computation
+tested, under `history & D`.
 The prover's loop over a formula's supporters is this definition written
 out: a fresh supporter, its antecedents proved, then each foe
 team-defeated or else disabled.  The prover memoises each value on the
@@ -42,8 +46,8 @@ its exports expand it as they write, on an explicit stack, rendering each
 node and each history once, so a streamed export holds the DAG and one
 chunk, not the expanded output.
 A tree is counted before it is built, each subtree's size memoised with
-the entries it read (see `_TreeBuilder.count`); the tree's root value is
-computed the same way, without the tree (see `_TreeEvaluator`).
+the entry bits it read (see `_TreeBuilder.count`); the tree's root value
+is computed the same way, without the tree (see `_TreeEvaluator`).
 """
 
 from __future__ import annotations
@@ -145,7 +149,7 @@ def check_history(desc: PlausibleDescription, alg, history) -> tuple[Alg, Histor
     """
     alg = _as_alg(alg)
     entries = []
-    seen = set()
+    seen = 0
     allowed = {alg, co_algorithm(alg)}
     for entry in history:
         try:
@@ -164,9 +168,10 @@ def check_history(desc: PlausibleDescription, alg, history) -> tuple[Alg, Histor
                 f"entry {tag}:{rid} does not belong to {alg} or its co-algorithm"
             )
         desc.rule(rid)
-        if (tag, rid) in seen:
+        e = _bit(desc, tag, rid)
+        if seen & e:
             raise InvalidHistoryError(f"repeated entry {tag}:{rid}")
-        seen.add((tag, rid))
+        seen |= e
         entries.append((tag, rid))
     return alg, tuple(entries)
 
@@ -197,6 +202,12 @@ def _bit(desc: PlausibleDescription, alg: Alg, rid: str) -> int:
     co-algorithm.
     """
     return 1 << (2 * desc._position[rid] + (alg in _PRIMED))
+
+
+def _history_bits(desc: PlausibleDescription, history) -> int:
+    """The bitset of a history's (algorithm, rule) entries: distinct bits,
+    so their sum is their OR."""
+    return sum(_bit(desc, tag, rid) for tag, rid in history)
 
 
 def _run(walk):
@@ -392,8 +403,7 @@ def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
         history = [(co_algorithm(tag), rid) for tag, rid in history]
     elif not desc.priority and alg in _UNRANKED:
         alg = _UNRANKED[alg]
-    # distinct bits: their sum is their OR
-    h = sum(_bit(desc, tag, rid) for tag, rid in history) if history else 0
+    h = _history_bits(desc, history) if history else 0
     if not isinstance(x, Formula):
         return _run(_Prover(desc)._prove(alg, h, _normalize(x)))
     hit = _recall(desc._proofs, alg, h, x)
@@ -499,37 +509,40 @@ class _TreeEvaluator:
     computed without materializing nodes.
 
     `expand` gives a subject's operation and child subjects; the evaluator
-    walks `expand` and nothing else.  While it computes a subject's value
-    it collects in `reads` the set D of history entries whose membership
-    `expand` tested, at the subject, below it, or through the stored D of a
-    memo hit.  A formula node tests its supporters' entries and a foe node
-    its team defeaters' and the co-algorithm's entry; set, minus and rule
-    nodes test none.  The value depends on the history h only through
-    h & D.  Proof, by induction on the walk:
-    `expand` is deterministic given its membership answers, so under any
-    history h' with h' & D == h & D it returns the same children, and the
-    values decide which of them are walked: min stops at its first -1
-    child, max at its first +1.  A child keeps h or adds one entry e (a
-    rule's antecedents, a team defeater, the co-algorithm's minus node);
-    both histories then hold e, and agree on the rest of the child's D,
-    which is part of D.  So the memo maps a subject without its history to
-    {D: {h & D: value}}, and a lookup reuses the value of any D the
-    history agrees on: one value serves every branch that differs only in
-    entries the subtree never tests.  Min and max are order-insensitive,
+    walks `expand` and nothing else.  It reads a subject's history as the
+    int bitset the prover uses (see `_bit` and `_history_bits`).  While it
+    computes a subject's value it collects in `reads` the bitset D of the
+    history entries whose membership `expand` tested, at the subject, below
+    it, or through the stored D of a memo hit.  A formula node tests its
+    supporters' entries and a foe node its team defeaters' and the
+    co-algorithm's entry; set, minus and rule nodes test none.  The value
+    depends on the history h only through h & D.  Proof, by induction on
+    the walk: `expand` is deterministic given its membership answers, so
+    under any history h' with h' & D == h & D it returns the same
+    children, and the values decide which of them are walked: min stops at
+    its first -1 child, max at its first +1.  A child keeps h or adds one
+    entry e (a rule's antecedents, a team defeater, the co-algorithm's
+    minus node); both histories then hold e, and agree on the rest of the
+    child's D, which is part of D.  So the memo maps a subject without its
+    history to {D: {h & D: value}}, and a lookup reuses the value of any D
+    the history agrees on: one value serves every branch that differs only
+    in entries the subtree never tests.  Min and max are order-insensitive,
     so the result equals the fully materialized tree's root value.
     """
 
     def __init__(self, desc: PlausibleDescription):
         self.desc = desc
         self.rsd = desc.rsd()
-        self.memo: dict = {}
-        self.reads: set = set()
+        # the subject without its history -> {D: {h & D: value}}
+        self.memo: dict[tuple, dict[int, dict[int, int]]] = {}
+        self.reads = 0
 
-    def _absent(self, hset: frozenset, entry: HistoryEntry) -> bool:
-        """Whether the history lacks entry, a read: the only test `expand`
-        makes of a history."""
-        self.reads.add(entry)
-        return entry not in hset
+    def _absent(self, h: int, alg: Alg, rid: str) -> bool:
+        """Whether history h lacks entry (alg, rid), a read: the only test
+        `expand` makes of a history."""
+        e = _bit(self.desc, alg, rid)
+        self.reads |= e
+        return not h & e
 
     def expand(self, subject: Subject) -> tuple[str, tuple[Subject, ...]]:
         kind = subject.kind
@@ -546,12 +559,11 @@ class _TreeEvaluator:
             # childless max node keeps the root value equal to the verdict.
             if alg is Alg.PHI:
                 return "max", ()
-            hset = frozenset(h)
+            bits = _history_bits(self.desc, h)
             return "max", tuple(
                 Subject("rule", alg, h, None, f, r.rid)
                 for r in self.desc.supporters(f, self.rsd)
-                if self._absent(hset, (alg, r.rid))
-            )
+                if self._absent(bits, alg, r.rid))
         if kind == "rule":
             f = subject.formula
             r = self.desc.rule(subject.rule)
@@ -562,14 +574,14 @@ class _TreeEvaluator:
         # foe: team-defeat branches, then the co-algorithm disable branch
         f = subject.formula
         s = self.desc.rule(subject.foe)
-        hset = frozenset(h)
+        bits = _history_bits(self.desc, h)
         children = [
             Subject("set", alg, h + ((alg, t.rid),), t.antecedents)
             for t in self.desc.superior_supporters(f, s, self.rsd)
-            if self._absent(hset, (alg, t.rid))
+            if self._absent(bits, alg, t.rid)
         ]
         co = co_algorithm(alg)
-        if self._absent(hset, (co, s.rid)):
+        if self._absent(bits, co, s.rid):
             children.append(
                 Subject("minus", co, h + ((co, s.rid),), s.antecedents)
             )
@@ -579,17 +591,14 @@ class _TreeEvaluator:
         return _run(self._value(subject))
 
     def _value(self, subject: Subject):
-        hset = frozenset(subject.history)
-        key = subject[:2] + subject[3:]  # the subject without its history
-        stored = self.memo.get(key)
-        if stored is None:
-            stored = self.memo[key] = {}
+        h = _history_bits(self.desc, subject.history)
+        stored = self.memo.setdefault(subject[:2] + subject[3:], {})
         for d, values in stored.items():
-            hit = values.get(hset & d)
+            hit = values.get(h & d)
             if hit is not None:
                 self.reads |= d
                 return hit
-        outer, self.reads = self.reads, set()
+        outer, self.reads = self.reads, 0
         op, child_subjects = self.expand(subject)
         if op == "minus":
             result = -(yield self._value(child_subjects[0]))
@@ -601,10 +610,9 @@ class _TreeEvaluator:
                 if (yield self._value(c)) == stop:
                     result = stop
                     break
-        d = frozenset(self.reads)
-        stored.setdefault(d, {})[hset & d] = result
-        outer |= d
-        self.reads = outer
+        d = self.reads
+        stored.setdefault(d, {})[h & d] = result
+        self.reads = outer | d
         return result
 
 
@@ -838,7 +846,7 @@ def evaluation_tree(desc: PlausibleDescription, alg: Alg, x, history=(),
     alg, history = check_history(desc, alg, history)
     x = _normalize(x)
     builder = _TreeBuilder(desc, max_nodes)
-    h = sum(_bit(desc, tag, rid) for tag, rid in history)  # distinct bits: their OR
+    h = _history_bits(desc, history)
     builder.count(alg, h, x)
     return _run(builder.build(alg, history, h, x))
 

@@ -9,7 +9,8 @@ Facts, consistency and supporters are compared with `entails` and
 root of every `evaluation_tree` of at most 3,000 nodes with `prove`, its
 node count with the reference builder's.  In the larger slice, where
 beta's walks can run for seconds, `prove` meets `tree_value` on literal
-probes whose tree has at most 3,000 nodes.
+probes whose tree has at most 3,000 nodes, and one tree evaluator serves
+every query on a theory.
 """
 
 import random
@@ -20,6 +21,7 @@ from conftest import assert_facts_and_support, make_medium_theory
 from test_tree_build import distinct, reference_tree
 from ppl import (
     ALG_ORDER,
+    Alg,
     Atom,
     Conj,
     Disj,
@@ -28,10 +30,12 @@ from ppl import (
     atoms,
     co_algorithm,
     evaluation_tree,
+    foes,
     prove,
     satisfiable,
     tree_value,
 )
+from ppl.engine import _root_subject, _TreeEvaluator, check_history
 from ppl.formulas import is_literal
 
 SEEDS = range(240)
@@ -202,3 +206,41 @@ def test_large_prove_equals_tree_value():
 
 def test_large_tree_root_equals_prove():
     assert _tree_root_equals_prove(LARGE_SEEDS, large=True) > 600
+
+
+def _team_entries(desc, alg, f):
+    """The entries (alg, t) of the team defeaters that f's walk under alg
+    may try against some foe."""
+    return sorted({(alg.value, t.rid) for r in desc.supporters(f)
+                   for s in foes(desc, alg, f, r) for t in desc.superior_supporters(f, s)})
+
+
+def test_large_one_tree_evaluator_under_random_histories():
+    # one evaluator per theory serves every query, each against `prove`:
+    # eight literal probes under each algorithm and a random history, then
+    # every literal whose walk may team-defeat a foe, under the empty
+    # history and under each team defeater's entry; so a stored value whose
+    # reads miss a team defeater's entry or the co-algorithm's disable
+    # entry is reused under a history where it no longer holds.  Seed 15's
+    # beta and beta-p walks run for seconds, so they are left out
+    compared = teamed = 0
+    for seed in LARGE_SEEDS:
+        desc, fs, rng = _theory(seed, large=True)
+        evaluator = _TreeEvaluator(desc)
+        literals = list(dict.fromkeys(f for f in fs if is_literal(f)))
+        for alg in ALG_ORDER:
+            if seed == 15 and alg in (Alg.BETA, Alg.BETA_P):
+                continue
+            queries = [(f, _history(rng, desc, alg))
+                       for f in rng.sample(literals, min(8, len(literals)))]
+            for f in literals:
+                team = _team_entries(desc, alg, f)
+                if team:
+                    queries += [(f, [])] + [(f, [e]) for e in team]
+                    teamed += len(team)
+            for f, history in queries:
+                _, h = check_history(desc, alg, history)
+                assert (evaluator.value(_root_subject(alg, h, f))
+                        == prove(desc, alg, f, history)), (seed, alg, f, history)
+                compared += 1
+    assert compared > 2000 and teamed > 100

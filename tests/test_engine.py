@@ -277,6 +277,59 @@ class TestHistories:
         assert prove(desc, Alg.PI, A, [("pi-p", "ra")]) == +1
 
 
+def lottery(n: int):
+    """The n-ticket lottery: `{} => ~s_i` and `{} => or{the others}`."""
+    tickets = [Atom(f"s{i}") for i in range(1, n + 1)]
+    rules = [Rule(f"d{i}", (), Arrow.DEFEASIBLE, Neg(t)) for i, t in enumerate(tickets, 1)]
+    rules += [Rule(f"t{i}", (), Arrow.DEFEASIBLE, Disj(tickets[:i - 1] + tickets[i:]))
+              for i in range(1, n + 1)]
+    return validate_description(lottery_facts(n), rules)
+
+
+class TestHistoryBits:
+    """The prover, the tree count and the tree's root value all read a
+    history as the bitset `_bit` gives its entries, so a fault in the
+    encoding would show in all three alike and no comparison between them
+    would catch it: these tests pin it on its own."""
+
+    @staticmethod
+    def descriptions():
+        # every shipped KB, the 10-ticket lottery (1,053 rules) and large
+        # slices of the differential corpus, up to 20 priority pairs each
+        descs = [build() for build in kb_descriptions()] + [lottery(10)]
+        descs += [make_medium_theory(random.Random(seed), (4, 8), (10, 40), 20)
+                  for seed in range(0, 40, 5)]
+        return descs
+
+    def test_a_walks_entries_take_distinct_single_bits(self):
+        # a walk under alg holds entries of alg and of its co-algorithm only
+        checked = 0
+        for desc in self.descriptions():
+            for alg in ALG_ORDER:
+                entries = [(tag, r.rid) for tag in dict.fromkeys((alg, co_algorithm(alg)))
+                           for r in desc.rules]
+                bits = [engine._bit(desc, tag, rid) for tag, rid in entries]
+                assert all(b > 0 and b & (b - 1) == 0 for b in bits), alg
+                assert len(set(bits)) == len(entries), alg
+                checked += len(entries)
+        assert checked > 15000
+
+    def test_history_bits_are_the_or_of_the_entries_bits(self):
+        rng = random.Random(20261020)
+        for desc in self.descriptions():
+            for alg in ALG_ORDER:
+                assert engine._history_bits(desc, ()) == 0
+                tags = dict.fromkeys((alg, co_algorithm(alg)))
+                pool = [(tag.value, r.rid) for tag in tags for r in desc.rules]
+                for _ in range(10):
+                    entries = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+                    _, history = check_history(desc, alg, entries)
+                    want = 0
+                    for tag, rid in history:
+                        want |= engine._bit(desc, tag, rid)
+                    assert engine._history_bits(desc, history) == want, (alg, history)
+
+
 QUERIES = [prove, tree_value, evaluation_tree, truth_value]
 
 

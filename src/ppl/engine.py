@@ -24,9 +24,10 @@ A history records every (algorithm, rule) choice made on the current
 branch; a choice may never repeat, which bounds the depth of every branch
 by twice the number of rules and makes every query terminate with +1 or -1.
 Every memoised walk (the prover, the tree count, the tree's root value)
-reads a history as one int bitset, a bit per entry (see `_bit`), and
-stores each value with the bitset D of the entries its computation
-tested, under `history & D`.
+reads a history as one int bitset, a bit per entry (see `_bit`), derived
+once at the walk's entry point and threaded down it, each step that adds
+an entry ORing in its bit, and stores each value with the bitset D of the
+entries its computation tested, under `history & D`.
 The prover's loop over a formula's supporters is this definition written
 out: a fresh supporter, its antecedents proved, then each foe
 team-defeated or else disabled.  The prover memoises each value on the
@@ -510,8 +511,12 @@ class _TreeEvaluator:
 
     `expand` gives a subject's operation and child subjects; the evaluator
     walks `expand` and nothing else.  It reads a subject's history as the
-    int bitset the prover uses (see `_bit` and `_history_bits`).  While it
-    computes a subject's value it collects in `reads` the bitset D of the
+    int bitset the prover uses (see `_bit`): `value` derives it once from
+    the root subject's history (`_history_bits`), and the walk threads it
+    down, `expand` giving each child's bitset beside the child, so the walk
+    never reads a subject's tuple history.  `expand` tests an entry through
+    the prover's own read-and-test, `_fresh`.  While it computes a
+    subject's value the evaluator collects in `reads` the bitset D of the
     history entries whose membership `expand` tested, at the subject, below
     it, or through the stored D of a memo hit.  A formula node tests its
     supporters' entries and a foe node its team defeaters' and the
@@ -537,20 +542,19 @@ class _TreeEvaluator:
         self.memo: dict[tuple, dict[int, dict[int, int]]] = {}
         self.reads = 0
 
-    def _absent(self, h: int, alg: Alg, rid: str) -> bool:
-        """Whether history h lacks entry (alg, rid), a read: the only test
-        `expand` makes of a history."""
-        e = _bit(self.desc, alg, rid)
-        self.reads |= e
-        return not h & e
+    # the prover's read-and-test: the entry's bit if h lacks it, else 0
+    _fresh = _Prover._fresh
 
-    def expand(self, subject: Subject) -> tuple[str, tuple[Subject, ...]]:
+    def expand(self, subject: Subject, h: int) -> tuple[str, tuple[tuple[Subject, int], ...]]:
+        """(op, ((child subject, its history's bits), ...)) of a subject whose
+        history's bits are h."""
         kind = subject.kind
-        alg, h = subject.alg, subject.history
+        alg, history = subject.alg, subject.history
         if kind == "set":
-            return "min", tuple(Subject("formula", alg, h, None, f) for f in subject.formulas)
+            return "min", tuple((Subject("formula", alg, history, None, f), h)
+                                for f in subject.formulas)
         if kind == "minus":
-            return "minus", (Subject("set", alg, h, subject.formulas),)
+            return "minus", ((Subject("set", alg, history, subject.formulas), h),)
         if kind == "formula":
             f = subject.formula
             if self.desc.is_fact(f):
@@ -559,39 +563,37 @@ class _TreeEvaluator:
             # childless max node keeps the root value equal to the verdict.
             if alg is Alg.PHI:
                 return "max", ()
-            bits = _history_bits(self.desc, h)
             return "max", tuple(
-                Subject("rule", alg, h, None, f, r.rid)
+                (Subject("rule", alg, history, None, f, r.rid), h)
                 for r in self.desc.supporters(f, self.rsd)
-                if self._absent(bits, alg, r.rid))
+                if self._fresh(h, alg, r.rid))
         if kind == "rule":
             f = subject.formula
             r = self.desc.rule(subject.rule)
-            children = [Subject("set", alg, h + ((alg, r.rid),), r.antecedents)]
-            children += [Subject("foe", alg, h, None, f, r.rid, s.rid)
+            # the formula node above has read r's entry, absent from h
+            children = [(Subject("set", alg, history + ((alg, r.rid),), r.antecedents),
+                         h | _bit(self.desc, alg, r.rid))]
+            children += [(Subject("foe", alg, history, None, f, r.rid, s.rid), h)
                          for s in foes(self.desc, alg, f, r)]
             return "min", tuple(children)
         # foe: team-defeat branches, then the co-algorithm disable branch
         f = subject.formula
         s = self.desc.rule(subject.foe)
-        bits = _history_bits(self.desc, h)
         children = [
-            Subject("set", alg, h + ((alg, t.rid),), t.antecedents)
+            (Subject("set", alg, history + ((alg, t.rid),), t.antecedents), h | te)
             for t in self.desc.superior_supporters(f, s, self.rsd)
-            if self._absent(bits, alg, t.rid)
+            if (te := self._fresh(h, alg, t.rid))
         ]
         co = co_algorithm(alg)
-        if self._absent(bits, co, s.rid):
+        if ce := self._fresh(h, co, s.rid):
             children.append(
-                Subject("minus", co, h + ((co, s.rid),), s.antecedents)
-            )
+                (Subject("minus", co, history + ((co, s.rid),), s.antecedents), h | ce))
         return "max", tuple(children)
 
     def value(self, subject: Subject) -> int:
-        return _run(self._value(subject))
+        return _run(self._value(subject, _history_bits(self.desc, subject.history)))
 
-    def _value(self, subject: Subject):
-        h = _history_bits(self.desc, subject.history)
+    def _value(self, subject: Subject, h: int):
         stored = self.memo.setdefault(subject[:2] + subject[3:], {})
         for d, values in stored.items():
             hit = values.get(h & d)
@@ -599,15 +601,15 @@ class _TreeEvaluator:
                 self.reads |= d
                 return hit
         outer, self.reads = self.reads, 0
-        op, child_subjects = self.expand(subject)
+        op, children = self.expand(subject, h)
         if op == "minus":
-            result = -(yield self._value(child_subjects[0]))
+            result = -(yield self._value(*children[0]))
         else:
             # a min node stops at its first -1 child, a max node at its first +1
             stop = -1 if op == "min" else +1
             result = -stop
-            for c in child_subjects:
-                if (yield self._value(c)) == stop:
+            for c, g in children:
+                if (yield self._value(c, g)) == stop:
                     result = stop
                     break
         d = self.reads

@@ -550,24 +550,26 @@ class PlausibleDescription:
         shares it across assumptions (Eén and Sörensson 2003, MiniSat).
         ~f's clauses are read once, as one part for the pool's test, for
         `classical.assume`, which propagates it through the axioms once, and
-        for each candidate c's search, which starts from that branch.  A
-        search that finds a model of Ax ∧ c ∧ ~f leaves it to a pool kept on
-        the description for the set of components `ks`: the pool fixes the
-        candidate tuple when it is made, and each entry is a model with a
-        mask holding one bit for each candidate of that tuple that the model
-        satisfies.  Before it is pooled, `classical.extend` decides in the
-        model every atom of the components and of the candidates.  The atoms
-        of every formula whose components are `ks` lie in those components,
-        so a pooled model decides each later f of this pool and each
-        candidate: it satisfies ~f exactly when it meets every clause of ~f,
-        and its mask bits are exact.  A pooled model falsifies no axiom, so
-        it extends to a model of them all (see `classical.find_model`).  One
-        that satisfies ~f and c therefore extends to a countermodel of
-        `Ax ∪ {c} ⊨ f`, so a scan ORs the masks of the pooled models that
-        satisfy ~f and runs the kernel only on the candidates left unmarked.
-        A scan of one candidate propagates nothing ahead.  An entry is
-        appended whole, so concurrent scans never pair a model with
-        another's mask.
+        for each candidate c's search, which starts from that branch.  The
+        first scan of a set of components `ks` makes its pool, kept on the
+        description, which fixes the candidate tuple and the atoms its
+        models decide; every scan of `ks` reads both from the pool.  A search
+        that finds a model of Ax ∧ c ∧ ~f leaves it to the pool, as an entry
+        holding the model and a mask with one bit for each candidate that
+        the model satisfies.  Before it is pooled, `classical.extend` decides
+        in the model every atom of the components and of the candidates.
+        The atoms of every formula whose components are `ks` lie in those
+        components, so a pooled model decides each later f of this pool and
+        each candidate: it satisfies ~f exactly when it meets every clause
+        of ~f, and its mask bits are exact.  A pooled model falsifies no
+        axiom, so it extends to a model of them all (see
+        `classical.find_model`).  One that satisfies ~f and c therefore
+        extends to a countermodel of `Ax ∪ {c} ⊨ f`, so a scan ORs the masks
+        of the pooled models that satisfy ~f and runs the kernel only on the
+        candidates left unmarked.  A scan of one candidate propagates nothing
+        ahead.  Scans that race to make a pool all use the one `setdefault`
+        keeps, and an entry is appended whole, so concurrent scans never
+        pair a model with another's mask.
 
         Given `among`, the scan searches only the candidates in it: a
         literal's scan passes its component's non-literal consequents, as
@@ -592,19 +594,20 @@ class PlausibleDescription:
         pool = self._pools.get(key)
         if pool is None:
             candidates = tuple(dict.fromkeys(c for k in ks for c in self._touching.get(k, ())))
-        else:
-            candidates, _, entries = pool
+            scope = frozenset(a for a, k in self._component.items() if k in key)
+            scope = scope.union(key, *map(atoms, candidates))
+            pool = self._pools.setdefault(key, (candidates, scope, []))
+        candidates, scope, entries = pool
         left = [i for i, c in enumerate(candidates)
                 if c not in accepted and (among is None or c in among)]
         if not left:
             return
         negation = self._clauses(f, not negated)
         rejected = 0
-        if pool is not None:
-            for m, mask in entries:
-                if not any(map(m.isdisjoint, negation[0])):
-                    rejected |= mask
-            left = [i for i in left if not rejected >> i & 1]
+        for m, mask in entries:
+            if not any(map(m.isdisjoint, negation[0])):
+                rejected |= mask
+        left = [i for i in left if not rejected >> i & 1]
         start = None
         if len(left) > 1:  # no conflict: f is no fact
             start = classical.assume([negation], self._implicates)
@@ -618,17 +621,11 @@ class PlausibleDescription:
                 if self._is_consistent(c):
                     yield c
             else:
-                if pool is None:
-                    scope = frozenset(a for a, k in self._component.items() if k in key)
-                    scope = scope.union(key, *map(atoms, candidates))
-                    pool = self._pools.setdefault(key, (candidates, scope, []))
-                order, scope, entries = pool
                 classical.extend(m, scope, self._implicates, self._units)
-                mask = sum(1 << j for j, d in enumerate(order)
+                mask = sum(1 << j for j, d in enumerate(candidates)
                            if not any(map(m.isdisjoint, self._clauses(d, False)[0])))
                 entries.append((m, mask))
-                if order is candidates:  # else another scan made the pool first
-                    rejected |= mask
+                rejected |= mask
 
     def superior_supporters(self, f: Formula, s: Rule,
                             rules: Sequence[Rule] | None = None) -> tuple[Rule, ...]:

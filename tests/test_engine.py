@@ -800,18 +800,24 @@ class TestEvaluationTrees:
                 assert tree_value(desc, alg, f) == prove(desc, alg, f)
 
     def test_nodes_follow_the_construction_rules(self):
-        for build in (desc_ambiguity, desc_retracted_default):
-            desc = build()
+        # kb/penguin.ppl's priorities give its foes team defeaters
+        doc = parse_kb((KB_DIR / "penguin.ppl").read_text(encoding="utf-8"))
+        penguin = validate_description(doc.facts, doc.rules, doc.priority)
+        fly = Atom("fly")
+        for desc, f in ((desc_ambiguity(), B), (desc_retracted_default(), B),
+                        (penguin, fly), (penguin, Neg(fly))):
             core = _TreeEvaluator(desc)
             for alg in (Alg.PI, Alg.BETA, Alg.PSI_P):
-                root = evaluation_tree(desc, alg, B)
-                stack = [root]
+                # each child's bits, as `expand` threads them, are its history's
+                root = evaluation_tree(desc, alg, f)
+                stack = [(root, 0)]
                 while stack:
-                    node = stack.pop()
-                    op, subjects = core.expand(node.subject)
+                    node, h = stack.pop()
+                    op, children = core.expand(node.subject, h)
                     assert node.op == op
-                    assert tuple(c.subject for c in node.children) == subjects
-                    stack.extend(node.children)
+                    assert tuple((c.subject, engine._history_bits(desc, c.subject.history))
+                                 for c in node.children) == children
+                    stack.extend((c, g) for c, (_, g) in zip(node.children, children))
 
     def test_json_shape(self):
         got = tree_json(evaluation_tree(desc_ambiguity(), Alg.BETA, B))
@@ -904,6 +910,31 @@ class TestStackSafety:
         n = 5000
         desc = desc_rule_chain(n)
         assert truth_value(desc, Alg.BETA, Atom(f"a{n - 1}")) is TruthValue.TRUE
+
+
+class TestOracleCost:
+    def test_the_chain_oracle_reads_each_entry_once(self, monkeypatch):
+        # the evaluator derives the root's history bits once and threads
+        # them down: per link one read of the rule's entry and one bit for
+        # the set node below it, so the cost is linear in the chain's depth
+        n = 300
+        desc = desc_rule_chain(n)
+        calls = {"_bit": 0, "_history_bits": 0}
+
+        def counted(name):
+            inner = getattr(engine, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(engine, name, counted(name))
+        for alg in (Alg.PI, Alg.BETA):
+            calls.update(dict.fromkeys(calls, 0))
+            assert tree_value(desc, alg, Atom(f"a{n - 1}")) == +1
+            assert calls["_bit"] <= 2 * n + 10 and calls["_history_bits"] == 1, (alg, calls)
 
 
 class TestConcurrentReads:

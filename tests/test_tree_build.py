@@ -63,14 +63,14 @@ class ReferenceBuilder(_TreeEvaluator):
         self.limit = limit
         self.nodes: dict = {}
 
-    def build(self, subject):
+    def build(self, subject, h):
         nodes = self.nodes
-        op, child_subjects = self.expand(subject)
+        op, child_subjects = self.expand(subject, h)
         children = []
-        for c in child_subjects:
+        for c, g in child_subjects:
             node = nodes.get(c)
             if node is None:
-                node = yield self.build(c)
+                node = yield self.build(c, g)
             children.append(node)
         children = tuple(children)
         node = EvalNode(subject, op, _aggregate(op, children), children)
@@ -83,10 +83,11 @@ class ReferenceBuilder(_TreeEvaluator):
 def reference_tree(desc, alg, x, history=(), limit=MAX_NODES):
     """(root, distinct nodes) of the reference tree, or None when it has
     more than `limit` distinct nodes."""
-    alg, h = check_history(desc, alg, history)
+    alg, history = check_history(desc, alg, history)
     builder = ReferenceBuilder(desc, limit)
     try:
-        root = _run(builder.build(_root_subject(alg, h, _normalize(x))))
+        root = _run(builder.build(_root_subject(alg, history, _normalize(x)),
+                                  engine._history_bits(desc, history)))
     except _TooLarge:
         return None
     return root, len(builder.nodes)

@@ -48,7 +48,8 @@ node and each history once, so a streamed export holds the DAG and one
 chunk, not the expanded output.
 A tree is counted before it is built, each subtree's size memoised with
 the entry bits it read (see `_TreeBuilder.count`); the tree's root value
-is computed the same way, without the tree (see `_TreeEvaluator`).
+is computed the same way, without the tree, on subjects that carry no
+history and key its memo themselves (see `_TreeEvaluator`).
 """
 
 from __future__ import annotations
@@ -464,12 +465,14 @@ class Subject(NamedTuple):
 
     kind is one of "set", "formula", "rule", "foe", "minus"; `formulas`
     is set for "set"/"minus" subjects, `formula` for the others, and the
-    rule / opponent ids for "rule" and "foe" subjects.
+    rule / opponent ids for "rule" and "foe" subjects.  The history is
+    None on the subjects `_TreeEvaluator` walks, which read it as bits;
+    the nodes of a built tree hold their tuple histories.
     """
 
     kind: str
     alg: Alg
-    history: History
+    history: History | None
     formulas: tuple[Formula, ...] | None = None
     formula: Formula | None = None
     rule: str | None = None
@@ -513,8 +516,9 @@ class _TreeEvaluator:
     walks `expand` and nothing else.  It reads a subject's history as the
     int bitset the prover uses (see `_bit`): `value` derives it once from
     the root subject's history (`_history_bits`), and the walk threads it
-    down, `expand` giving each child's bitset beside the child, so the walk
-    never reads a subject's tuple history.  `expand` tests an entry through
+    down, `expand` giving each child's bitset beside the child, so the
+    subjects it walks carry no history (None), and a walk down n rules
+    holds n bitsets, not n tuple histories.  `expand` tests an entry through
     the prover's own read-and-test, `_fresh`.  While it computes a
     subject's value the evaluator collects in `reads` the bitset D of the
     history entries whose membership `expand` tested, at the subject, below
@@ -528,8 +532,8 @@ class _TreeEvaluator:
     its first -1 child, max at its first +1.  A child keeps h or adds one
     entry e (a rule's antecedents, a team defeater, the co-algorithm's
     minus node); both histories then hold e, and agree on the rest of the
-    child's D, which is part of D.  So the memo maps a subject without its
-    history to {D: {h & D: value}}, and a lookup reuses the value of any D
+    child's D, which is part of D.  So the memo maps a subject, which holds
+    no history, to {D: {h & D: value}}, and a lookup reuses the value of any D
     the history agrees on: one value serves every branch that differs only
     in entries the subtree never tests.  Min and max are order-insensitive,
     so the result equals the fully materialized tree's root value.
@@ -538,8 +542,8 @@ class _TreeEvaluator:
     def __init__(self, desc: PlausibleDescription):
         self.desc = desc
         self.rsd = desc.rsd()
-        # the subject without its history -> {D: {h & D: value}}
-        self.memo: dict[tuple, dict[int, dict[int, int]]] = {}
+        # the subject, whose history is None -> {D: {h & D: value}}
+        self.memo: dict[Subject, dict[int, dict[int, int]]] = {}
         self.reads = 0
 
     # the prover's read-and-test: the entry's bit if h lacks it, else 0
@@ -547,14 +551,13 @@ class _TreeEvaluator:
 
     def expand(self, subject: Subject, h: int) -> tuple[str, tuple[tuple[Subject, int], ...]]:
         """(op, ((child subject, its history's bits), ...)) of a subject whose
-        history's bits are h."""
-        kind = subject.kind
-        alg, history = subject.alg, subject.history
+        history's bits are h; the children carry no history."""
+        kind, alg = subject.kind, subject.alg
         if kind == "set":
-            return "min", tuple((Subject("formula", alg, history, None, f), h)
+            return "min", tuple((Subject("formula", alg, None, None, f), h)
                                 for f in subject.formulas)
         if kind == "minus":
-            return "minus", ((Subject("set", alg, history, subject.formulas), h),)
+            return "minus", ((Subject("set", alg, None, subject.formulas), h),)
         if kind == "formula":
             f = subject.formula
             if self.desc.is_fact(f):
@@ -564,37 +567,37 @@ class _TreeEvaluator:
             if alg is Alg.PHI:
                 return "max", ()
             return "max", tuple(
-                (Subject("rule", alg, history, None, f, r.rid), h)
+                (Subject("rule", alg, None, None, f, r.rid), h)
                 for r in self.desc.supporters(f, self.rsd)
                 if self._fresh(h, alg, r.rid))
         if kind == "rule":
             f = subject.formula
             r = self.desc.rule(subject.rule)
             # the formula node above has read r's entry, absent from h
-            children = [(Subject("set", alg, history + ((alg, r.rid),), r.antecedents),
+            children = [(Subject("set", alg, None, r.antecedents),
                          h | _bit(self.desc, alg, r.rid))]
-            children += [(Subject("foe", alg, history, None, f, r.rid, s.rid), h)
+            children += [(Subject("foe", alg, None, None, f, r.rid, s.rid), h)
                          for s in foes(self.desc, alg, f, r)]
             return "min", tuple(children)
         # foe: team-defeat branches, then the co-algorithm disable branch
         f = subject.formula
         s = self.desc.rule(subject.foe)
         children = [
-            (Subject("set", alg, history + ((alg, t.rid),), t.antecedents), h | te)
+            (Subject("set", alg, None, t.antecedents), h | te)
             for t in self.desc.superior_supporters(f, s, self.rsd)
             if (te := self._fresh(h, alg, t.rid))
         ]
         co = co_algorithm(alg)
         if ce := self._fresh(h, co, s.rid):
-            children.append(
-                (Subject("minus", co, history + ((co, s.rid),), s.antecedents), h | ce))
+            children.append((Subject("minus", co, None, s.antecedents), h | ce))
         return "max", tuple(children)
 
     def value(self, subject: Subject) -> int:
-        return _run(self._value(subject, _history_bits(self.desc, subject.history)))
+        h = _history_bits(self.desc, subject.history)
+        return _run(self._value(subject._replace(history=None), h))
 
     def _value(self, subject: Subject, h: int):
-        stored = self.memo.setdefault(subject[:2] + subject[3:], {})
+        stored = self.memo.setdefault(subject, {})
         for d, values in stored.items():
             hit = values.get(h & d)
             if hit is not None:

@@ -566,10 +566,13 @@ class PlausibleDescription:
         `classical.find_model`).  One that satisfies ~f and c therefore
         extends to a countermodel of `Ax ∪ {c} ⊨ f`, so a scan ORs the masks
         of the pooled models that satisfy ~f and runs the kernel only on the
-        candidates left unmarked.  A scan of one candidate propagates nothing
-        ahead.  Scans that race to make a pool all use the one `setdefault`
-        keeps, and an entry is appended whole, so concurrent scans never
-        pair a model with another's mask.
+        candidates left unmarked.  A model pooled without `extend` would
+        still mark only what it meets in every clause, and so falsify no
+        prime implicate and extend to a countermodel: it would reject fewer
+        candidates, never a wrong one, and cost only kernel runs.  A scan
+        of one candidate propagates nothing ahead.  Scans that race to make
+        a pool all use the one `setdefault` keeps, and an entry is appended
+        whole, so concurrent scans never pair a model with another's mask.
 
         Given `among`, the scan searches only the candidates in it: a
         literal's scan passes its component's non-literal consequents, as

@@ -39,7 +39,7 @@ from ppl import (
     tree_value,
     validate_description,
 )
-from ppl.engine import _history_bits, _root_subject, _TreeEvaluator, check_history
+from ppl.engine import _bit, _root_subject, _TreeEvaluator, check_history
 from ppl.formulas import is_literal
 
 SEEDS = range(240)
@@ -224,13 +224,20 @@ class _ThreadedBits(_TreeEvaluator):
     """The tree evaluator, checking that the bits it threads down to each
     child are its parent's with the child's new entry, if any: a walk that
     gave a child its parent's bits could choose that entry again, and need
-    not end."""
+    not end.  Exactly the set and minus children of rule and foe nodes add
+    an entry, that of a rule whose antecedents the child holds."""
 
     def expand(self, subject, h):
         op, children = super().expand(subject, h)
         for c, g in children:
-            added = c.history[len(subject.history):]
-            assert g == h | _history_bits(self.desc, added), c
+            assert g & h == h, c
+            if subject.kind in ("rule", "foe") and c.kind in ("set", "minus"):
+                added = g & ~h
+                r = self.desc.rules[added.bit_length() - 1 >> 1]
+                assert added == _bit(self.desc, c.alg, r.rid), c
+                assert r.antecedents == c.formulas, c
+            else:
+                assert g == h, c
         return op, children
 
 

@@ -808,15 +808,20 @@ class TestEvaluationTrees:
                         (penguin, fly), (penguin, Neg(fly))):
             core = _TreeEvaluator(desc)
             for alg in (Alg.PI, Alg.BETA, Alg.PSI_P):
-                # each child's bits, as `expand` threads them, are its history's
+                # `expand` gives each child without its history, beside the
+                # bits of that history, which extends its parent's
                 root = evaluation_tree(desc, alg, f)
                 stack = [(root, 0)]
                 while stack:
                     node, h = stack.pop()
                     op, children = core.expand(node.subject, h)
                     assert node.op == op
-                    assert tuple((c.subject, engine._history_bits(desc, c.subject.history))
+                    assert tuple((c.subject._replace(history=None),
+                                  engine._history_bits(desc, c.subject.history))
                                  for c in node.children) == children
+                    history = node.subject.history
+                    assert all(c.subject.history[:len(history)] == history
+                               for c in node.children)
                     stack.extend((c, g) for c, (_, g) in zip(node.children, children))
 
     def test_json_shape(self):
@@ -935,6 +940,26 @@ class TestOracleCost:
             calls.update(dict.fromkeys(calls, 0))
             assert tree_value(desc, alg, Atom(f"a{n - 1}")) == +1
             assert calls["_bit"] <= 2 * n + 10 and calls["_history_bits"] == 1, (alg, calls)
+
+    def test_the_chain_oracle_holds_no_history_tuples(self, monkeypatch):
+        # the walk reads histories only as the bits it threads down, so the
+        # subjects it builds carry none: giving each its tuple history
+        # would hold O(n²) entries on a walk down n rules
+        n = 300
+        desc = desc_rule_chain(n)
+        held = {"subjects": 0, "entries": 0}
+        real = engine.Subject
+
+        def counted(*args):
+            held["subjects"] += 1
+            held["entries"] += len(args[2] or ())
+            return real(*args)
+
+        monkeypatch.setattr(engine, "Subject", counted)
+        for alg in (Alg.PI, Alg.BETA):
+            held.update(subjects=0, entries=0)
+            assert tree_value(desc, alg, Atom(f"a{n - 1}")) == +1
+            assert held["subjects"] >= 3 * n and held["entries"] == 0, (alg, held)
 
 
 class TestConcurrentReads:

@@ -4,10 +4,13 @@
 anything, reusing each subtree's size under every history that agrees on
 the entries the subtree read, then builds a tree that fits from the same
 plans.  The reference below builds one subject at a time from the
-construction rules of `_TreeEvaluator.expand`, sharing identical subjects
-through a dict; the two must give equal DAGs, equal node counts and equal
-exports, and the budget must refuse exactly the trees with more than
-`max_nodes` distinct nodes, after reading no more levels than it needs.
+construction rules of `_TreeEvaluator.expand`, whose subjects carry no
+history: it re-attaches each child's history from the one bit the child
+adds, and shares identical subjects, histories included, through a dict;
+the evaluator's own memo is keyed by the history-free subject.  The two
+must give equal DAGs, equal node counts and equal exports, and the
+budget must refuse exactly the trees with more than `max_nodes` distinct
+nodes, after reading no more levels than it needs.
 """
 
 import random
@@ -68,6 +71,13 @@ class ReferenceBuilder(_TreeEvaluator):
         op, child_subjects = self.expand(subject, h)
         children = []
         for c, g in child_subjects:
+            # `expand`'s children carry no history: a child's is its
+            # parent's, plus the entry of the one bit it adds, if it adds one
+            history = subject.history
+            if g != h:
+                rid = self.desc.rules[(g & ~h).bit_length() - 1 >> 1].rid
+                history += ((c.alg, rid),)
+            c = c._replace(history=history)
             node = nodes.get(c)
             if node is None:
                 node = yield self.build(c, g)

@@ -182,12 +182,15 @@ def foes(desc: PlausibleDescription, alg: Alg | str, f: Formula,
          r: Rule) -> tuple[Rule, ...]:
     """The rules `alg`, an `Alg` or its tag, must defeat before concluding f
     via r: supporters of ~f, looked up under f itself (see
-    `PlausibleDescription._support`)."""
+    `PlausibleDescription._support`).  An f with no opposers, as every link
+    of a defeasible chain, has no foes, returned at once."""
     if type(alg) is not Alg:
         alg = _as_alg(alg)
     if alg in _BLIND or r.rid == desc.rse_id:
         return ()
     against = desc._support(f, True)
+    if not against:
+        return ()
     if alg is Alg.PSI_P:
         return tuple(s for s in against if desc.superior(s, r))
     return tuple(s for s in against if not desc.superior(r, s))

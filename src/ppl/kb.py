@@ -14,7 +14,8 @@ search for a countermodel (`classical.find_model`) of a formula's clauses,
 read off its shape, in which the axioms take part through unit propagation
 alone.  A literal question needs no search: the axioms entail a clause
 that is no tautology exactly when one of them lies inside it, so a literal
-l is a fact iff {l} is an axiom, and a consistent literal c supports a
+l is a fact iff {l} is an axiom, a literal c is consistent with the
+axioms iff {~c} is no axiom, and a consistent literal c supports a
 literal l that is no fact iff c == l or {~c, l} is an axiom (see
 `_entails` and `supporters`).
 A consequent is consistent with the axioms when its negation is no
@@ -25,7 +26,11 @@ literal has its literal supporters listed, read off the two-literal
 axioms.  The axioms' atoms split into connected components, and only rules
 whose consequents touch the components of a formula's atoms are tested for
 supporting it (each distinct consequent once); a literal's scan tests only
-the non-literal ones, and runs only when its component has one.  So a
+the non-literal ones, and runs only when its component has one.  The
+index lists only consistent consequents, each decided by one lookup in
+the unit axioms as the description is built, so a literal in a component
+without a non-literal consequent is answered from its index entry alone:
+no scan, no filter, and no memo entry for each consequent.  So a
 defeasible chain's queries cost linear, not quadratic, work, and a chain
 of literal rules runs no scan at all.
 A scan reads ~f's clauses once, propagates them once, and hands them to
@@ -54,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Collection, Iterable, Iterator, Sequence
 
 from . import classical
@@ -272,7 +277,7 @@ class PlausibleDescription:
     id's position in `rules` (read by `rule` and `engine._bit`), each
     distinct consequent's rule positions, each axiom atom's component, each
     component's touching consequents (all but the axiom rule's) and its
-    non-literal ones, and each literal's literal supporters (see
+    non-literal ones, and each literal's consistent literal supporters (see
     `supporters`); `rsd()`, the inferior ids, and the axioms' `clause_index`
     and unit literals; and the query memos: whether the axioms entail a
     formula and whether they entail its negation, and the clause forms of a
@@ -316,7 +321,7 @@ class PlausibleDescription:
         component = _components(frozenset(l.atom for l in c) for c in self.axiom_clauses)
         touching: dict[str, list[Formula]] = {}
         compound: dict[str, set[Formula]] = {}  # each component's non-literal consequents
-        # each literal's literal supporters when consistent, by sign and atom
+        # each literal's consistent literal supporters, by sign and atom
         linked: tuple[dict[str, list[Formula]], ...] = ({}, {})
         axioms = self.rse.consequent if self.rse_id else None
         for c in rules_with:
@@ -327,12 +332,13 @@ class PlausibleDescription:
                 g, neg = g.inner, not neg
             if type(g) is Atom:
                 ks = (component.get(g.name, g.name),)
-                linked[neg].setdefault(g.name, []).append(c)
                 flip = Lit(g.name, not neg)
-                for pair in self._implicates.get(flip, ()):
-                    if len(pair) == 2:  # {~c, l}: c supports l
-                        (l,) = pair.difference((flip,))
-                        linked[l.neg].setdefault(l.atom, []).append(c)
+                if flip not in self._units:  # c is consistent: {~c} is no axiom
+                    linked[neg].setdefault(g.name, []).append(c)
+                    for pair in self._implicates.get(flip, ()):
+                        if len(pair) == 2:  # {~c, l}: c supports l
+                            (l,) = pair.difference((flip,))
+                            linked[l.neg].setdefault(l.atom, []).append(c)
             else:
                 ks = {component.get(a, a) for a in atoms(c)}
                 for k in ks:
@@ -416,7 +422,7 @@ class PlausibleDescription:
         hit = memo.get(f)
         if hit is None:
             if type(f) is Atom:
-                hit = Lit(f.name, negated) in self._units
+                hit = (f.name, negated) in self._units  # a Lit is a plain tuple
             elif (type(f) is Conj) is not negated:
                 hit = all(self._entails(g, p) for g, p in _leaves(f, negated))
             else:
@@ -453,10 +459,16 @@ class PlausibleDescription:
         the clause {~c, l}, which is no tautology (see `_entails`).  That
         axiom is not {~c}, since c is consistent, nor {l}, since l is no
         fact, so it is {~c, l} itself; for c == l the entailment is trivial.
-        So the description lists, when it is built, each literal's literal
-        supporters, and l's supporters are the consistent ones among them,
-        with those a scan finds among the non-literal consequents of l's
-        component; a component without any is not scanned.
+        So the description lists, when it is built, each literal's
+        consistent literal supporters, and l's supporters are those, with
+        those a scan finds among the non-literal consequents of l's
+        component; a component without any is not scanned.  A literal c is
+        consistent iff {~c} is no axiom, since `Ax ⊨ ~c` iff some axiom
+        lies inside {~c} (see `_entails`): one lookup in the unit axioms.
+        So a literal in a component with no non-literal consequent is
+        answered with no scan, no filter and no memo entry for each linked
+        consequent: its rules are those of its index entry, sorted only
+        when the entry lists more than one consequent.
 
         A conjunction-shaped f, `and{g1..gk}` or `~or{g1..gk}` once its
         leading negations are stripped, that is no fact is not scanned: its
@@ -497,18 +509,18 @@ class PlausibleDescription:
         entry = memo.get(f)
         if entry is None:
             if self._entails(f, negated):
-                found = self._rules_of(filter(self._is_consistent, self._rules_with))
+                found = self._rules_of([*filter(self._is_consistent, self._rules_with)])
             elif type(f) is Atom:
-                found = filter(self._is_consistent, self._linked[negated].get(f.name, ()))
+                kept = self._linked[negated].get(f.name, ())
                 k = self._component.get(f.name, f.name)
                 if k in self._compound:
-                    found = chain(found, self._supported(f, negated, (k,), self._compound[k]))
-                found = self._rules_of(found)
+                    kept = [*kept, *self._supported(f, negated, (k,), self._compound[k])]
+                found = self._rules_of(kept)
             elif (type(f) is Conj) is not negated:
                 found = self._supporting_all(f, negated)
             else:
                 ks = {self._component.get(a, a) for a in atoms(f)}
-                found = self._rules_of(self._supported(f, negated, ks))
+                found = self._rules_of([*self._supported(f, negated, ks)])
             # the walks ask for the view among rsd(); it is the same tuple
             # when it drops nothing, as it mostly does
             view = tuple(filter(self._supporting, found))
@@ -521,10 +533,16 @@ class PlausibleDescription:
         ids = {r.rid for r in found}
         return tuple(r for r in rules if r.rid in ids)
 
-    def _rules_of(self, consequents: Iterable[Formula]) -> tuple[Rule, ...]:
-        """The rules concluding any of the consequents, in rule order."""
-        at = sorted(i for c in consequents for i in self._rules_with[c])
-        return tuple(self.rules[i] for i in at)
+    def _rules_of(self, consequents: Sequence[Formula]) -> tuple[Rule, ...]:
+        """The rules concluding any of the distinct consequents, in rule
+        order; one consequent's rules are listed in order, so they need no
+        sort."""
+        at = []
+        for c in consequents:
+            at.extend(self._rules_with[c])
+        if len(consequents) > 1:
+            at.sort()
+        return tuple(map(self.rules.__getitem__, at))
 
     def _supporting_all(self, f: Formula, negated: bool) -> tuple[Rule, ...]:
         """The rules supporting every leaf of the conjunction-shaped f, or

@@ -49,7 +49,7 @@ from ppl import (
     truth_value,
     validate_description,
 )
-from ppl import engine
+from ppl import engine, kb
 from ppl.engine import _root_subject, _TreeEvaluator, check_history
 
 A, B = Atom("a"), Atom("b")
@@ -960,6 +960,61 @@ class TestOracleCost:
             held.update(subjects=0, entries=0)
             assert tree_value(desc, alg, Atom(f"a{n - 1}")) == +1
             assert held["subjects"] >= 3 * n and held["entries"] == 0, (alg, held)
+
+
+class TestFirstQuestionCost:
+    """Every walk first asks of a formula whether it is a fact, who supports
+    it and who opposes it; a literal's first answers are read off the unit
+    axioms and the literal index as plain tuples."""
+
+    def test_the_chain_top_builds_no_literal(self, monkeypatch):
+        # one fact check and one consistency test a link built a Lit each,
+        # at least n of them under the seven algorithms
+        n = 200
+        desc = desc_rule_chain(n)
+        built = []
+        real = kb.Lit
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kb, "Lit", counted)
+        for alg in ALG_ORDER:
+            expected = TruthValue.UNDETERMINED if alg is Alg.PHI else TruthValue.TRUE
+            assert truth_value(desc, alg, Atom(f"a{n - 1}")) is expected, alg
+        assert built == []
+
+    def test_no_opposers_no_foes(self):
+        desc = desc_rule_chain(20)
+        for i in range(20):
+            f = Atom(f"a{i}")
+            assert desc.supporters(Neg(f)) == ()
+            for r in desc.supporters(f):
+                for alg in ALG_ORDER:
+                    assert foes(desc, alg, f, r) == (), (alg, f, r)
+
+    def test_foes_match_the_definition(self):
+        # kb/penguin.ppl: phi and pi-p regard no foes and the axiom rule
+        # has none; psi-p keeps only the opposers strictly superior to r,
+        # the others every opposer that r is not superior to
+        doc = parse_kb((KB_DIR / "penguin.ppl").read_text(encoding="utf-8"))
+        desc = validate_description(doc.facts, doc.rules, doc.priority)
+        for f in [l for a in ("fly", "bird", "penguin") for l in (Atom(a), Neg(Atom(a)))]:
+            against = desc.supporters(Neg(f))
+            for r in desc.rules:
+                for alg in ALG_ORDER:
+                    if alg in (Alg.PHI, Alg.PI_P) or r.rid == desc.rse_id:
+                        expected = ()
+                    elif alg is Alg.PSI_P:
+                        expected = tuple(s for s in against if desc.superior(s, r))
+                    else:
+                        expected = tuple(s for s in against if not desc.superior(r, s))
+                    assert foes(desc, alg, f, r) == expected, (alg, f, r)
+        fly = Atom("fly")
+        assert [s.rid for s in foes(desc, Alg.PSI_P, fly, desc.rule("rb"))] == ["rn"]
+        assert foes(desc, Alg.PSI_P, fly, desc.rule("rw")) == ()
+        assert [s.rid for s in foes(desc, Alg.BETA, fly, desc.rule("rw"))] == ["rs", "rn"]
 
 
 class TestConcurrentReads:

@@ -670,6 +670,87 @@ class TestLiteralIndex:
         assert_facts_and_support(desc, self.literals(desc) + [Disj([b, c]), Conj([a, c])])
 
 
+class TestLiteralFastPath:
+    """A literal that is no fact, in a component holding no non-literal
+    consequent, takes its supporters straight off the literal index: the
+    linked consequents whose complement is no unit axiom, their rules in
+    rule order.  Each answer is checked against entailment and
+    satisfiability over all the axioms, both polarities of every atom."""
+
+    KB = ("fact: u\n"
+          "fact: or{~p,q}\n"
+          "rule bad: {} => ~u\n"     # concludes the complement of a unit axiom
+          "rule r1: {} => q\n"
+          "rule w: {u} ~> p\n"       # a warning rule linked to q through {~p, q}
+          "rule r2: {} => p\n"
+          "rule r3: {} => ~~q\n"
+          "rule r4: {} => ~p\n"
+          "rule r5: {u} => x\n")
+
+    @staticmethod
+    def description(text):
+        doc = parse_kb(text)
+        return validate_description(doc.facts, doc.rules, doc.priority)
+
+    @staticmethod
+    def literals(desc):
+        names = sorted({a for r in desc.rules for a in atoms(r.consequent)})
+        return [l for a in names for l in (Atom(a), Neg(Atom(a)))]
+
+    def assert_definition(self, desc):
+        assert_facts_and_support(desc, self.literals(desc))
+        for l in self.literals(desc):
+            assert desc.supporters(l, desc.rsd()) == tuple(
+                r for r in desc.supporters(l) if r in desc.rsd())
+
+    def test_unit_axiom_inconsistent_rule_warning_and_rule_order(self, monkeypatch):
+        desc = self.description(self.KB)
+        calls = _count_calls(monkeypatch, "find_model")
+        scanned = _record_scans(monkeypatch)
+        ids = [r.rid for r in desc.rules]
+        # ~u is no fact, and bad's consequent ~u is inconsistent: not linked
+        assert desc.supporters(Neg(Atom("u"))) == ()
+        # q's linked consequents, q and ~~q directly and p through the axiom
+        # {~p, q}, give their rules in rule order, not consequent by consequent
+        got = [r.rid for r in desc.supporters(Atom("q"))]
+        assert got == ["#s(p)", "r1", "w", "r2", "r3"]
+        assert got == sorted(got, key=ids.index)
+        # the warning rule supports q but is left out of the rsd() view
+        assert [r.rid for r in desc.supporters(Atom("q"), desc.rsd())] == [
+            "#s(p)", "r1", "r2", "r3"]
+        assert [r.rid for r in desc.supporters(Neg(Atom("p")))] == ["#s(~q)", "r4"]
+        assert [r.rid for r in desc.supporters(Atom("x"))] == ["r5"]
+        assert calls["find_model"] == 0 and scanned == []
+        # the fact path: every rule with a consistent consequent, so not bad
+        assert desc.is_fact(Atom("u"))
+        assert [r.rid for r in desc.supporters(Atom("u"))] == [
+            r for r in ids if r != "bad"]
+        self.assert_definition(desc)
+
+    def test_one_literal_axiom_set(self, monkeypatch):
+        # the axiom rule #rse concludes the unit axiom u itself; it is no
+        # linked consequent, so it supports only the facts
+        desc = self.description("fact: u\nrule a: {} => ~u\nrule b: {} => u\n"
+                                "rule c: {u} => x\nrule d: {} => ~x\n")
+        assert desc.rse.consequent == Atom("u") and desc.rse_id == "#rse"
+        scanned = _record_scans(monkeypatch)
+        assert [r.rid for r in desc.supporters(Atom("u"))] == ["#rse", "b", "c", "d"]
+        assert desc.supporters(Neg(Atom("u"))) == ()
+        assert [r.rid for r in desc.supporters(Atom("x"))] == ["c"]
+        assert [r.rid for r in desc.supporters(Neg(Atom("x")))] == ["d"]
+        assert scanned == []
+        self.assert_definition(desc)
+
+    def test_two_axioms_through_one_literal(self):
+        # {~p, q} and {~r, q} make the strict rule {~q} -> and{~p,~r}, so q's
+        # component holds a non-literal consequent and is scanned; the same
+        # literal questions must get the same answers
+        desc = self.description(self.KB + "fact: or{~r,q}\nrule r6: {} => r\n")
+        assert [r.rid for r in desc.supporters(Atom("q"))] == [
+            "#s(p)", "#s(r)", "r1", "w", "r2", "r3", "r6"]
+        self.assert_definition(desc)
+
+
 class TestSupporterScan:
     """One supporter scan propagates ~f once and rejects candidates that a
     pooled countermodel satisfies, without a search."""

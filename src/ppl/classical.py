@@ -35,6 +35,7 @@ from typing import Collection, Iterable, Mapping
 from .formulas import (
     DEFAULT_MAX_ATOMS,
     Atom,
+    AtomLimitError,
     Conj,
     Formula,
     Lit,
@@ -69,16 +70,48 @@ def clauses_of(x, max_atoms: int = DEFAULT_MAX_ATOMS) -> ClauseSet:
     """Clause form of a formula, or the union over a set of formulas.
 
     One clause per falsifying valuation; the conjunction of the result is
-    equivalent to the input formula.
+    equivalent to the input formula.  A formula that is one clause (see
+    `_clause`) skips the enumeration: a literal set that is no tautology is
+    falsified by exactly one valuation of its atoms, the one making each of
+    its literals false, whose clause is that set; a tautology is falsified
+    by none.  More than `max_atoms` atoms still raise AtomLimitError.
     """
     if isinstance(x, Formula):
         x = (x,)
     out: set[Clause] = set()
     for f in x:
+        ls = _clause(f)
+        if ls is not None:
+            n_atoms = len({l.atom for l in ls})
+            if max_atoms is not None and n_atoms > max_atoms:
+                raise AtomLimitError(n_atoms, max_atoms)
+            if not is_tautology(ls):
+                out.add(ls)
+            continue
         avars = atoms(f)
         for v in valuations(avars, max_atoms):
             if not evaluate(f, v):
                 out.add(frozenset(Lit(a, a in v) for a in avars))
+    return frozenset(out)
+
+
+def _clause(f: Formula) -> Clause | None:
+    """The literals of f if f is one clause, else None: once leading
+    negations are stripped, a literal, or `or{…}` or `~and{…}` whose members
+    are such clauses in turn, each member taking the polarity of the whole
+    (`~and{g1..gk}` is `or{~g1..~gk}`).  Runs on an explicit stack."""
+    out = []
+    stack = [(f, False)]
+    while stack:
+        g, negated = stack.pop()
+        while type(g) is Neg:
+            g, negated = g.inner, not negated
+        if type(g) is Atom:
+            out.append(Lit(g.name, negated))
+        elif (type(g) is Conj) is negated:  # or{…} or ~and{…}
+            stack.extend((m, negated) for m in g.members)  # type: ignore[union-attr]
+        else:
+            return None
     return frozenset(out)
 
 

@@ -22,7 +22,7 @@ import re
 import sys
 from collections import Counter
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_MAX_ATOMS = 20
 
@@ -137,6 +137,30 @@ def _compare(f, g) -> int:
             stack.pop()
         else:
             return 0
+
+
+# Sort keys.  A formula built from literals by and/or alone orders as a
+# plain tuple that C compares: `(neg, atom)` for a literal and `(tag, member
+# keys)` for an and/or set.  Tuple order is `_compare`'s: False (0) < True
+# (1) < 2 < 3 puts the kind first, atom < ~ < and < or; two atoms compare by
+# name, two negated atoms by their atom, as `_compare` strips both
+# negations; and two sets of one kind compare member key by member key, a
+# prefix before its extensions, as `_compare` walks their member pairs.
+# Distinct formulas get distinct keys, and a literal's key never meets a
+# set's beyond the kind, so a str is never compared with a tuple.
+
+def _sorted_set(cls: type, members: Sequence[tuple]) -> tuple:
+    """(key, formula, text) of the simplified `cls` set (Conj or Disj) of
+    `members`, distinct (key, formula, text) triples already in key order.
+    One member is returned as it is; otherwise the set is built around the
+    members as given, with no comparison and no sort."""
+    if len(members) == 1:
+        return members[0]
+    f = object.__new__(cls)
+    f.members = tuple([m[1] for m in members])
+    f._hash = hash((cls._tag, tuple([g._hash for g in f.members])))
+    text = ("and{" if cls is Conj else "or{") + ",".join([m[2] for m in members]) + "}"
+    return (cls._tag, tuple([m[0] for m in members])), f, text
 
 
 VERUM = Conj(())
@@ -440,13 +464,14 @@ def _parse(text: str, tokens: list[str], i: int, stack: list, atoms: dict) -> tu
             continue
         elif tok == "}" and stack and stack[-1] and not stack[-1][1]:
             f = stack.pop()[0](())  # a list closed before its first member
-        elif _is_identifier(tok):
-            f = atoms[tok] = Atom(tok)
         elif tok == "~>":  # a `~`, then a '>' where a formula must start
             raise FormulaSyntaxError("unexpected '>'", _offset(text, i - 1) + 1)
         else:
-            message = f"unexpected {tok[0]!r}" if tok else "expected a formula"
-            raise FormulaSyntaxError(message, _offset(text, i - 1))
+            try:  # a new name: Atom checks it, once
+                f = atoms[tok] = Atom(tok)
+            except ValueError:
+                message = f"unexpected {tok[0]!r}" if tok else "expected a formula"
+                raise FormulaSyntaxError(message, _offset(text, i - 1)) from None
         while stack:  # f is complete: close every frame it completes
             if stack[-1] is None:
                 stack.pop()

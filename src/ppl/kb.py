@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
 from . import classical
@@ -68,14 +69,13 @@ from .formulas import (
     DEFAULT_MAX_ATOMS,
     Atom,
     Conj,
+    Disj,
     Formula,
     Lit,
     Neg,
+    _sorted_set,
     atoms,
     canonical_set,
-    complement,
-    conj,
-    disj,
     format_formula,
     is_clause,
     is_tautology,
@@ -174,7 +174,9 @@ def build_axioms(facts: Iterable[Formula],
 
 def axiom_formulas(ax: Iterable[Clause]) -> frozenset[Formula]:
     """Axiom clauses as simplified formulas (units become bare literals)."""
-    return frozenset(disj(l.formula() for l in c) for c in ax)
+    made: dict[Lit, tuple] = {}
+    return frozenset(_sorted_set(Disj, sorted([_literal(l, made) for l in c]))[1]
+                     for c in ax)
 
 
 def clause_rules(c: Formula) -> frozenset[Rule]:
@@ -192,31 +194,70 @@ def build_strict_rules(ax_formulas: Iterable[Formula]) -> tuple[Rule, ...]:
     R of L, to the conjoined complements of R implying the disjunction of
     L - R.  Expansions sharing an antecedent are conjoined into one rule;
     the empty antecedent gives the distinguished axiom rule, concluding
-    the conjunction of all axioms.  Formulas are simplified.
+    the conjunction of all axioms.  Formulas are simplified.  The literal
+    sets go to `_expand`, as the axiom clauses of a description do.
     """
-    groups: dict[frozenset[Lit], set[frozenset[Lit]]] = {}  # antecedent -> consequents
-    formula_of: dict[Lit, Formula] = {}  # each literal's formula, built once
+    clauses = set()
     for c in ax_formulas:
         if not is_clause(c):
             raise ValueError(f"not a clause: {c!r}")
         ls = lits(c)
         if not ls or is_tautology(ls):
             raise ValueError(f"clause is not contingent: {c!r}")
-        formula_of.update((l, l.formula()) for l in ls | complement(ls))
-        ordered = sorted(ls)
-        for size in range(len(ls)):
-            for rest in combinations(ordered, size):
-                groups.setdefault(complement(rest), set()).add(ls.difference(rest))
-    out = []
-    for ants, consequents in groups.items():
-        if ants:
-            antecedent = conj(formula_of[l] for l in ants)
-            rid, antecedents = f"#s({format_formula(antecedent)})", (antecedent,)
-        else:
-            rid, antecedents = "#rse", ()
-        consequent = conj(disj(formula_of[l] for l in keep) for keep in consequents)
-        out.append(Rule(rid, antecedents, Arrow.STRICT, consequent))
-    return tuple(sorted(out, key=lambda r: r.antecedents))
+        clauses.add(ls)
+    return _expand(clauses)[1]
+
+
+def _literal(l: Lit, made: dict[Lit, tuple]) -> tuple:
+    """The (key, formula, text) triple of the literal l (see
+    `formulas._sorted_set`), built once into `made`."""
+    t = made.get(l)
+    if t is None:
+        t = made[l] = ((l.neg, l.atom), l.formula(), repr(l))
+    return t
+
+
+def _expand(clauses: Iterable[Clause]) -> tuple[tuple[Formula, ...], tuple[Rule, ...]]:
+    """The axioms and the strict rules of distinct contingent literal sets,
+    each in canonical order (see `build_strict_rules`).
+
+    Every formula is built from its members' sort keys, already in order,
+    by `formulas._sorted_set`, so no formula is compared.  A clause's
+    literals are sorted once, with their complements alongside; the
+    combinations of n - k of them, reversed, are the complements of the
+    combinations of k (lexicographic order reverses under complement), so
+    each subset R pairs with L - R, already in key order, and only R's
+    complements are sorted.  The axioms are the consequents of the empty
+    antecedent, and the rules are ordered by their antecedents' keys, the
+    axiom rule first.
+    """
+    made: dict[Lit, tuple] = {}
+    groups: dict[tuple, tuple[list, list]] = {}  # antecedent keys -> (antecedent, pieces)
+    for ls in clauses:
+        own = sorted([_literal(l, made) for l in ls])
+        flips = [_literal(Lit(atom, not neg), made) for (neg, atom), _, _ in own]
+        n = len(own)
+        for size in range(n):
+            for rest, keep in zip(combinations(flips, size),
+                                  reversed([*combinations(own, n - size)])):
+                ants = sorted(rest)
+                keys = tuple([t[0] for t in ants])
+                group = groups.get(keys)
+                if group is None:
+                    group = groups[keys] = (ants, [])
+                group[1].append(keep)
+    if not groups:
+        return (), ()
+    axioms = sorted(_sorted_set(Disj, keep) for keep in groups.pop(())[1])
+    strict = [Rule("#rse", (), Arrow.STRICT, _sorted_set(Conj, axioms)[1])]
+    ordered = []
+    for ants, pieces in groups.values():
+        key, antecedent, text = _sorted_set(Conj, ants)
+        consequent = _sorted_set(Conj, sorted(_sorted_set(Disj, keep) for keep in pieces))[1]
+        ordered.append((key, Rule(f"#s({text})", (antecedent,), Arrow.STRICT, consequent)))
+    ordered.sort(key=itemgetter(0))
+    strict.extend(r for _, r in ordered)
+    return tuple(f for _, f, _ in axioms), tuple(strict)
 
 
 def _leaves(f: Formula, negated: bool) -> Iterator[tuple[Formula, bool]]:
@@ -278,11 +319,13 @@ class PlausibleDescription:
     distinct consequent's rule positions, each axiom atom's component, each
     component's touching consequents (all but the axiom rule's) and its
     non-literal ones, and each literal's consistent literal supporters (see
-    `supporters`); `rsd()`, the inferior ids, and the axioms' `clause_index`
-    and unit literals; and the query memos: whether the axioms entail a
-    formula and whether they entail its negation, and the clause forms of a
-    formula and of its negation, each per formula without leading negations
-    (see `_entails`); the supporters of a formula and of its negation, each
+    `supporters`); the axiom rule's consequent, consistent since the axioms
+    are satisfiable, so a fact's supporters need no search for it; `rsd()`,
+    the inferior ids, and the axioms' `clause_index` and unit literals; and
+    the query memos: whether the axioms entail a formula and whether they
+    entail its negation, and the clause forms of a formula and of its
+    negation, each per formula without leading negations (see `_entails`);
+    the supporters of a formula and of its negation, each
     per formula without leading negations (all and among `rsd()` in one
     entry); the countermodel pool of the supporter scans per set of
     components (see `_supported`); proof values per algorithm and formula,
@@ -345,6 +388,8 @@ class PlausibleDescription:
                     compound.setdefault(k, set()).add(c)
             for k in ks:
                 touching.setdefault(k, []).append(c)
+        # the axiom rule's consequent is consistent: the axioms are satisfiable
+        derive(self, "_conjoined_axioms", axioms)
         derive(self, "_rules_with", rules_with)
         derive(self, "_component", component)
         derive(self, "_touching", touching)
@@ -509,7 +554,8 @@ class PlausibleDescription:
         entry = memo.get(f)
         if entry is None:
             if self._entails(f, negated):
-                found = self._rules_of([*filter(self._is_consistent, self._rules_with)])
+                found = self._rules_of([c for c in self._rules_with
+                                        if c is self._conjoined_axioms or self._is_consistent(c)])
             elif type(f) is Atom:
                 kept = self._linked[negated].get(f.name, ())
                 k = self._component.get(f.name, f.name)
@@ -676,8 +722,7 @@ def validate_description(
             raise StrictRuleRejectedError(r.rid)
 
     ax_clauses = build_axioms(facts, max_atoms)
-    ax = tuple(sorted(axiom_formulas(ax_clauses)))
-    strict = build_strict_rules(ax)
+    ax, strict = _expand(ax_clauses)
     rse_id = "#rse" if ax else None
 
     seen = {r.rid for r in strict}

@@ -38,7 +38,8 @@ from ppl.classical import (
     is_tautology,
     saturate,
 )
-from ppl.formulas import FALSUM, VERUM, atoms, evaluate, parse_formula, valuations
+from ppl.formulas import (FALSUM, VERUM, atoms, complement, evaluate, parse_formula,
+                          valuations)
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -120,6 +121,80 @@ class TestClausesOf:
         wide = Disj([Atom(f"x{i}") for i in range(5)])
         with pytest.raises(AtomLimitError):
             clauses_of(wide, max_atoms=4)
+
+
+def enumerated_clauses(f):
+    """One clause per falsifying valuation of f's atoms: the clause form
+    that `clauses_of` defines, computed here with no shortcut."""
+    avars = atoms(f)
+    return {frozenset(Lit(a, a in v) for a in avars)
+            for v in val_space(avars) if not evaluate(f, v)}
+
+
+class TestClauseShortcut:
+    """A fact that is one clause gives its literal set, with no enumeration."""
+
+    CLAUSES = {
+        "a": [clause("a")],
+        "~~a": [clause("a")],
+        "~~~a": [clause("~a")],
+        "or{a,a}": [clause("a")],
+        "or{a,~b,or{~b,a}}": [clause("a", "~b")],
+        "or{a,~and{b,c}}": [clause("a", "~b", "~c")],
+        "~and{a,~or{b,~~c},~~a}": [clause("~a", "b", "c")],
+        "or{a,~and{b,~a}}": [clause("a", "~b")],
+        "or{a,~and{b,a}}": [],
+        "or{a,~a}": [],
+        "~and{a,~a}": [],
+        "or{}": [EMPTY_CLAUSE],
+        "~and{}": [EMPTY_CLAUSE],
+    }
+
+    @pytest.mark.parametrize("text", sorted(CLAUSES))
+    def test_clause_facts_skip_the_enumeration(self, monkeypatch, text):
+        f = parse_formula(text)
+        reference = enumerated_clauses(f)
+        assert reference == set(self.CLAUSES[text])
+
+        def refused(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(classical, "valuations", refused)
+        assert classical._clause(f) is not None
+        assert clauses_of(f) == reference
+        assert clauses_of([f, f, A]) == reference | {clause("a")}
+
+    @pytest.mark.parametrize("text", ["and{a,b}", "~or{a,b}", "or{a,and{b,c}}",
+                                      "~and{a,or{b,c}}", "~and{a,~and{a,d}}", "and{}",
+                                      "~or{}"])
+    def test_other_shapes_are_enumerated(self, text):
+        f = parse_formula(text)
+        assert classical._clause(f) is None
+        assert clauses_of(f) == enumerated_clauses(f)
+
+    def test_equals_the_enumerated_clause_form(self):
+        rng = random.Random(83)
+        shortcuts = 0
+        for _ in range(2000):
+            f = _random_formula(rng, 3)
+            for g in (f, Neg(f)):
+                assert clauses_of(g) == enumerated_clauses(g), g
+                shortcuts += classical._clause(g) is not None
+        assert shortcuts > 500
+
+    def test_atom_limit_still_applies(self):
+        # a 21-atom clause, its dual form and a 21-atom tautology; a higher
+        # limit reads each off its shape
+        wide = [Atom(f"x{i}") for i in range(21)]
+        positive = frozenset(Lit(a.name, False) for a in wide)
+        for f, form in ((Disj(wide), {positive}),
+                        (Neg(Conj(wide)), {complement(positive)}),
+                        (Disj(wide + [Neg(wide[0])]), set())):
+            with pytest.raises(AtomLimitError) as caught:
+                clauses_of(f)
+            assert (caught.value.n_atoms, caught.value.limit) == (21, 20)
+            assert clauses_of(f, max_atoms=21) == form
+        assert clauses_of(Disj(wide[:20])) == {positive - {Lit("x20", False)}}
 
 
 def holds(clauses, true_atoms) -> bool:

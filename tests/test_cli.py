@@ -108,6 +108,17 @@ class TestCheck:
         assert res.returncode == 2
         assert "atom" in res.stderr.lower()
 
+    def test_wide_clause_fact_is_refused_at_validation(self, tmp_path):
+        # a clause fact's literals are read off its shape, with no
+        # enumeration, yet 21 atoms still pass the default --max-atoms
+        kb = tmp_path / "wide.ppl"
+        kb.write_text("fact: or{" + ",".join(f"x{i}" for i in range(21)) + "}\n",
+                      encoding="utf-8")
+        res = run_cli("check", str(kb))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == (f"{kb}: error[validation]: "
+                              "21 atoms exceed the enumeration limit of 20\n")
+
     @pytest.mark.parametrize("command", [["check"], ["query", "b", "--alg", "beta"]])
     def test_negative_atom_limit_is_a_usage_error(self, command):
         path = str(KB_DIR / "ambiguity.ppl")

@@ -25,7 +25,7 @@ from ppl import (
     parse_formula,
     simplify,
 )
-from ppl.formulas import canonical_set, evaluate
+from ppl.formulas import _sorted_set, canonical_set, evaluate
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -132,6 +132,53 @@ class TestCanonicalOrder:
         assert x < y and not y < x and x != y
         assert sorted([y, x]) == [x, y]
         assert f.members == (x, y)
+
+
+def _literal_triple(l):
+    return (l.neg, l.atom), l.formula(), repr(l)
+
+
+def _random_member(rng):
+    """A literal, or an and/or set of 2-6 literal draws (some repeat, some
+    collapse to one literal), as a (key, formula, text) triple."""
+    draws = 1 if rng.random() < 0.3 else rng.randint(2, 6)
+    ls = {Lit(rng.choice("abcdef"), rng.random() < 0.5) for _ in range(draws)}
+    cls = rng.choice([Conj, Disj])
+    return _checked_set(cls, sorted(_literal_triple(l) for l in ls))
+
+
+def _checked_set(cls, members):
+    """`_sorted_set` of `members`, checked against the set that sorts them."""
+    got = _sorted_set(cls, members)
+    ref = simplify(cls([m[1] for m in members]))
+    _, f, text = got
+    assert f == ref and hash(f) == hash(ref) and repr(f) == repr(ref) == text
+    if len(members) > 1:
+        assert type(f) is cls and f.members == ref.members
+    return got
+
+
+class TestSortKeys:
+    """Formulas built from literals by and/or, sorted by plain tuple keys."""
+
+    def test_keys_order_as_formulas_and_sets_build_as_sorted(self):
+        rng = random.Random(37)
+        made = []
+        for _ in range(400):
+            members = [_random_member(rng) for _ in range(rng.randint(1, 6))]
+            distinct = list({m[0]: m for m in members}.values())
+            assert len({m[1] for m in members}) == len(distinct)  # one key per formula
+            by_key = sorted(distinct, key=lambda m: m[0])
+            assert [m[1] for m in by_key] == sorted(m[1] for m in distinct)
+            for cls in (Conj, Disj):  # literals and sets of both kinds in one set
+                made.append(_checked_set(cls, by_key))
+        by_key = sorted({m[0]: m for m in made}.values(), key=lambda m: m[0])
+        assert [m[1] for m in by_key] == sorted({m[1] for m in made})
+        assert len({type(m[1]) for m in made}) == 4  # Atom, Neg, Conj and Disj
+
+    def test_empty_set_is_the_verum_or_falsum(self):
+        assert _sorted_set(Conj, []) == ((2, ()), VERUM, "and{}")
+        assert _sorted_set(Disj, []) == ((3, ()), FALSUM, "or{}")
 
 
 class TestComplement:

@@ -53,7 +53,8 @@ from ppl import (
 )
 from ppl import classical
 from ppl.classical import core_clauses
-from ppl.formulas import FormulaClass, classify, is_literal
+from ppl.formulas import (FormulaClass, classify, complement, conj, disj, evaluate,
+                          format_formula, is_literal, lits)
 from ppl.kb import _components, axiom_formulas
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -286,6 +287,93 @@ class TestBuildStrictRules:
             ax = sorted(axiom_formulas(build_axioms(facts)))
             for r in build_strict_rules(ax):
                 assert entails(list(ax) + list(r.antecedents), r.consequent)
+
+
+def _reference_strict_rules(ax_formulas):
+    """The strict rules built and ordered through formula comparisons: each
+    clause expanded by subsets, merged by antecedent, every formula made by
+    `conj`/`disj` and the rules sorted by their antecedent formulas."""
+    groups = {}
+    for c in ax_formulas:
+        ls = lits(c)
+        for size in range(len(ls)):
+            for rest in combinations(sorted(ls), size):
+                groups.setdefault(complement(rest), set()).add(ls.difference(rest))
+    out = []
+    for ants, consequents in groups.items():
+        if ants:
+            antecedent = conj(l.formula() for l in ants)
+            rid, antecedents = f"#s({format_formula(antecedent)})", (antecedent,)
+        else:
+            rid, antecedents = "#rse", ()
+        consequent = conj(disj(l.formula() for l in keep) for keep in consequents)
+        out.append(Rule(rid, antecedents, Arrow.STRICT, consequent))
+    return tuple(sorted(out, key=lambda r: r.antecedents))
+
+
+def _reference_axiom_clauses(facts):
+    """`build_axioms` over the clause form enumerated valuation by valuation."""
+    clauses = set()
+    for f in facts:
+        avars = atoms(f)
+        clauses.update(frozenset(Lit(a, a in v) for a in avars)
+                       for v in classical.val_space(avars) if not evaluate(f, v))
+    closed = classical.saturate(clauses)
+    bad = classical.conflicting_units(closed)
+    if bad:
+        closed = classical.saturate(classical.without_errors(clauses, bad))
+    return core_clauses(closed - {classical.EMPTY_CLAUSE})
+
+
+class TestStrictRulesFromSortKeys:
+    """Axioms and strict rules built from literal sort keys equal, in value,
+    hash, text and order, those the formula-comparing path builds."""
+
+    @staticmethod
+    def fact_sets():
+        for n in range(2, 11):
+            yield lottery_facts(n)
+        for n in range(1, 31):
+            p = [Atom(f"p{i}") for i in range(n + 1)]
+            yield [Disj([Neg(p[i]), p[i + 1]]) for i in range(n)]
+        rng = random.Random(53)
+        names = [Atom(x) for x in "abcdef"]
+        for _ in range(300):
+            facts = [_random_formula(rng, rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 4))]
+            roll = rng.random()
+            if roll < 0.2:  # a unit fact
+                facts.append(Neg(rng.choice(names)) if rng.random() < 0.5
+                             else rng.choice(names))
+            elif roll < 0.3:  # a tautology
+                a = rng.choice(names)
+                facts.append(Disj([a, Neg(a), rng.choice(names)]))
+            elif roll < 0.6:  # a clause of 3-6 literals, some written ~and{…}
+                ls = [Neg(a) if rng.random() < 0.5 else a
+                      for a in rng.sample(names, rng.randint(3, 6))]
+                facts.append(Disj(ls) if rng.random() < 0.5
+                             else Neg(Conj([Neg(g) for g in ls])))
+            yield facts
+
+    def test_equal_to_the_formula_path(self):
+        seen = set()
+        for facts in self.fact_sets():
+            desc = validate_description(facts, [])
+            clauses = _reference_axiom_clauses(facts)
+            axioms = tuple(sorted({disj(l.formula() for l in c) for c in clauses}))
+            rules = _reference_strict_rules(axioms)
+            assert desc.axiom_clauses == clauses, facts
+            assert desc.axioms == axioms and list(map(repr, desc.axioms)) == list(
+                map(repr, axioms)), facts
+            assert [hash(f) for f in desc.axioms] == [hash(f) for f in axioms]
+            assert [(repr(r), r.rid, r.signature, hash(r.consequent), hash(r.antecedents))
+                    for r in desc.rules] == [
+                (repr(r), r.rid, r.signature, hash(r.consequent), hash(r.antecedents))
+                for r in rules], facts
+            assert build_strict_rules(axioms) == rules
+            assert axiom_formulas(clauses) == frozenset(axioms)
+            seen.add(len(desc.rules))
+        assert max(seen) == 1033 and len(seen) > 30
 
 
 class TestFactsFromPrimeImplicates:
@@ -725,6 +813,17 @@ class TestLiteralFastPath:
         assert desc.is_fact(Atom("u"))
         assert [r.rid for r in desc.supporters(Atom("u"))] == [
             r for r in ids if r != "bad"]
+        self.assert_definition(desc)
+
+    def test_fact_path_searches_nothing_for_the_axiom_rule(self, monkeypatch):
+        # a fact's supporters are the rules with a consistent consequent; the
+        # axiom rule's, and{u,or{~p,q}}, is consistent since the axioms are
+        # satisfiable, as the description records, so no search decides it
+        desc = self.description("fact: u\nfact: or{~p,q}\n")
+        calls = _count_calls(monkeypatch, "find_model")
+        assert [r.rid for r in desc.supporters(Atom("u"))] == ["#rse", "#s(p)", "#s(~q)"]
+        assert calls["find_model"] == 0
+        assert desc.rse.consequent not in desc._refuted  # nor a memo entry
         self.assert_definition(desc)
 
     def test_one_literal_axiom_set(self, monkeypatch):

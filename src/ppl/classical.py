@@ -21,9 +21,9 @@ refuted), on clauses that `clause_form` reads off a formula's shape, with
 the axioms, prime implicates, joining through propagation alone (see
 `kb.PlausibleDescription`).  A search can start where `assume` left a
 shared part, and `extend` decides more atoms in a model it returned.  Only
-a disjunction with a member that is not a literal is enumerated, so the
-atom limit bounds that subformula, never a whole check.  `entails` and
-`satisfiable` stay as the kernel's oracles.
+a disjunction that is not a clause is enumerated, so the atom limit bounds
+that subformula, never a whole check.  `entails` and `satisfiable` stay as
+the kernel's oracles.
 `is_tautology` and `core_clauses` are imported from `formulas`.
 """
 
@@ -40,12 +40,10 @@ from .formulas import (
     Formula,
     Lit,
     Neg,
-    as_lit,
+    _leaves,
     atoms,
-    complement,
     core_clauses,
     evaluate,
-    is_literal,
     is_tautology,
     valuations,
 )
@@ -95,53 +93,45 @@ def clauses_of(x, max_atoms: int = DEFAULT_MAX_ATOMS) -> ClauseSet:
     return frozenset(out)
 
 
-def _clause(f: Formula) -> Clause | None:
-    """The literals of f if f is one clause, else None: once leading
-    negations are stripped, a literal, or `or{…}` or `~and{…}` whose members
-    are such clauses in turn, each member taking the polarity of the whole
-    (`~and{g1..gk}` is `or{~g1..~gk}`).  Runs on an explicit stack."""
-    out = []
-    stack = [(f, False)]
-    while stack:
-        g, negated = stack.pop()
-        while type(g) is Neg:
-            g, negated = g.inner, not negated
-        if type(g) is Atom:
-            out.append(Lit(g.name, negated))
-        elif (type(g) is Conj) is negated:  # or{…} or ~and{…}
-            stack.extend((m, negated) for m in g.members)  # type: ignore[union-attr]
-        else:
-            return None
-    return frozenset(out)
+def _clause(f: Formula, negated: bool = False) -> Clause | None:
+    """The literals of f, or of ~f when `negated`, if that is one clause,
+    else None: once leading negations are stripped, a literal, or a
+    disjunction-shaped formula (`or{…}` or `~and{…}`) whose every leaf (see
+    `formulas._leaves`) is an atom, taken with its polarity."""
+    while type(f) is Neg:
+        f, negated = f.inner, not negated
+    if type(f) is Atom:
+        return frozenset((Lit(f.name, negated),))
+    if (type(f) is Conj) is not negated:  # and{…} or ~or{…}
+        return None
+    leaves = [*_leaves(f, negated)]
+    if any(type(g) is not Atom for g, _ in leaves):
+        return None
+    return frozenset([Lit(g.name, p) for g, p in leaves])
 
 
 def clause_form(f: Formula, max_atoms: int = DEFAULT_MAX_ATOMS) -> ClauseSet:
     """Clauses equivalent to f, read off f's shape.
 
-    A double negation cancels, a conjunction (`and`, or a negated `or`)
-    contributes its members' clauses, and a disjunction of literals (`or`,
-    or a negated `and`, over literals) is one clause.  Only a disjunction
-    with a member that is not a literal goes to `clauses_of`, so the atom
-    limit bounds that subformula alone.  Runs on an explicit stack.  The
-    clauses need not be those of `clauses_of`, only equivalent to them, so
-    validation, whose error filter reads the clause form syntactically,
-    keeps `clauses_of`.
+    A conjunction-shaped f (`and`, or a negated `or`) contributes its
+    leaves' clauses (see `formulas._leaves`), any other f its own.  A leaf
+    that is one clause (see `_clause`) is read off, with no enumeration;
+    only one that is not goes to `clauses_of`, so the atom limit bounds
+    that subformula alone.  The clauses need not be those of `clauses_of`,
+    only equivalent to them, so validation, whose error filter reads the
+    clause form syntactically, keeps `clauses_of`.
     """
+    negated = False
+    while type(f) is Neg:
+        f, negated = f.inner, not negated
+    conjunctive = type(f) is not Atom and (type(f) is Conj) is not negated
     out: set[Clause] = set()
-    todo = [(f, False)]
-    while todo:
-        f, negated = todo.pop()
-        while type(f) is Neg and type(f.inner) is not Atom:
-            f, negated = f.inner, not negated
-        if is_literal(f):
-            out.add(frozenset((as_lit(f).complement() if negated else as_lit(f),)))
-        elif (type(f) is Conj) is not negated:
-            todo.extend((m, negated) for m in f.members)  # type: ignore[union-attr]
-        elif all(map(is_literal, f.members)):  # type: ignore[union-attr]
-            ls = frozenset(map(as_lit, f.members))  # type: ignore[union-attr]
-            out.add(complement(ls) if negated else ls)
+    for g, p in _leaves(f, negated) if conjunctive else ((f, negated),):
+        c = _clause(g, p)
+        if c is None:
+            out |= clauses_of(Neg(g) if p else g, max_atoms)
         else:
-            out |= clauses_of(Neg(f) if negated else f, max_atoms)
+            out.add(c)
     return frozenset(out)
 
 

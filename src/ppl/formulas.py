@@ -242,6 +242,36 @@ def atoms(f: Formula) -> frozenset[str]:
     return frozenset(out)
 
 
+def _leaves(f: Formula, negated: bool) -> Iterator[tuple[Formula, bool]]:
+    """The leaves of f, or of ~f when `negated`, f being an `and` or an `or`,
+    each without its leading negations and with its polarity.
+
+    Once its leading negations are stripped, a formula is conjunction-
+    shaped when it is `and{…}` or `~or{…}`, and disjunction-shaped when it
+    is `or{…}` or `~and{…}`: `~or{g1..gk}` is `and{~g1..~gk}` and
+    `~and{g1..gk}` is `or{~g1..~gk}`.  A member g of f, or of ~f, has the
+    polarity `negated`, flipped by each negation stripped off g.  A member
+    of f's own shape is flattened, not yielded, on an explicit stack, so
+    each leaf is a literal or of the other shape, and f (or ~f) is
+    equivalent to the `and`, or the `or`, of its leaves with their
+    polarities.  Each (member, polarity) pair is read once."""
+    conjunctive = (type(f) is Conj) is not negated
+    stack, seen = [(f, negated)], {(f, negated)}
+    while stack:
+        h, negated = stack.pop()
+        for g in h.members:
+            p = negated
+            while type(g) is Neg:
+                g, p = g.inner, not p
+            if (g, p) in seen:
+                continue
+            seen.add((g, p))
+            if type(g) is not Atom and ((type(g) is Conj) is not p) is conjunctive:
+                stack.append((g, p))
+            else:
+                yield g, p
+
+
 def evaluate(f: Formula, true_atoms) -> bool:
     """Truth of f under the valuation that makes exactly `true_atoms` true.
 
@@ -328,8 +358,9 @@ def disj(members: Iterable[Formula]) -> Formula:
 
 
 def is_tautology(c: frozenset[Lit]) -> bool:
-    """Whether a literal set holds a complementary pair."""
-    return any(l.complement() in c for l in c)
+    """Whether a literal set holds a complementary pair: a set holds each
+    literal once, so two of its literals share an atom only as a pair."""
+    return len({l.atom for l in c}) < len(c)
 
 
 def core_clauses(clauses: Iterable[frozenset[Lit]]) -> frozenset[frozenset[Lit]]:

@@ -41,12 +41,13 @@ by bit tests, not by searches.
 A formula is read by its shape once its leading negations are stripped:
 `and{…}` and `~or{…}` are conjunction-shaped, `or{…}` and `~and{…}`
 disjunction-shaped, each member taking the polarity of the whole (see
-`_leaves`).  A conjunction-shaped formula is not searched or scanned as a
-whole: it is a fact iff each member, with its polarity, is one, and its
-supporters are those of all its members, each member's taken among the
-rules found so far.  A disjunction-shaped formula that is no fact is
-scanned, but every candidate that supports one of its literal members is
-accepted off the index, with no search, since `Ax ∪ {c} ⊨ gi` implies
+`formulas._leaves`, the one reader of that shape, which `classical` shares).
+A conjunction-shaped formula is not searched or scanned as a whole: it
+is a fact iff each member, with its polarity, is one, and its supporters
+are those of all its members, each member's taken among the rules found
+so far.  A disjunction-shaped formula that is no fact is scanned, but
+every candidate that supports one of its literal members is accepted off
+the index, with no search, since `Ax ∪ {c} ⊨ gi` implies
 `Ax ∪ {c} ⊨ or{g1..gk}`.
 
 The distinguished strict rule with the empty antecedent (whose consequent
@@ -73,6 +74,7 @@ from .formulas import (
     Formula,
     Lit,
     Neg,
+    _leaves,
     _sorted_set,
     atoms,
     canonical_set,
@@ -172,13 +174,6 @@ def build_axioms(facts: Iterable[Formula],
     return classical.core_clauses(closed - {classical.EMPTY_CLAUSE})
 
 
-def axiom_formulas(ax: Iterable[Clause]) -> frozenset[Formula]:
-    """Axiom clauses as simplified formulas (units become bare literals)."""
-    made: dict[Lit, tuple] = {}
-    return frozenset(_sorted_set(Disj, sorted([_literal(l, made) for l in c]))[1]
-                     for c in ax)
-
-
 def clause_rules(c: Formula) -> frozenset[Rule]:
     """The 2^n - 1 strict rules of one contingent n-literal clause.
 
@@ -258,36 +253,6 @@ def _expand(clauses: Iterable[Clause]) -> tuple[tuple[Formula, ...], tuple[Rule,
     ordered.sort(key=itemgetter(0))
     strict.extend(r for _, r in ordered)
     return tuple(f for _, f, _ in axioms), tuple(strict)
-
-
-def _leaves(f: Formula, negated: bool) -> Iterator[tuple[Formula, bool]]:
-    """The leaves of f, or of ~f when `negated`, f being an `and` or an `or`,
-    each without its leading negations and with its polarity.
-
-    Once its leading negations are stripped, a formula is conjunction-
-    shaped when it is `and{…}` or `~or{…}`, and disjunction-shaped when it
-    is `or{…}` or `~and{…}`: `~or{g1..gk}` is `and{~g1..~gk}` and
-    `~and{g1..gk}` is `or{~g1..~gk}`.  A member g of f, or of ~f, has the
-    polarity `negated`, flipped by each negation stripped off g.  A member
-    of f's own shape is flattened, not yielded, on an explicit stack, so
-    each leaf is a literal or of the other shape, and f (or ~f) is
-    equivalent to the `and`, or the `or`, of its leaves with their
-    polarities.  Each (member, polarity) pair is read once."""
-    conjunctive = (type(f) is Conj) is not negated
-    stack, seen = [(f, negated)], {(f, negated)}
-    while stack:
-        h, negated = stack.pop()
-        for g in h.members:
-            p = negated
-            while type(g) is Neg:
-                g, p = g.inner, not p
-            if (g, p) in seen:
-                continue
-            seen.add((g, p))
-            if type(g) is not Atom and ((type(g) is Conj) is not p) is conjunctive:
-                stack.append((g, p))
-            else:
-                yield g, p
 
 
 def _components(atom_sets: Iterable[frozenset[str]]) -> dict[str, str]:
@@ -456,11 +421,12 @@ class PlausibleDescription:
         entails a clause that is no tautology exactly when some axiom lies
         inside it, and the only nonempty clause inside {l} is {l}.
 
-        A conjunction-shaped f, `and{…}` or `~or{…}` (see `_leaves`), needs
-        no search of its own: Ax entails it iff Ax entails each of its
-        leaves with its polarity, since `~or{g1..gk}` is `and{~g1..~gk}`.
-        Each leaf is a literal or disjunction-shaped, so that question is
-        one index read or one search, and none recurses further."""
+        A conjunction-shaped f, `and{…}` or `~or{…}` (see
+        `formulas._leaves`), needs no search of its own: Ax entails it iff
+        Ax entails each of its leaves with its polarity, since
+        `~or{g1..gk}` is `and{~g1..~gk}`.  Each leaf is a literal or
+        disjunction-shaped, so that question is one index read or one
+        search, and none recurses further."""
         while type(f) is Neg:
             f, negated = f.inner, not negated
         memo = self._refuted if negated else self._facts
@@ -524,8 +490,9 @@ class PlausibleDescription:
         of c does not depend on f.  A fact member is supported by every rule
         with a consistent consequent, so the intersection drops it.  Nested
         members of the same shape are flattened on an explicit stack (see
-        `_leaves`), so each member asked is a literal or disjunction-shaped,
-        and the strict rules' antecedents share their literals' scans.
+        `formulas._leaves`), so each member asked is a literal or
+        disjunction-shaped, and the strict rules' antecedents share their
+        literals' scans.
 
         A disjunction-shaped f, `or{g1..gk}` or `~and{g1..gk}`, that is no
         fact is scanned, but a candidate that supports one of its literal

@@ -237,6 +237,14 @@ class TestClauseForm:
             (FALSUM, True, []),
             (Conj(wide), False, [frozenset([Lit(x.name, False)]) for x in wide]),
             (Disj(wide), False, [frozenset(Lit(x.name, False) for x in wide)]),
+            # nested clause shapes, read off through their leaves
+            (parse_formula("or{a,or{b,~~c}}"), False, [clause("a", "b", "c")]),
+            (parse_formula("~and{a,~or{b,c}}"), False, [clause("~a", "b", "c")]),
+            (parse_formula("and{or{a,or{b,c}},d}"), False, [clause("a", "b", "c"),
+                                                          clause("d")]),
+            (Disj([wide[0], Disj([Neg(wide[1]), Disj(wide[2:25])])]), False,
+             [frozenset([Lit("x0", False), Lit("x1", True)]
+                        + [Lit(x.name, False) for x in wide[2:25]])]),
         ]
         for f, negated, expected in cases:
             g = Neg(f) if negated else f

@@ -155,6 +155,23 @@ class TestCheck:
         high = run_cli(*command, str(kb), "a", "--alg", "pi", "--max-atoms", "3")
         assert (high.returncode, high.stderr) == (0, "")
 
+    def test_nested_clause_consequent_is_read_off(self, tmp_path):
+        # or{x0,or{x1..x24}} is one 25-atom clause, nested: the scan for x0
+        # reads its clause form off its shape, as it does the flat twin's,
+        # and enumerates nothing, so the default --max-atoms refuses neither
+        out = []
+        for nested in (True, False):
+            wide = ",".join(f"x{i}" for i in range(1, 25))
+            consequent = f"or{{x0,or{{{wide}}}}}" if nested else f"or{{x0,{wide}}}"
+            kb = tmp_path / f"nested{nested}.ppl"
+            kb.write_text(f"fact: or{{~a,x0}}\nrule r1: {{}} => a\n"
+                          f"rule r2: {{}} => {consequent}\n", encoding="utf-8")
+            res = run_cli("query", str(kb), "--alg", "all", "x0")
+            assert (res.returncode, res.stderr) == (0, "")
+            out.append(res.stdout)
+        assert out[0] == out[1]
+        assert [line.split()[-1] for line in out[0].splitlines()[1:]] == ["u"] + ["t"] * 6
+
     @pytest.mark.parametrize("formula", ["r3", "~q5"])
     def test_atom_limit_ignores_the_axioms(self, tmp_path, formula):
         # 22 atoms in the axioms; each check sees the query's and one consequent's

@@ -25,7 +25,7 @@ from ppl import (
     parse_formula,
     simplify,
 )
-from ppl.formulas import _sorted_set, canonical_set, evaluate
+from ppl.formulas import _sorted_set, canonical_set, evaluate, is_tautology
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -202,6 +202,19 @@ class TestComplement:
                 Lit(rng.choice("abcd"), rng.random() < 0.5) for _ in range(4)
             )
             assert complement(complement(ls)) == ls
+
+
+class TestIsTautology:
+    def test_equals_a_complement_search(self):
+        # a literal set holds a complementary pair iff two literals share an atom
+        rng = random.Random(29)
+        sizes = set()
+        for _ in range(2000):
+            c = frozenset(Lit(rng.choice("abcde"), rng.random() < 0.5)
+                          for _ in range(rng.randint(0, 8)))
+            assert is_tautology(c) == any(l.complement() in c for l in c), c
+            sizes.add((len(c), is_tautology(c)))
+        assert {(0, False), (1, False), (2, True), (5, False), (6, True)} <= sizes
 
 
 class TestLits:

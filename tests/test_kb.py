@@ -55,7 +55,7 @@ from ppl import classical
 from ppl.classical import core_clauses
 from ppl.formulas import (FormulaClass, classify, complement, conj, disj, evaluate,
                           format_formula, is_literal, lits)
-from ppl.kb import _components, axiom_formulas
+from ppl.kb import _components
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 S1, S2, S3 = Atom("s1"), Atom("s2"), Atom("s3")
@@ -71,7 +71,7 @@ def sigs(rules):
 
 class TestBuildAxioms:
     def test_lottery_axioms(self):
-        ax = axiom_formulas(build_axioms(lottery_facts(3)))
+        ax = set(validate_description(lottery_facts(3), []).axioms)
         assert ax == {
             Disj([S1, S2, S3]),
             Disj([Neg(S1), Neg(S2)]),
@@ -83,14 +83,14 @@ class TestBuildAxioms:
         assert build_axioms([]) == frozenset()
 
     def test_contaminated_facts_are_filtered(self):
-        ax = axiom_formulas(build_axioms([A, Neg(A), B]))
-        assert ax == {B}
+        ax = validate_description([A, Neg(A), B], []).axioms
+        assert ax == (B,)
 
     def test_output_properties_on_random_facts(self):
         rng = random.Random(41)
         for _ in range(120):
             facts = [_random_formula(rng, 2) for _ in range(rng.randint(0, 3))]
-            ax = axiom_formulas(build_axioms(facts))
+            ax = validate_description(facts, []).axioms
             assert satisfiable(ax)
             for f in ax:
                 assert classify(f) is FormulaClass.CONTINGENT
@@ -232,7 +232,7 @@ class TestClauseRules:
 
 class TestBuildStrictRules:
     def test_lottery_strict_rules(self):
-        ax = sorted(axiom_formulas(build_axioms(lottery_facts(3))))
+        ax = validate_description(lottery_facts(3), []).axioms
         got = sigs(build_strict_rules(ax))
         big = Disj([S1, S2, S3])
         expected = {
@@ -276,7 +276,7 @@ class TestBuildStrictRules:
         rng = random.Random(43)
         for _ in range(60):
             facts = [_random_formula(rng, 2) for _ in range(rng.randint(0, 3))]
-            strict = build_strict_rules(sorted(axiom_formulas(build_axioms(facts))))
+            strict = build_strict_rules(validate_description(facts, []).axioms)
             ants = [frozenset(r.antecedents) for r in strict]
             assert len(ants) == len(set(ants))
 
@@ -284,7 +284,7 @@ class TestBuildStrictRules:
         rng = random.Random(47)
         for _ in range(60):
             facts = [_random_formula(rng, 2) for _ in range(rng.randint(0, 3))]
-            ax = sorted(axiom_formulas(build_axioms(facts)))
+            ax = validate_description(facts, []).axioms
             for r in build_strict_rules(ax):
                 assert entails(list(ax) + list(r.antecedents), r.consequent)
 
@@ -371,7 +371,6 @@ class TestStrictRulesFromSortKeys:
                 (repr(r), r.rid, r.signature, hash(r.consequent), hash(r.antecedents))
                 for r in rules], facts
             assert build_strict_rules(axioms) == rules
-            assert axiom_formulas(clauses) == frozenset(axioms)
             seen.add(len(desc.rules))
         assert max(seen) == 1033 and len(seen) > 30
 

@@ -43,9 +43,10 @@ short-circuiting, yields the evaluation tree: min nodes for antecedent
 obligations, max nodes for rule choices, minus nodes for the co-algorithm
 flip.  The root value of the tree always equals the recursive verdict.
 The tree is built as a DAG of named tuples, one node per distinct subject;
-its exports expand it as they write, on an explicit stack, rendering each
-node and each history once, so a streamed export holds the DAG and one
-chunk, not the expanded output.
+both exports expand it as they write, by one walk on an explicit stack
+(`_expanded`) that renders each history once and takes each node's text on
+entry and on exit from the export, so a streamed export holds the DAG and
+one chunk, not the expanded output.
 A tree is counted before it is built, each subtree's size memoised with
 the entry bits it read (see `_TreeBuilder.count`); the tree's root value
 is computed the same way, without the tree, on subjects that carry no
@@ -481,24 +482,6 @@ class Subject(NamedTuple):
     rule: str | None = None
     foe: str | None = None
 
-    def text(self) -> str:
-        before, after = _around_history(self)
-        return before + ",".join(tag.value + " " + rid for tag, rid in self.history) + after
-
-
-def _around_history(subject: Subject) -> tuple[str, str]:
-    """The text of `subject.text()` before and after its history's entries."""
-    if subject.kind in ("set", "minus"):
-        body = ",".join(format_formula(f) for f in subject.formulas)
-        sign = "-" if subject.kind == "minus" else ""
-        return f"{sign}({subject.alg.value},(", f"),{{{body}}})"
-    parts = [format_formula(subject.formula)]
-    if subject.rule is not None:
-        parts.append(subject.rule)
-    if subject.foe is not None:
-        parts.append(subject.foe)
-    return "(" + subject.alg.value + ",(", ")," + ",".join(parts) + ")"
-
 
 class EvalNode(NamedTuple):
     subject: Subject
@@ -840,9 +823,10 @@ def evaluation_tree(desc: PlausibleDescription, alg: Alg, x, history=(),
 
     Identical subjects share one node, so the result is a DAG presented
     as a tree.  The exporters write the expanded tree from the DAG:
-    `tree_json_pieces` and `tree_dot_pieces` render each node once, and a
-    caller that writes their chunks as they come needs memory for the DAG,
-    not for the expanded output.  The root value equals prove() on the
+    `tree_json_pieces` and `tree_dot_pieces` render each node once and
+    expand it by one walk (`_expanded`), and a caller that writes their
+    chunks as they come needs memory for the DAG, not for the expanded
+    output.  The root value equals prove() on the
     same arguments.
 
     The budget is exact: TreeBudgetError is raised if and only if the tree
@@ -916,7 +900,7 @@ def _subject_json(subject: Subject) -> dict:
     return out
 
 
-# Characters a writer gathers before it yields them: a tree's text can be
+# Characters `_expanded` gathers before it yields them: a tree's text can be
 # far larger than its DAG, so it is never joined whole.
 _CHUNK = 1 << 16
 
@@ -924,7 +908,7 @@ _CHUNK = 1 << 16
 def _history_texts(entry):
     """(texts, fill): id(history) -> (history, its entries rendered by
     `entry`, comma-joined), and `fill(history, above)`, which renders a
-    history as the pair above it on the writer's stack plus one entry.
+    history as the pair above it on `_expanded`'s stack plus one entry.
     A level's nodes share one history object; holding it keeps its id."""
     texts: dict[int, tuple[History, str]] = {}
 
@@ -959,6 +943,48 @@ def _node_texts(render):
     return texts, fill
 
 
+def _expanded(root: EvalNode, head: str, enter, leave, tail: str, entry):
+    """The text of the expanded tree of `root`, in chunks of about `_CHUNK`
+    characters: `head`, each node's text as the walk enters and leaves it,
+    then `tail`.
+
+    The walk runs on an explicit stack over the DAG, so depth costs memory,
+    not frames.  `enter(node, i, above, history)` gives the i-th child of the
+    node marked `above` (None at the root) its mark and its opening text;
+    `leave(node, mark, history, above)` gives its closing text, built only
+    when the node is left, so the stack holds marks, not texts.  `history`
+    is the node's history rendered by `entry`, once per distinct history
+    (see `_history_texts`).  A caller that writes the chunks out as they
+    come holds the DAG, the rendered texts and one chunk, not the document.
+    """
+    histories, fill = _history_texts(entry)
+    history = fill(root.subject.history, ((), ""))
+    mark, text = enter(root, 0, None, history[1])
+    out, size = [head, text], len(head) + len(text)
+    stack = [(root, mark, None, history, enumerate(root.children))]
+    while stack:
+        node, mark, above, history, children = stack[-1]
+        i, child = next(children, (0, None))
+        if child is None:
+            stack.pop()
+            piece = leave(node, mark, history[1], above)
+            if not piece:  # a DOT root: no edge, and no chunk check
+                continue
+        else:
+            history = (histories.get(id(child.subject.history))
+                       or fill(child.subject.history, history))
+            child_mark, piece = enter(child, i, mark, history[1])
+            stack.append((child, child_mark, mark, history, enumerate(child.children)))
+        out.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            yield "".join(out)
+            out, size = [], 0
+    text = "".join(out) + tail
+    if text:
+        yield text
+
+
 _quote = encode_basestring_ascii  # what json.dumps applies to a str
 
 
@@ -990,43 +1016,24 @@ def _json_text(node: EvalNode) -> tuple[str, str]:
 
 def tree_json_pieces(root: EvalNode):
     """`json.dumps(tree_json(root), indent=2, sort_keys=True)`, in chunks of
-    about `_CHUNK` characters.
+    about `_CHUNK` characters, written by `_expanded`.
 
-    The expanded tree is written from the DAG on an explicit stack, so depth
-    costs memory, not frames.  Each node's text is rendered once from fixed
-    templates, apart from its history, most of it, which is rendered once
-    per distinct history; one `str.replace` indents it per occurrence.  A
-    caller that writes the chunks out as they come holds the DAG, those
-    texts and one chunk, not the expanded document.
+    Each node's text is rendered once from fixed templates, apart from its
+    history, and one `str.replace` indents it per occurrence.
     """
     texts, render = _node_texts(_json_text)
-    histories, entries = _history_texts(_json_entry)
-    out = ['{\n  "children": [\n' if root.children else '{\n  "children": [],']
-    size = len(out[0])
-    # indent is a newline and the spaces before the node's brace
-    stack = [(root, "\n", entries(root.subject.history, ((), "")), enumerate(root.children))]
-    while stack:
-        node, indent, history, children = stack[-1]
-        i, child = next(children, (0, None))
-        if child is None:
-            stack.pop()
-            before, after = texts.get(id(node)) or render(node)
-            piece = (before + history[1] + after).replace("\n", indent)
-        else:
-            subject, _, _, grandchildren = child
-            indent += "    "
-            piece = (",\n" if i else "") + indent[1:] + "{" + indent + (
-                '  "children": [\n' if grandchildren else '  "children": [],')
-            history = (histories.get(id(subject.history))
-                       or entries(subject.history, history))
-            stack.append((child, indent, history, enumerate(grandchildren)))
-        out.append(piece)
-        size += len(piece)
-        if size >= _CHUNK:
-            yield "".join(out)
-            out, size = [], 0
-    if out:
-        yield "".join(out)
+
+    def enter(node: EvalNode, i: int, above: str | None, history: str):
+        # the mark is a newline and the spaces before the node's brace
+        indent = above + "    " if above else "\n"
+        return indent, (",\n" if i else "") + indent[1:] + "{" + indent + (
+            '  "children": [\n' if node.children else '  "children": [],')
+
+    def leave(node: EvalNode, indent: str, history: str, above: str | None) -> str:
+        before, after = texts.get(id(node)) or render(node)
+        return (before + history + after).replace("\n", indent)
+
+    return _expanded(root, "", enter, leave, "", _json_entry)
 
 
 _DOT_SHAPE = {"min": "box", "max": "ellipse", "minus": "diamond"}
@@ -1046,53 +1053,42 @@ def _dot_entry(tag: Alg, rid: str) -> str:
 
 
 def _dot_text(node: EvalNode) -> tuple[str, str]:
-    """The node's line after its name, around its history's entries."""
-    before, after = _around_history(node.subject)
-    return (f' [shape={_DOT_SHAPE[node.op]}, label="' + before.replace('"', r"\""),
-            f"{after} = {node.value:+d}".replace('"', r"\"") + '"];\n')
+    """The node's line after its name, around its history's entries.
+
+    The label reads `S(alg,(h),x) = v`.  S is "-" on a minus subject and
+    empty otherwise; h is the history's entries, `alg rid` each,
+    comma-separated; x is `{f1,...,fn}`, the subject's formulas, on a set
+    or minus subject, and otherwise its formula, then its rule id and its
+    foe's id where it has them, comma-separated; v is `+1` or `-1`.
+    Quotes in the entries and in x are escaped as `\\"`.
+    """
+    (kind, alg, _, formulas, formula, rule, foe), op, value, _ = node
+    if formulas is None:
+        body = ",".join([format_formula(formula)] + [r for r in (rule, foe) if r is not None])
+    else:
+        body = "{" + ",".join(map(format_formula, formulas)) + "}"
+    sign = "-" if kind == "minus" else ""
+    return (f' [shape={_DOT_SHAPE[op]}, label="{sign}({alg.value},(',
+            f"),{body}) = {value:+d}".replace('"', r"\"") + '"];\n')
 
 
 def tree_dot_pieces(root: EvalNode):
     """The DOT text of the expanded tree, in chunks of about `_CHUNK`
-    characters.
+    characters, written by `_expanded`.
 
     Nodes are named in preorder; a node's line comes first, then, child by
-    child, the child's subtree and the edge to it.  The walk runs on an
-    explicit stack over the DAG and renders each node's line once apart
-    from its history, and each distinct history once, as `tree_json_pieces`
-    does.
+    child, the child's subtree and the edge to it.  Each node's line is
+    rendered once apart from its history.
     """
     texts, render = _node_texts(_dot_text)
-    histories, labels = _history_texts(_dot_entry)
     names = count()
 
-    def line(node: EvalNode, history: str) -> tuple[str, str]:
+    def enter(node: EvalNode, i: int, above: str | None, history: str):
         name = f"n{next(names)}"
         before, after = texts.get(id(node)) or render(node)
         return name, f"  {name}{before}{history}{after}"
 
-    history = labels(root.subject.history, ((), ""))
-    name, piece = line(root, history[1])
-    out = ["digraph evaluation {\n", piece]
-    size = len(out[0]) + len(piece)
-    stack = [(name, history, iter(root.children))]
-    while stack:
-        name, history, children = stack[-1]
-        child = next(children, None)
-        if child is None:
-            stack.pop()
-            if not stack:
-                break
-            piece = f"  {stack[-1][0]} -> {name};\n"
-        else:
-            history = (histories.get(id(child.subject.history))
-                       or labels(child.subject.history, history))
-            child_name, piece = line(child, history[1])
-            stack.append((child_name, history, iter(child.children)))
-        out.append(piece)
-        size += len(piece)
-        if size >= _CHUNK:
-            yield "".join(out)
-            out, size = [], 0
-    out.append("}\n")
-    yield "".join(out)
+    def leave(node: EvalNode, name: str, history: str, above: str | None) -> str:
+        return f"  {above} -> {name};\n" if above else ""
+
+    return _expanded(root, "digraph evaluation {\n", enter, leave, "}\n", _dot_entry)

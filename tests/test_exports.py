@@ -7,6 +7,7 @@ module's rendering of `tree_json` and the recursive DOT walk below.
 
 import json
 import random
+import tracemalloc
 from itertools import combinations, count
 
 from conftest import KB_DIR, desc_rule_chain, make_random_theory, probe_formulas
@@ -39,20 +40,31 @@ def reference_json(root) -> str:
 
 
 def reference_dot(root) -> str:
-    """The DOT walk the writer replaced: recursive, one label per occurrence."""
+    """The DOT walk the writer replaced, over `tree_json(root)`: recursive,
+    one label per occurrence, each read off the node's subject fields."""
     lines = ["digraph evaluation {"]
     names = count()
 
+    def label(subject):
+        history = ",".join(f"{tag} {rid}" for tag, rid in subject["history"])
+        if "formulas" in subject:
+            x = "{" + ",".join(subject["formulas"]) + "}"
+        else:
+            x = ",".join([subject["formula"]] + [subject[k] for k in ("rule", "foe")
+                                                 if k in subject])
+        sign = "-" if subject["kind"] == "minus" else ""
+        return f"{sign}({subject['alg']},({history}),{x})"
+
     def walk(n):
         name = f"n{next(names)}"
-        label = f"{n.subject.text()} = {n.value:+d}".replace('"', r"\"")
-        lines.append(f'  {name} [shape={_SHAPE[n.op]}, label="{label}"];')
-        for c in n.children:
+        text = f"{label(n['subject'])} = {n['value']:+d}".replace('"', r"\"")
+        lines.append(f'  {name} [shape={_SHAPE[n["op"]]}, label="{text}"];')
+        for c in n["children"]:
             child = walk(c)
             lines.append(f"  {name} -> {child};")
         return name
 
-    walk(root)
+    walk(tree_json(root))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -230,6 +242,23 @@ class TestWritersMatchTheReferences:
                     assert max(map(len, chunks)) <= size + longest[fmt], (fmt, size)
                     checked.add((fmt, size))
         assert checked >= {("json", engine._CHUNK), ("json", 1000), ("dot", 1000)}
+
+    def test_streaming_holds_one_chunk_not_the_document(self):
+        # the beta tree of a 120-link chain is a few hundred nodes nesting
+        # hundreds deep, each history one entry longer than the one above:
+        # about 87 MB of JSON.  A writer that holds the document, or the
+        # closing text of every open node, peaks near its size; one that
+        # builds each closing text as it leaves the node peaked at 2.1 MiB
+        # (Python 3.11)
+        root = evaluation_tree(desc_rule_chain(120), Alg.BETA, Atom("a119"))
+        tracemalloc.start()
+        try:
+            size = sum(map(len, tree_json_pieces(root)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 80_000_000
+        assert peak < 10 << 20, f"peak {peak / 2**20:.1f} MiB while streaming"
 
 
 def longest_json_node(root) -> int:

@@ -85,12 +85,17 @@ def clauses_of(x, max_atoms: int = DEFAULT_MAX_ATOMS) -> ClauseSet:
                 raise AtomLimitError(n_atoms, max_atoms)
             if not is_tautology(ls):
                 out.add(ls)
-            continue
-        avars = atoms(f)
-        for v in valuations(avars, max_atoms):
-            if not evaluate(f, v):
-                out.add(frozenset(Lit(a, a in v) for a in avars))
+        else:
+            _enumerate(f, max_atoms, out)
     return frozenset(out)
+
+
+def _enumerate(f: Formula, max_atoms: int | None, out: set[Clause]) -> None:
+    """Add to `out` the clause of each valuation of f's atoms that falsifies f."""
+    avars = atoms(f)
+    for v in valuations(avars, max_atoms):
+        if not evaluate(f, v):
+            out.add(frozenset(Lit(a, a in v) for a in avars))
 
 
 def _clause(f: Formula, negated: bool = False) -> Clause | None:
@@ -116,10 +121,11 @@ def clause_form(f: Formula, max_atoms: int = DEFAULT_MAX_ATOMS) -> ClauseSet:
     A conjunction-shaped f (`and`, or a negated `or`) contributes its
     leaves' clauses (see `formulas._leaves`), any other f its own.  A leaf
     that is one clause (see `_clause`) is read off, with no enumeration;
-    only one that is not goes to `clauses_of`, so the atom limit bounds
-    that subformula alone.  The clauses need not be those of `clauses_of`,
-    only equivalent to them, so validation, whose error filter reads the
-    clause form syntactically, keeps `clauses_of`.
+    only one that is not is enumerated (`_enumerate`, as in `clauses_of`),
+    so the atom limit bounds that subformula alone, and each leaf is read
+    once.  The clauses need not be those of `clauses_of`, only equivalent
+    to them, so validation, whose error filter reads the clause form
+    syntactically, keeps `clauses_of`.
     """
     negated = False
     while type(f) is Neg:
@@ -129,7 +135,7 @@ def clause_form(f: Formula, max_atoms: int = DEFAULT_MAX_ATOMS) -> ClauseSet:
     for g, p in _leaves(f, negated) if conjunctive else ((f, negated),):
         c = _clause(g, p)
         if c is None:
-            out |= clauses_of(Neg(g) if p else g, max_atoms)
+            _enumerate(Neg(g) if p else g, max_atoms, out)
         else:
             out.add(c)
     return frozenset(out)

@@ -167,11 +167,10 @@ VERUM = Conj(())
 FALSUM = Disj(())
 
 
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
 def _is_identifier(name: str) -> bool:
-    return name not in ("and", "or") and _IDENTIFIER.fullmatch(name) is not None
+    """Whether `name` is an atom name: [A-Za-z_][A-Za-z0-9_]*, but not "and" or
+    "or".  An ASCII Python identifier is exactly such a run."""
+    return name.isascii() and name.isidentifier() and name != "and" and name != "or"
 
 
 class Lit(NamedTuple):

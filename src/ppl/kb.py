@@ -91,19 +91,27 @@ class Arrow(Enum):
     WARNING = "~>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Rule:
-    """A rule: finite antecedent set, arrow kind, consequent formula."""
+    """A rule: finite antecedent set, arrow kind, consequent formula.
+
+    The antecedents are kept in canonical order however the rule is built,
+    `dataclasses.replace` included.  `__init__` sets each slot through its
+    descriptor, half the cost of the frozen dataclass's `object.__setattr__`
+    calls, and slots load as fast as an instance dict."""
 
     rid: str
     antecedents: tuple[Formula, ...]
     arrow: Arrow
     consequent: Formula
 
-    def __post_init__(self):
-        ants = self.antecedents
-        if type(ants) is not tuple or len(ants) > 1:  # else already canonical
-            object.__setattr__(self, "antecedents", canonical_set(ants))
+    def __init__(self, rid, antecedents, arrow, consequent):
+        if type(antecedents) is not tuple or len(antecedents) > 1:  # else already canonical
+            antecedents = canonical_set(antecedents)
+        _set_rid(self, rid)
+        _set_antecedents(self, antecedents)
+        _set_arrow(self, arrow)
+        _set_consequent(self, consequent)
 
     @property
     def signature(self):
@@ -113,6 +121,10 @@ class Rule:
     def __repr__(self):
         ants = ",".join(format_formula(f) for f in self.antecedents)
         return f"{self.rid}: {{{ants}}} {self.arrow.value} {format_formula(self.consequent)}"
+
+
+_set_rid, _set_antecedents, _set_arrow, _set_consequent = (
+    Rule.__dict__[name].__set__ for name in Rule.__slots__)
 
 
 class KbValidationError(Exception):
@@ -317,30 +329,33 @@ class PlausibleDescription:
         for memo in ("_facts", "_refuted", "_supporters", "_opposers", "_clause_forms",
                      "_negations", "_proofs", "_ranked", "_pools"):
             derive(self, memo, {})
-        derive(self, "_position", {r.rid: i for i, r in enumerate(self.rules)})
-        derive(self, "_rsd", tuple(filter(self._supporting, self.rules)))
+        position, rsd, rules_with = {}, [], {}  # rules_with: each consequent's positions
+        for i, r in enumerate(self.rules):
+            position[r.rid] = i
+            rules_with.setdefault(r.consequent, []).append(i)
+            if r.arrow is not Arrow.WARNING and r.rid != self.rse_id:  # see `_supporting`
+                rsd.append(r)
+        derive(self, "_position", position)
+        derive(self, "_rsd", tuple(rsd))
         derive(self, "_inferiors", frozenset(inf for _, inf in self.priority))
         derive(self, "_implicates", classical.clause_index(self.axiom_clauses))
         derive(self, "_units", frozenset(l for c in self.axiom_clauses if len(c) == 1
                                          for l in c))
-        rules_with: dict[Formula, list[int]] = {}
-        for i, r in enumerate(self.rules):
-            rules_with.setdefault(r.consequent, []).append(i)
         component = _components(frozenset(l.atom for l in c) for c in self.axiom_clauses)
         touching: dict[str, list[Formula]] = {}
         compound: dict[str, set[Formula]] = {}  # each component's non-literal consequents
         # each literal's consistent literal supporters, by sign and atom
         linked: tuple[dict[str, list[Formula]], ...] = ({}, {})
         axioms = self.rse.consequent if self.rse_id else None
-        for c in rules_with:
-            if c == axioms:
+        for c, at in rules_with.items():
+            if c is axioms:
                 continue
             g, neg = c, False  # c's atom and sign, if c is a literal
             while type(g) is Neg:
                 g, neg = g.inner, not neg
             if type(g) is Atom:
                 ks = (component.get(g.name, g.name),)
-                flip = Lit(g.name, not neg)
+                flip = (g.name, not neg)  # ~c, as a plain tuple: Lit hashes and equals one
                 if flip not in self._units:  # c is consistent: {~c} is no axiom
                     linked[neg].setdefault(g.name, []).append(c)
                     for pair in self._implicates.get(flip, ()):
@@ -348,7 +363,14 @@ class PlausibleDescription:
                             (l,) = pair.difference((flip,))
                             linked[l.neg].setdefault(l.atom, []).append(c)
             else:
-                ks = {component.get(a, a) for a in atoms(c)}
+                if self.rules[at[0]].arrow is Arrow.STRICT:
+                    # one component: the axioms expanded into c share the
+                    # atoms of c's antecedent, so any atom of c names it
+                    while type(g) is not Atom:
+                        g = g.inner if type(g) is Neg else g.members[0]
+                    ks = (component[g.name],)
+                else:
+                    ks = {component.get(a, a) for a in atoms(c)}
                 for k in ks:
                     compound.setdefault(k, set()).add(c)
             for k in ks:

@@ -32,6 +32,7 @@ from .formulas import (Formula, FormulaSyntaxError, _is_identifier, _offset, _pa
 from .kb import Arrow, Rule
 
 _WORD = re.compile(r"[A-Za-z0-9_]")  # starts a token that is a whole [A-Za-z0-9_] run
+_ARROWS = {"=>": Arrow.DEFEASIBLE, "~>": Arrow.WARNING}  # a user rule's arrow, by its text
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,8 @@ def parse_kb(text: str) -> KbDocument:
 
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0]
+        if "#" in line:
+            line = line[:line.index("#")]
         if not line.strip():
             continue
         tokens = _tokens(line)
@@ -125,12 +127,10 @@ def _rule(line, tokens, atoms):
     if tokens[3] != "{":
         _fail("expected '{' to open the antecedent set", line, 3)
     antecedents, i = _parse(line, tokens, 4, [(tuple, [])], atoms)
-    arrow = tokens[i]
-    if arrow != "=>" and arrow != "~>":
+    arrow = _ARROWS.get(tokens[i])
+    if arrow is None:
         _fail("expected '=>' or '~>' after the antecedents", line, i)
-    consequent = _parse_all(line, tokens, i + 1, atoms)
-    return Rule(rid, antecedents, Arrow.DEFEASIBLE if arrow == "=>" else Arrow.WARNING,
-                consequent)
+    return Rule(rid, antecedents, arrow, _parse_all(line, tokens, i + 1, atoms))
 
 
 def _prio(line, tokens, lineno, targets):
@@ -155,13 +155,9 @@ def _rule_id(line, tokens, i, missing):
 
 
 def serialize_kb(doc: KbDocument) -> str:
-    lines = []
-    for f in doc.facts:
-        lines.append(f"fact: {format_formula(f)}")
-    for r in doc.rules:
-        ants = ", ".join(format_formula(f) for f in r.antecedents)
-        lines.append(f"rule {r.rid}: {{{ants}}} {r.arrow.value} "
-                     f"{format_formula(r.consequent)}")
-    for sup, inf in doc.priority:
-        lines.append(f"prio: {sup} > {inf}")
+    lines = [f"fact: {format_formula(f)}" for f in doc.facts]
+    # `_value_` is the arrow's text, read without the `Enum.value` property
+    lines += [f"rule {r.rid}: {{{', '.join(map(format_formula, r.antecedents))}}} "
+              f"{r.arrow._value_} {format_formula(r.consequent)}" for r in doc.rules]
+    lines += [f"prio: {sup} > {inf}" for sup, inf in doc.priority]
     return "\n".join(lines) + ("\n" if lines else "")

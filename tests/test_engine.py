@@ -51,6 +51,7 @@ from ppl import (
 )
 from ppl import engine, kb
 from ppl.engine import _root_subject, _TreeEvaluator, check_history
+from test_exports import ladder
 
 A, B = Atom("a"), Atom("b")
 S1, S2, S3 = Atom("s1"), Atom("s2"), Atom("s3")
@@ -474,6 +475,24 @@ class TestReuseAcrossHistories:
         rng = random.Random(20261020)
         for _ in range(3):
             self.interleaving(rng, desc_lottery4, 400, extra)
+
+    def test_shared_prover_equals_the_tree_where_antecedents_turn(self):
+        # on the penguin KB and a 2-stage ladder with priorities, a history of
+        # one entry changes the value of some antecedent (checked first), so a
+        # memo hit reused without reading its D, or any stored -1 reused for
+        # an antecedent, meets a history under which it is wrong
+        penguin = parse_kb((KB_DIR / "penguin.ppl").read_text(encoding="utf-8"))
+        builds = [lambda: validate_description(penguin.facts, penguin.rules, penguin.priority),
+                  lambda: ladder(2, True)]
+        rng = random.Random(20261022)
+        for build in builds:
+            desc = build()
+            antecedents = {a for r in desc.rules for a in r.antecedents}
+            assert any(tree_value(desc, alg, a, [(alg, r.rid)]) != tree_value(desc, alg, a)
+                       for alg in ALG_ORDER for a in antecedents for r in desc.rules)
+            extra = [f for r in desc.rules for f in (*r.antecedents, r.consequent)]
+            for _ in range(3):
+                self.interleaving(rng, build, 200, extra)
 
     def test_refuted_antecedent_entries_are_read(self):
         # f's supporter rf is refuted by the memo hit of its antecedent a,

@@ -1,6 +1,7 @@
 """Formula construction, normalization, and the text grammar."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -25,7 +26,7 @@ from ppl import (
     parse_formula,
     simplify,
 )
-from ppl.formulas import _sorted_set, canonical_set, evaluate, is_tautology
+from ppl.formulas import _is_identifier, _sorted_set, canonical_set, evaluate, is_tautology
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -334,6 +335,29 @@ class TestCore:
             }
             first = core(group)
             assert core(first) == first
+
+
+class TestIdentifiers:
+    # the grammar's atom rule, the reference `_is_identifier` must agree with
+    REFERENCE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+    def reference(self, name):
+        return name not in ("and", "or") and self.REFERENCE.fullmatch(name) is not None
+
+    @pytest.mark.parametrize("name", [
+        "a", "x_1", "_", "__", "_9", "Z", "andy", "orb", "and_", "If", "None",
+        "and", "or", "", "1", "9a", "a-b", "a b", " a", "a\n", "é", "aé", "ａ", "a１",
+        "ǅ", "ℌ", "µ", "٣", "a\u200c",
+    ])
+    def test_agrees_with_the_grammar(self, name):
+        assert _is_identifier(name) == self.reference(name)
+
+    def test_agrees_on_random_names(self):
+        rng = random.Random(67)
+        alphabet = "aZ_09-é ａ१\t"
+        for _ in range(3000):
+            name = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+            assert _is_identifier(name) == self.reference(name), name
 
 
 class TestTextGrammar:

@@ -1,7 +1,9 @@
 """Axiom construction, strict-rule synthesis, validation, and rule indexing."""
 
+import copy
+import pickle
 import random
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import combinations
 
 import pytest
@@ -48,6 +50,7 @@ from ppl import (
     parse_kb,
     resolution_closure,
     satisfiable,
+    serialize_kb,
     truth_value,
     validate_description,
 )
@@ -1196,6 +1199,60 @@ class TestValidation:
                 sup, inf = rng.choice(edges)
                 with pytest.raises(CyclicPriorityError):
                     validate_description([], rules, edges + [(inf, sup)])
+
+
+class TestRuleContract:
+    """What a `Rule` promises, whatever its layout."""
+
+    RID, ANTS, CONS = "r", (B, Neg(A)), Conj([A, B])  # ANTS in canonical order
+
+    def rule(self, antecedents=ANTS):
+        return Rule(self.RID, antecedents, Arrow.DEFEASIBLE, self.CONS)
+
+    def test_fields_are_immutable(self):
+        r = self.rule()
+        for name in ("rid", "antecedents", "arrow", "consequent"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, getattr(r, name))
+            with pytest.raises(AttributeError):
+                delattr(r, name)
+        assert (r.rid, r.antecedents, r.arrow, r.consequent) == (
+            self.RID, self.ANTS, Arrow.DEFEASIBLE, self.CONS)
+
+    def test_equality_and_hash_go_by_the_fields(self):
+        r = self.rule()
+        fields_of = (self.RID, self.ANTS, Arrow.DEFEASIBLE, self.CONS)
+        same = Rule("r", (Atom("b"), Neg(Atom("a"))), Arrow.DEFEASIBLE,
+                    Conj([Atom("b"), Atom("a")]))
+        assert r == same and hash(r) == hash(same) == hash(fields_of)
+        assert len({r, same}) == 1
+        for i, other in enumerate(("s", (B,), Arrow.WARNING, Conj([A, C]))):
+            changed = list(fields_of)
+            changed[i] = other
+            assert Rule(*changed) != r
+        assert r != fields_of  # a rule equals only a rule
+
+    def test_antecedents_come_out_in_canonical_order(self):
+        ordered = self.rule()
+        for given in ([Neg(A), B], {Neg(A), B}, (Neg(A), B), iter([Neg(A), B, Neg(A)])):
+            assert self.rule(given).antecedents == self.ANTS
+        assert replace(ordered, antecedents=[Neg(A), B]).antecedents == self.ANTS
+        assert replace(ordered, rid="s") == Rule("s", self.ANTS, Arrow.DEFEASIBLE, self.CONS)
+        for copied in (copy.copy(ordered), copy.deepcopy(ordered),
+                       pickle.loads(pickle.dumps(ordered))):
+            assert copied == ordered and copied.antecedents == self.ANTS
+        assert self.rule([]).antecedents == self.rule(()).antecedents == ()
+
+    def test_repr(self):
+        assert repr(self.rule([Neg(A), B])) == "r: {b,~a} => and{a,b}"
+        assert repr(Rule("w", (), Arrow.WARNING, Neg(C))) == "w: {} ~> ~c"
+
+    def test_text_round_trip_keeps_the_rules(self):
+        doc = parse_kb("rule r: {~a, b, or{c,a}} => and{b,a}\nrule w: {} ~> ~c\n"
+                       "rule s: {c} => a\nprio: r > s\n")
+        assert parse_kb(serialize_kb(doc)).rules == doc.rules
+        assert [r.antecedents for r in doc.rules] == [
+            (B, Neg(A), Disj([A, C])), (), (C,)]
 
 
 class TestRuleIndexing:

@@ -34,7 +34,9 @@ team-defeated or else disabled.  The prover memoises each value on the
 description with the entries its computation read, so the memo grows with
 the formulas, not the histories, and every query reuses it: a query whose
 value the memo holds under its history returns without a walk (see
-`_Prover`).
+`_Prover`).  The prover reads a formula as the description does, without
+its leading negations and with a polarity, so ~~f shares f's values and a
+truth value asks f and ~f without building a negation.
 Every walk below is a generator run by one driver (`_run`) on an explicit
 stack, so that depth is limited by memory, not by Python's recursion limit.
 
@@ -77,7 +79,7 @@ class Alg(Enum):
 
     # Members are singletons compared by identity, so the identity hash is
     # exact, and it runs in C: Enum.__hash__ is Python code, and it would run
-    # on every history entry and every memo key (alg, f).
+    # on every history entry and every memo key (alg, f, negated).
     __hash__ = object.__hash__
 
     def __str__(self):
@@ -185,11 +187,17 @@ def foes(desc: PlausibleDescription, alg: Alg | str, f: Formula,
     via r: supporters of ~f, looked up under f itself (see
     `PlausibleDescription._support`).  An f with no opposers, as every link
     of a defeasible chain, has no foes, returned at once."""
-    if type(alg) is not Alg:
-        alg = _as_alg(alg)
+    return _foes(desc, alg if type(alg) is Alg else _as_alg(alg), f, False, r)
+
+
+def _foes(desc: PlausibleDescription, alg: Alg, f: Formula, negated: bool,
+          r: Rule) -> tuple[Rule, ...]:
+    """`foes(desc, alg, ~f, r)` when `negated`, else `foes(desc, alg, f, r)`,
+    for an `Alg` alg: the opposing rules are the supporters of the other
+    polarity, so no `Neg` is built to ask for them."""
     if alg in _BLIND or r.rid == desc.rse_id:
         return ()
-    against = desc._support(f, True)
+    against = desc._support(f, not negated)
     if not against:
         return ()
     if alg is Alg.PSI_P:
@@ -204,8 +212,8 @@ def _bit(desc: PlausibleDescription, alg: Alg, rid: str) -> int:
 
     Two bits a rule suffice: a walk under alg only ever holds entries of
     alg and of its co-algorithm, which differ in priming (phi is its own),
-    and `memo[alg, f]` is only read and written by walks under alg or its
-    co-algorithm.
+    and `memo[alg, f, negated]` is only read and written by walks under alg
+    or its co-algorithm.
     """
     return 1 << (2 * desc._position[rid] + (alg in _PRIMED))
 
@@ -236,10 +244,11 @@ def _run(walk):
     return value
 
 
-def _recall(memo: dict, alg: Alg, h: int, f: Formula):
-    """The first entry (D, h & D, value) of `memo[alg, f]` whose D-part
-    matches h, or None: the one lookup of a memoised proof value."""
-    for entry in memo.get((alg, f), ()):
+def _recall(memo: dict, alg: Alg, h: int, f: Formula, negated: bool):
+    """The first entry (D, h & D, value) of `memo[alg, f, negated]` whose
+    D-part matches h, or None: the one lookup of a memoised proof value, f
+    having no leading negation."""
+    for entry in memo.get((alg, f, negated), ()):
         if h & entry[0] == entry[1]:
             return entry
     return None
@@ -255,9 +264,20 @@ class _Prover:
     stored D of a memo hit.  The value depends on the history only through
     its intersection with D: the recursion is deterministic given its
     membership answers, and an entry a sub-proof adds was first tested, as
-    absent, by the sub-proof itself.  So `memo[alg, f]` lists (D,
+    absent, by the sub-proof itself.  So `memo[alg, g, negated]` lists (D,
     history & D, value), and a lookup reuses any entry whose D-part matches
     the current history.
+
+    The memo is keyed as the description keys its own: by g, the formula
+    left once its leading negations are stripped, and the polarity
+    `negated`, whether an odd number of them was stripped.  Every entry
+    point strips them first.  This is exact: the walk reads its formula only
+    through whether it is a fact, its supporters, its foes and their
+    superior supporters, asked of the description by polarity (`_entails`,
+    `_support`, `_foes`, `_superior_supporters`), and the description
+    strips leading negations before it answers any of these.  So
+    prove(alg, h, ~~g) == prove(alg, h, g), and an entry or a rank stored
+    under (g, negated) holds for every formula that strips to it.
 
     `_prove_formula` proves a non-fact f under history h in one loop over
     f's supporters.  A supporter r whose entry h lacks proves f if its
@@ -285,9 +305,9 @@ class _Prover:
     a walk cut short by an exception leave only exact entries behind.
 
     A +1 stored with `h & D == 0` holds at the empty history, so it also
-    lowers f's rank, the description's `_ranked[f]`, to alg's place in
-    `ALG_ORDER` (see `prove`): every store counts, a sub-walk's as well as
-    the query's own.
+    lowers the rank of (g, negated), the description's `_ranked[g,
+    negated]`, to alg's place in `ALG_ORDER` (see `prove`): every store
+    counts, a sub-walk's as well as the query's own.
     """
 
     def __init__(self, desc: PlausibleDescription):
@@ -307,30 +327,37 @@ class _Prover:
         for f in formulas:
             value = self._known(alg, h, f)
             if value is None:
-                value = yield self._prove_formula(alg, h, f)
+                value = yield self._prove_formula(alg, h, f, False)
             if value == -1:
                 return -1
         return +1
 
     def _known(self, alg: Alg, h: int, f: Formula) -> int | None:
         """The memo's value of f under h, its D read, or None (see `_recall`)."""
-        hit = _recall(self.memo, alg, h, f)
+        negated = False
+        while type(f) is Neg:
+            f, negated = f.inner, not negated
+        hit = _recall(self.memo, alg, h, f, negated)
         if hit is None:
             return None
         self.reads |= hit[0]
         return hit[2]
 
-    def _prove_formula(self, alg: Alg, h: int, f: Formula):
-        """Walk computing f's value under h, which the memo lacks."""
+    def _prove_formula(self, alg: Alg, h: int, f: Formula, negated: bool):
+        """Walk computing the value of f, or of ~f when `negated`, under h,
+        which the memo lacks."""
+        while type(f) is Neg:
+            f, negated = f.inner, not negated
         outer, self.reads = self.reads, 0
-        if self.desc.is_fact(f):
+        desc = self.desc
+        if desc._entails(f, negated):
             value = +1
         elif alg is Alg.PHI:
             value = -1
         else:
             value = -1
             co = co_algorithm(alg)
-            for r in self.desc.supporters(f, self.rsd):
+            for r in desc._support(f, negated, self.rsd):
                 e = self._fresh(h, alg, r.rid)
                 if not e:
                     continue
@@ -338,12 +365,12 @@ class _Prover:
                 for a in r.antecedents:
                     known = self._known(alg, g, a)
                     if known is None:
-                        known = yield self._prove_formula(alg, g, a)
+                        known = yield self._prove_formula(alg, g, a, False)
                     if known == -1:
                         break
                 else:
-                    for s in foes(self.desc, alg, f, r):
-                        for t in self.desc.superior_supporters(f, s, self.rsd):
+                    for s in _foes(desc, alg, f, negated, r):
+                        for t in desc._superior_supporters(f, negated, s, self.rsd):
                             te = self._fresh(h, alg, t.rid)
                             if te and (yield self._prove(alg, h | te, t.antecedents)) == +1:
                                 break  # s is team-defeated
@@ -355,9 +382,10 @@ class _Prover:
                         value = +1
                         break
         d = self.reads
-        self.memo.setdefault((alg, f), []).append((d, h & d, value))
-        if value == +1 and not h & d and self.ranked.get(f, len(ALG_ORDER)) > _RANK[alg]:
-            self.ranked[f] = _RANK[alg]
+        self.memo.setdefault((alg, f, negated), []).append((d, h & d, value))
+        rank = f, negated
+        if value == +1 and not h & d and self.ranked.get(rank, len(ALG_ORDER)) > _RANK[alg]:
+            self.ranked[rank] = _RANK[alg]
         self.reads = outer | d
         return value
 
@@ -371,7 +399,10 @@ def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
     computation tested (see _Prover).  A formula query whose value the
     memo holds under its history returns that value without a walk.  The
     history is still checked, unless it is an empty tuple or list and alg
-    an `Alg`, which leave nothing to check.
+    an `Alg`, which leave nothing to check.  A formula is looked up, ranked
+    and walked without its leading negations, with a polarity, as the
+    description reads it (see `_Prover`): prove(alg, h, ~~f) ==
+    prove(alg, h, f), and one answers the other from the memo.
 
     A beta-p query, and without priorities a psi or psi-p query, runs the
     walk of the algorithm it equals, by two lemmas:
@@ -404,20 +435,37 @@ def prove(desc: PlausibleDescription, alg: Alg, x, history=()) -> int:
     """
     if not (type(alg) is Alg and type(history) in (tuple, list) and not history):
         alg, history = check_history(desc, alg, history)
+    alg, h = _walked(desc, alg, history)
+    if not isinstance(x, Formula):
+        return _run(_Prover(desc)._prove(alg, h, _normalize(x)))
+    return _ask(desc, alg, h, x, False)
+
+
+def _walked(desc: PlausibleDescription, alg: Alg, history) -> tuple[Alg, int]:
+    """The algorithm whose walk answers a query under alg, and the bits of
+    the query's checked history for that walk: beta-p runs beta's walk on
+    the history with its tags swapped, and without priorities psi and psi-p
+    run pi's and pi-p's (see `prove`)."""
     if alg is Alg.BETA_P:
         alg = Alg.BETA
         history = [(co_algorithm(tag), rid) for tag, rid in history]
     elif not desc.priority and alg in _UNRANKED:
         alg = _UNRANKED[alg]
-    h = _history_bits(desc, history) if history else 0
-    if not isinstance(x, Formula):
-        return _run(_Prover(desc)._prove(alg, h, _normalize(x)))
-    hit = _recall(desc._proofs, alg, h, x)
+    return alg, _history_bits(desc, history) if history else 0
+
+
+def _ask(desc: PlausibleDescription, alg: Alg, h: int, f: Formula, negated: bool) -> int:
+    """The value of f, or of ~f when `negated`, under the walked algorithm
+    alg (see `_walked`) and history bits h: the memo's, +1 by the rank at
+    the empty history, or else a walk's (see `prove`)."""
+    while type(f) is Neg:
+        f, negated = f.inner, not negated
+    hit = _recall(desc._proofs, alg, h, f, negated)
     if hit is not None:
         return hit[2]
-    if not h and desc._ranked.get(x, len(ALG_ORDER)) <= _RANK[alg]:
+    if not h and desc._ranked.get((f, negated), len(ALG_ORDER)) <= _RANK[alg]:
         return +1
-    return _run(_Prover(desc)._prove_formula(alg, h, x))
+    return _run(_Prover(desc)._prove_formula(alg, h, f, negated))
 
 
 def provable(desc: PlausibleDescription, alg: Alg, x) -> bool:
@@ -430,13 +478,17 @@ def truth_value(desc: PlausibleDescription, alg: Alg, f: Formula) -> TruthValue:
 
     A query that is no formula raises TypeError before any proof: a truth
     value compares proofs of f and ~f, and a formula set has no negation.
+    Both are asked as `prove` asks them at the empty history, by polarity,
+    after one redirect (see `_walked`): ~f is f with the other polarity,
+    so no `Neg` is built, and a memo hit for either starts no walk.
     """
     if not isinstance(f, Formula):
         _normalize(f)  # text, or anything that is no formula set, is named as such
         raise TypeError(f"query {f!r} is a set of formulas, not a formula: "
                         "a truth value needs one formula")
-    pos = prove(desc, alg, f) == +1
-    neg = prove(desc, alg, Neg(f)) == +1
+    alg, _ = _walked(desc, alg if type(alg) is Alg else _as_alg(alg), ())
+    pos = _ask(desc, alg, 0, f, False) == +1
+    neg = _ask(desc, alg, 0, f, True) == +1
     if pos and neg:
         return TruthValue.AMBIGUOUS
     if pos:

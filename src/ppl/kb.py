@@ -305,16 +305,16 @@ class PlausibleDescription:
     the supporters of a formula and of its negation, each
     per formula without leading negations (all and among `rsd()` in one
     entry); the countermodel pool of the supporter scans per set of
-    components (see `_supported`); proof values per algorithm and formula,
-    shared by every query under any algorithm and history (see
-    `engine._Prover`); and each formula's rank, the lowest `ALG_ORDER`
-    place of an algorithm that has stored a +1 for it at the empty history
-    (see `engine.prove`), which answers a query without a walk and enters
-    nothing in the proof values.  The memos always equal recomputation (a
-    pool's models only spare searches, and a rank only answers what a walk
-    would); none of these takes part in equality, and concurrent reads are
-    safe: a lost race on a rank can only keep a higher one, which is still
-    sound.
+    components (see `_supported`); proof values per algorithm, formula
+    without leading negations and polarity, shared by every query under any
+    algorithm and history (see `engine._Prover`); and the rank of each such
+    formula and polarity, the lowest `ALG_ORDER` place of an algorithm that
+    has stored a +1 for it at the empty history (see `engine.prove`), which
+    answers a query without a walk and enters nothing in the proof values.
+    The memos always equal recomputation (a pool's models only spare
+    searches, and a rank only answers what a walk would); none of these
+    takes part in equality, and concurrent reads are safe: a lost race on a
+    rank can only keep a higher one, which is still sound.
     """
 
     rules: tuple[Rule, ...]
@@ -686,9 +686,17 @@ class PlausibleDescription:
     def superior_supporters(self, f: Formula, s: Rule,
                             rules: Sequence[Rule] | None = None) -> tuple[Rule, ...]:
         """Supporters of f strictly superior to s."""
+        return self._superior_supporters(f, False, s, rules)
+
+    def _superior_supporters(self, f: Formula, negated: bool, s: Rule,
+                             rules: Sequence[Rule] | None = None) -> tuple[Rule, ...]:
+        """`superior_supporters(~f, s, rules)` when `negated`, else
+        `superior_supporters(f, s, rules)`, read off `_support`, so no `Neg`
+        is built to ask."""
         if s.rid not in self._inferiors:  # no rule is superior to s
             return ()
-        return tuple(t for t in self.supporters(f, rules) if (t.rid, s.rid) in self.priority)
+        return tuple(t for t in self._support(f, negated, rules)
+                     if (t.rid, s.rid) in self.priority)
 
     def superior(self, r: Rule, s: Rule) -> bool:
         return (r.rid, s.rid) in self.priority

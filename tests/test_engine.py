@@ -574,6 +574,9 @@ class TestCanonicalWalks:
     oracle."""
 
     def test_redirected_queries_equal_the_tree_under_random_histories(self):
+        # each probe is followed by its double and triple negations, which
+        # the prover keys as the probe with its own polarity and the other:
+        # the tree, which keeps every formula as written, is the oracle
         rng = random.Random(20261021)
         unranked = 0
         for i in range(240):
@@ -581,7 +584,8 @@ class TestCanonicalWalks:
             make = make_ranked_theory if i % 2 else make_random_theory
             desc, fresh = make(random.Random(seed)), make(random.Random(seed))
             unranked += not desc.priority
-            for f in probe_formulas(desc):
+            probes = [g for f in probe_formulas(desc) for g in (f, Neg(Neg(f)), Neg(Neg(Neg(f))))]
+            for f in probes:
                 history = random_history(rng, desc, Alg.BETA_P)
                 mirrored = [(co_algorithm(tag), rid) for tag, rid in history]
                 want = tree_value(desc, Alg.BETA_P, f, history)
@@ -594,6 +598,8 @@ class TestCanonicalWalks:
         assert unranked >= 40  # the psi redirect is taken on these
 
     def test_redirected_queries_add_no_memo_keys(self):
+        # the memo's keys are (alg, formula without leading negations,
+        # polarity), those of f and of ~f alike
         desc = desc_lottery4()
         for walked, redirected in ((Alg.PI, Alg.PSI), (Alg.BETA, Alg.BETA_P)):
             for f in probe_formulas(desc):
@@ -601,6 +607,8 @@ class TestCanonicalWalks:
                 keys = set(desc._proofs)
                 truth_value(desc, redirected, f)
                 assert set(desc._proofs) == keys, (redirected, f)
+        assert {negated for _, _, negated in keys} == {False, True}
+        assert not any(type(g) is Neg for _, g, _ in keys)
 
     def test_psi_walks_on_its_own_under_priorities(self):
         doc = parse_kb((KB_DIR / "penguin.ppl").read_text(encoding="utf-8"))
@@ -612,7 +620,7 @@ class TestCanonicalWalks:
         keys = set(desc._proofs)
         for f in probes:
             truth_value(desc, Alg.PSI, f)
-        assert any(alg is Alg.PSI for alg, _ in set(desc._proofs) - keys)
+        assert any(alg is Alg.PSI for alg, _, _ in set(desc._proofs) - keys)
 
 
 class TestMemoHits:
@@ -635,6 +643,31 @@ class TestMemoHits:
         assert walks == []
         truth_value(desc, Alg.PI_P, probes[0])
         assert walks  # the counter sees the walks that do start
+
+    def test_a_second_pass_builds_no_negation_and_walks_nothing(self, monkeypatch):
+        # f and ~f are asked by polarity, so once a pass has stored both, a
+        # second pass is memo hits and ranks alone; ~~f shares f's entries
+        built, walks = [], []
+        init, run = Neg.__init__, engine._run
+        monkeypatch.setattr(engine, "_run", lambda walk: walks.append(walk) or run(walk))
+        for make in (desc_lottery4, TestHierarchyShortcut.penguin):
+            desc = make()
+            probes = probe_formulas(desc)
+            first = [truth_value(desc, alg, f) for alg in ALG_ORDER for f in probes]
+            assert walks  # the counter sees the walks that do start
+            del walks[:]
+            monkeypatch.setattr(Neg, "__init__",
+                                lambda neg, inner: built.append(inner) or init(neg, inner))
+            assert [truth_value(desc, alg, f) for alg in ALG_ORDER for f in probes] == first
+            assert built == [] and walks == []
+            monkeypatch.setattr(Neg, "__init__", init)
+            desc = make()
+            for alg in ALG_ORDER:
+                for f in probes:
+                    value = prove(desc, alg, f)
+                    twice = Neg(Neg(f))
+                    del walks[:]
+                    assert prove(desc, alg, twice) == value and walks == [], (alg, f)
 
     def test_a_hit_honours_its_entries(self):
         doc = parse_kb((KB_DIR / "plausible_default.ppl").read_text(encoding="utf-8"))
@@ -733,7 +766,7 @@ class TestHierarchyShortcut:
         desc = validate_description(doc.facts, doc.rules, doc.priority)
         assert prove(desc, Alg.PI, A) == +1
         assert prove(desc, Alg.BETA, A) == +1  # by pi's rank, storing nothing
-        assert not any(alg is Alg.BETA for alg, _ in desc._proofs)
+        assert not any(alg is Alg.BETA for alg, _, _ in desc._proofs)
         # beta may not use ra twice: the +1 holds at the empty history only
         assert prove(desc, Alg.BETA, A, [("beta", "ra")]) == -1
         assert prove(desc, Alg.BETA_P, A, [("beta-p", "ra")]) == -1

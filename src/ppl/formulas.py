@@ -2,9 +2,13 @@
 
 Formulas are built from atoms with negation, conjunction, and disjunction,
 where the operands of ``and``/``or`` form a genuine finite set: no order, no
-duplicates.  ``or{}`` is the falsum and ``and{}`` is the verum.  All formula
-objects are immutable and hashable, and sets keep the one canonical order that
-`_compare` defines, so that equality, hashing, and iteration are deterministic.
+duplicates.  ``or{}`` is the falsum and ``and{}`` is the verum.  Formulas
+are immutable and hash-consed: a process holds one object per distinct
+formula (see `Formula`), so equality is identity, and a set's members keep
+the one canonical order that `_compare` defines.  A formula's hash is its
+identity's, which varies from process to process, so no output may depend
+on iterating a set or dict of formulas: sort by `_compare`, or keep an
+insertion order that does not come from hashing.
 
 The text grammar (used by the KB file format and the CLI) is::
 
@@ -20,9 +24,12 @@ from __future__ import annotations
 
 import re
 import sys
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from collections import Counter
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_MAX_ATOMS = 20
 
@@ -37,20 +44,26 @@ class AtomLimitError(Exception):
 
 
 class Formula:
-    """Base class; instances are Atom, Neg, Conj, or Disj."""
+    """Base class; instances are Atom, Neg, Conj, or Disj.
 
-    __slots__ = ("_hash",)
+    Formulas are hash-consed: each kind keeps a unique table, keyed by the
+    one field that holds a formula's parts (an atom's name, a negation's
+    inner formula, a set's members in canonical order), and a constructor
+    returns the live formula under its key, building one only when there
+    is none.  So formulas of equal structure are one object, and `==` and
+    `hash` are the identity's, run in C.  The table holds its formulas
+    weakly: a formula that nothing else holds is freed.  A field is set
+    once, through its slot descriptor; assigning or deleting one raises
+    AttributeError, since a write would change the formula for every
+    holder.  A copy, a deep copy or an unpickled formula is the formula
+    itself."""
+
+    __slots__ = ("__weakref__",)
 
     _tag: int  # kind, in the canonical order: atom, ~, and, or
-    _hash: int
-
-    def __eq__(self, other):
-        """Structural equality: identity, cached hashes, then the canonical order."""
-        return self is other or (isinstance(other, Formula) and self._hash == other._hash
-                                 and _compare(self, other) == 0)
-
-    def __hash__(self):
-        return self._hash
+    _key: object  # the kind's key field: an alias of `name`, `inner` or `members`
+    _table: dict  # the kind's unique table: key -> _Ref of its live formula
+    _unique: Callable  # a key's one live formula, built if there is none
 
     def __lt__(self, other):
         if not isinstance(other, Formula):
@@ -60,33 +73,43 @@ class Formula:
     def __repr__(self):
         return format_formula(self)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: formulas are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: formulas are immutable")
+
+    def __reduce__(self):
+        return type(self), (self._key,)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
 
 class Atom(Formula):
     __slots__ = ("name",)
     _tag = 0
 
-    def __init__(self, name: str):
-        if not _is_identifier(name):
-            raise ValueError(f"invalid atom name: {name!r}")
-        self.name = sys.intern(name)
-        self._hash = hash((0, self.name))
+    def __new__(cls, name: str):
+        return cls._unique(name)
 
 
 class Neg(Formula):
     __slots__ = ("inner",)
     _tag = 1
 
-    def __init__(self, inner: Formula):
-        self.inner = inner
-        self._hash = hash((1, inner._hash))
+    def __new__(cls, inner: Formula):
+        return cls._unique(inner)
 
 
 class _SetFormula(Formula):
     __slots__ = ("members",)
 
-    def __init__(self, members: Iterable[Formula]):
-        self.members = canonical_set(members)
-        self._hash = hash((self._tag, tuple(m._hash for m in self.members)))
+    def __new__(cls, members: Iterable[Formula]):
+        return cls._unique(canonical_set(members))
 
     def __len__(self):
         return len(self.members)
@@ -103,6 +126,81 @@ class Conj(_SetFormula):
 class Disj(_SetFormula):
     __slots__ = ()
     _tag = 3
+
+
+class _Ref(weakref.ref):
+    """A unique table's weak reference to a formula, with the formula's key."""
+
+    __slots__ = ("key",)
+
+
+# One lock serializes the building of formulas, so two threads never build
+# twins.
+_lock = threading.Lock()
+
+
+def _unique_table(cls: type, field: str, checked: Callable) -> None:
+    """Give `cls` its unique table, keyed by its slot `field`, and
+    `cls._unique`, which maps a key to the one live formula under it.  Only
+    a key that no live formula has is checked (`checked` returns the key
+    to store, or raises), and builds one, under the lock.  An entry is a
+    weak reference whose callback drops the entry once its formula has
+    died, unless a new formula has replaced it: `_remove_dead_weakref`,
+    the C helper of `weakref.WeakValueDictionary`, deletes an entry only
+    if it holds a dead reference, in one step, so the callback needs no
+    lock."""
+    table: dict = {}
+    field_set = getattr(cls, field).__set__
+    lock, unlock = _lock.acquire, _lock.release
+
+    def drop(ref):
+        _remove_dead_weakref(table, ref.key)
+
+    def unique(key):
+        ref = table.get(key)
+        if ref is not None:
+            f = ref()
+            if f is not None:
+                return f
+        key = checked(key)
+        lock()
+        try:
+            ref = table.get(key)
+            f = None if ref is None else ref()
+            if f is None:
+                f = object.__new__(cls)
+                field_set(f, key)
+                ref = table[key] = _Ref(f, drop)
+                ref.key = key
+        finally:
+            unlock()
+        return f
+
+    cls._table, cls._key, cls._unique = table, getattr(cls, field), staticmethod(unique)
+
+
+def _name_key(name):
+    if not (isinstance(name, str) and _is_identifier(name)):
+        raise ValueError(f"invalid atom name: {name!r}")
+    return sys.intern(name)
+
+
+def _inner_key(f):
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return f
+
+
+def _members_key(members):
+    for m in members:
+        _inner_key(m)
+    return members
+
+
+_unique_table(Atom, "name", _name_key)
+_unique_table(Neg, "inner", _inner_key)
+_unique_table(Conj, "members", _members_key)
+_unique_table(Disj, "members", _members_key)
 
 
 def canonical_set(members: Iterable[Formula]) -> tuple[Formula, ...]:
@@ -152,13 +250,12 @@ def _compare(f, g) -> int:
 def _sorted_set(cls: type, members: Sequence[tuple]) -> tuple:
     """(key, formula, text) of the simplified `cls` set (Conj or Disj) of
     `members`, distinct (key, formula, text) triples already in key order.
-    One member is returned as it is; otherwise the set is built around the
-    members as given, with no comparison and no sort."""
+    One member is returned as it is; otherwise the members as given are
+    the set's key in the unique table, found with no comparison and no
+    sort."""
     if len(members) == 1:
         return members[0]
-    f = object.__new__(cls)
-    f.members = tuple([m[1] for m in members])
-    f._hash = hash((cls._tag, tuple([g._hash for g in f.members])))
+    f = cls._unique(tuple([m[1] for m in members]))
     text = ("and{" if cls is Conj else "or{") + ",".join([m[2] for m in members]) + "}"
     return (cls._tag, tuple([m[0] for m in members])), f, text
 

@@ -11,9 +11,13 @@ Lines end at "\n", "\r\n" or "\r" only, so a comment holding any other
 line break still ends at the newline.  A line that `str.strip` empties is
 skipped.  Each line is read as one list of tokens (`formulas._TOKEN`):
 runs of [A-Za-z0-9_], the arrows "=>" and "~>", and every other character
-on its own, with only spaces and tabs between them skipped.  One table per
-document holds one Atom per name, so each name is checked and hashed once,
-and equal atoms of a document are the same object.
+on its own, with only spaces and tabs between them skipped.  Equal atoms
+are one object in the whole process (`formulas.Formula`), yet one table
+per document still maps each name read to its Atom: a name read again is
+one dict hit, where `Atom(name)` runs a Python `__new__` and a lookup in
+the unique table.  Without the table, reading a 20,000-rule chain took
+0.123 s against 0.113 s, and 4,000 rules over 40 atoms 0.041 s against
+0.037 s (least CPU time of 90 reads, Python 3.11, 2 shared cores).
 
 Rule ids follow atom syntax.  Parsing collects every failure as a
 Diagnostic with a 1-based line and column, the column of the offending

@@ -1,7 +1,13 @@
 """Formula construction, normalization, and the text grammar."""
 
+import copy
+import gc
+import pickle
 import random
 import re
+import sys
+import threading
+import weakref
 from itertools import product
 
 import pytest
@@ -27,6 +33,7 @@ from ppl import (
     simplify,
 )
 from ppl.formulas import _is_identifier, _sorted_set, canonical_set, evaluate, is_tautology
+from ppl.kb import build_strict_rules
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -53,17 +60,26 @@ class TestStructure:
             Atom("and")
         with pytest.raises(ValueError):
             Atom("9x")
+        with pytest.raises(ValueError):
+            Atom(5)
 
-    def test_equality_is_structural_under_equal_hashes(self):
-        # every hash forced equal, so == decides on structure alone
+    def test_parts_must_be_formulas(self):
+        for build in (lambda: Neg("a"), lambda: Conj(["a", "b"]), lambda: Disj([3])):
+            with pytest.raises(TypeError):
+                build()
+        assert Atom(name="a") is A and Neg(inner=A) is Neg(A)
+        assert Conj(members=[B, A]) is Conj([A, B])
+
+    def test_equality_is_identity(self):
         rng = random.Random(13)
         texts = ["a", "b", "~a", "~~a", "and{}", "or{}", "or{a,b}", "and{a,b}",
                  "or{a,~b}", "or{a,b,c}", "and{or{a,b},~c}", "and{or{a,c},~c}"]
 
         for _ in range(200):
             s, t = rng.choice(texts), rng.choice(texts)
-            f, g = _same_hash(parse_formula(s)), _same_hash(parse_formula(t))
-            assert (f == g) is (s == t) and (f != g) is (s != t), (s, t)
+            f, g = parse_formula(s), parse_formula(t)
+            assert (f is g) is (f == g) is (s == t) and (f != g) is (s != t), (s, t)
+            assert (hash(f) == hash(g)) is (s == t), (s, t)
 
     def test_atoms_collects_all(self):
         assert atoms(Conj([Disj([A, Neg(B)]), C])) == {"a", "b", "c"}
@@ -72,17 +88,6 @@ class TestStructure:
         f = Disj([C, A, C, Neg(B)])
         assert len(f) == 3 and list(f) == list(f.members) == [A, C, Neg(B)]
         assert len(VERUM) == 0 and list(VERUM) == []
-
-
-def _same_hash(f):
-    """f with every hash in it forced to 0, so == must decide on structure."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        g._hash = 0
-        stack.extend(g.members if isinstance(g, (Conj, Disj))
-                     else [g.inner] if isinstance(g, Neg) else [])
-    return f
 
 
 def _reference_key(f):
@@ -94,6 +99,101 @@ def _reference_key(f):
     if isinstance(f, Neg):
         return (1, _reference_key(f.inner))
     return (2 if isinstance(f, Conj) else 3, tuple(_reference_key(m) for m in f.members))
+
+
+def _table_sizes():
+    return [len(cls._table) for cls in (Atom, Neg, Conj, Disj)]
+
+
+def _fresh_texts(tag, n):
+    """n canonical formula texts over atoms that no other test names, so
+    each is built anew; a formula and its parts include every kind."""
+    return [f"and{{{tag}{i}_a,~~{tag}{i}_c,or{{{tag}{i}_a,~{tag}{i}_b}}}}" for i in range(n)]
+
+
+class TestUniqueness:
+    """One live object per distinct formula, however it is built."""
+
+    def test_equal_structure_is_one_object(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            f = random_formula(rng, 4)
+            text = format_formula(f)
+            assert parse_formula(text) is f
+            assert parse_formula(text.replace(",", " , ")) is f
+            if isinstance(f, (Conj, Disj)):  # rebuilt from its members, shuffled
+                members = list(f.members) * 2
+                rng.shuffle(members)
+                assert type(f)(members) is f and type(f)(iter(members)) is f
+            elif isinstance(f, Neg):
+                assert Neg(f.inner) is f
+            else:
+                assert Atom(f.name) is f
+
+    def test_expanded_rules_are_the_parsed_formulas(self):
+        rules = build_strict_rules([parse_formula("or{a,~b,c}"), parse_formula("or{~a,d}")])
+        assert len(rules) == 9  # 7 + 3, sharing the axiom rule
+        for r in rules:
+            for f in (*r.antecedents, r.consequent):
+                assert parse_formula(format_formula(f)) is f
+        assert rules[0].consequent is parse_formula("and{or{a,~b,c},or{~a,d}}")
+
+    def test_fields_are_immutable(self):
+        for f, fields in ((A, ("name",)), (Neg(A), ("inner",)),
+                          (Conj([A, B]), ("members",)), (FALSUM, ("members",))):
+            before = parse_formula(format_formula(f))
+            for name in (*fields, "_key", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(f, name, getattr(f, name, None))
+                with pytest.raises(AttributeError):
+                    delattr(f, name)
+            assert parse_formula(format_formula(f)) is f is before
+        assert A.name == "a" and Atom("a") is A
+
+    def test_copies_and_pickles_are_the_object_itself(self):
+        deep = parse_formula("and{" * 30 + "~a" + "}" * 30)
+        for f in (A, Neg(Neg(B)), VERUM, FALSUM, parse_formula("or{and{a,~b},~c}"), deep):
+            assert copy.copy(f) is f and copy.deepcopy(f) is f
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(f, protocol)) is f
+        pair = copy.deepcopy([A, {Neg(A): [A]}])
+        assert pair[0] is A and pair[1][Neg(A)][0] is A
+
+    def test_threads_building_the_same_formulas_get_one_object_each(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round in range(4):
+                texts = _fresh_texts(f"thr{round}_", 300)
+                barrier = threading.Barrier(8, timeout=60)
+                built = []
+
+                def build():
+                    barrier.wait()
+                    built.append([parse_formula(t) for t in texts])
+
+                threads = [threading.Thread(target=build) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads) and len(built) == 8
+                for fs in zip(*built):
+                    assert len({id(f) for f in fs}) == 1
+                assert [format_formula(f) for f in built[0]] == texts
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_dropped_formulas_leave_the_table(self):
+        gc.collect()
+        before = _table_sizes()
+        fs = [parse_formula(t) for t in _fresh_texts("gone", 50)]
+        # each text holds 3 atoms, 3 negations, one and and one or
+        assert _table_sizes() == [n + k * 50 for n, k in zip(before, (3, 3, 1, 1))]
+        ref = weakref.ref(fs[0].members[0])
+        del fs
+        gc.collect()
+        assert ref() is None and _table_sizes() == before
 
 
 class TestCanonicalOrder:
@@ -112,8 +212,8 @@ class TestCanonicalOrder:
         equal_pairs = 0
         for _ in range(3000):
             f, g = rng.choice(pool), rng.choice(pool)
-            if rng.random() < 0.5:  # separate copies, every hash forced equal
-                f, g = (_same_hash(parse_formula(format_formula(h))) for h in (f, g))
+            if rng.random() < 0.5:  # parsed apart: the same objects
+                f, g = (parse_formula(format_formula(h)) for h in (f, g))
             kf, kg = _reference_key(f), _reference_key(g)
             assert (f < g, g < f, f == g, f != g) == (kf < kg, kg < kf, kf == kg, kf != kg)
             equal_pairs += kf == kg
@@ -153,7 +253,7 @@ def _checked_set(cls, members):
     got = _sorted_set(cls, members)
     ref = simplify(cls([m[1] for m in members]))
     _, f, text = got
-    assert f == ref and hash(f) == hash(ref) and repr(f) == repr(ref) == text
+    assert f is ref and repr(f) == text
     if len(members) > 1:
         assert type(f) is cls and f.members == ref.members
     return got
